@@ -62,6 +62,13 @@ Result<EpochManifest> decode_manifest(const std::vector<std::uint8_t>& payload,
   return m;
 }
 
+std::array<std::uint8_t, kLogFileHeaderSize> log_file_header() {
+  std::array<std::uint8_t, kLogFileHeaderSize> hdr{};
+  std::memcpy(hdr.data(), &kLogFileMagic, 4);
+  std::memcpy(hdr.data() + 4, &kLogFileVersion, 4);
+  return hdr;
+}
+
 LogScan scan_log_bytes(const std::uint8_t* data, std::size_t size) {
   LogScan scan;
   std::size_t pos = 0;
@@ -79,9 +86,10 @@ LogScan scan_log_bytes(const std::uint8_t* data, std::size_t size) {
   while (pos + frame_fixed <= size) {
     std::uint32_t len = 0;
     std::memcpy(&len, data + pos, 4);
-    if (!scan.new_format && len < kLogFrameFixed) {
-      // Legacy frames carry no CRC; an implausibly small length is the only
-      // corruption a scan can prove.
+    if (len < kLogFrameFixed) {
+      // No writer produces a record shorter than its fixed fields; for
+      // legacy frames, which carry no CRC, this is the only corruption a
+      // scan can prove.
       scan.torn = true;
       break;
     }
@@ -98,7 +106,11 @@ LogScan scan_log_bytes(const std::uint8_t* data, std::size_t size) {
         break;
       }
     }
-    scan.frames.push_back({payload, len});
+    LogFrameView frame;
+    std::memcpy(&frame.index, payload, 8);
+    frame.data = payload;
+    frame.len = len;
+    scan.frames.push_back(frame);
     pos += frame_fixed + len;
     scan.valid_bytes = pos;
   }
@@ -106,6 +118,33 @@ LogScan scan_log_bytes(const std::uint8_t* data, std::size_t size) {
   // as well.
   if (!scan.torn && pos != size) scan.torn = true;
   return scan;
+}
+
+std::vector<std::uint8_t> log_suffix_image(const LogScan& scan,
+                                           std::uint64_t bound) {
+  std::size_t size = kLogFileHeaderSize;
+  for (const LogFrameView& f : scan.frames) {
+    if (f.index >= bound) size += 8 + f.len;
+  }
+  std::vector<std::uint8_t> out;
+  out.reserve(size);
+  const auto hdr = log_file_header();
+  out.insert(out.end(), hdr.begin(), hdr.end());
+  for (const LogFrameView& f : scan.frames) {
+    if (f.index < bound) continue;
+    if (scan.new_format) {
+      // [len][crc] sit right before the payload, the CRC already verified.
+      out.insert(out.end(), f.data - 8, f.data + f.len);
+      continue;
+    }
+    std::uint8_t head[8];
+    const std::uint32_t crc = storage::crc32c(f.data, f.len);
+    std::memcpy(head, &f.len, 4);
+    std::memcpy(head + 4, &crc, 4);
+    out.insert(out.end(), head, head + 8);
+    out.insert(out.end(), f.data, f.data + f.len);
+  }
+  return out;
 }
 
 }  // namespace ms::ft

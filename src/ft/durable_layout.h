@@ -16,6 +16,7 @@
 //                        from the header and scans either.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -68,9 +69,15 @@ constexpr std::size_t kLogFrameFixed =
     8 /*source_seq*/ + 8 /*edge_seq*/ + 8 /*event_time*/ + 8 /*wire_size*/ +
     1 /*has_payload*/;
 
+/// The MSLG header a checksummed log starts with.
+std::array<std::uint8_t, kLogFileHeaderSize> log_file_header();
+
 /// One whole verified (or, legacy, plausible) record payload inside the
-/// scanned buffer — a view, valid while the buffer lives.
+/// scanned buffer — a view, valid while the buffer lives. `index` is the
+/// record index, the payload's first 8 bytes in both formats, read without
+/// decoding the rest of the record.
 struct LogFrameView {
+  std::uint64_t index = 0;
   const std::uint8_t* data = nullptr;
   std::uint32_t len = 0;
 };
@@ -86,8 +93,17 @@ struct LogScan {
 };
 
 /// Walk a source log's bytes frame by frame, verifying per-frame CRCs in the
-/// new format and falling back to length-sanity checks for legacy files.
-/// Never throws or aborts on corrupt input — a torn tail stops the scan.
+/// new format and falling back to length-sanity checks for legacy files. A
+/// frame too short to hold a record's fixed fields is corrupt in either
+/// format. Never throws or aborts on corrupt input — a torn tail stops the
+/// scan.
 LogScan scan_log_bytes(const std::uint8_t* data, std::size_t size);
+
+/// The checksummed file image that keeps `scan`'s frames with index >=
+/// `bound`: the MSLG header, then each kept frame as [len][crc32c][payload].
+/// Checksummed frames are copied with the CRC the scan verified; legacy
+/// frames gain theirs here, which is where a pre-checksum log upgrades.
+std::vector<std::uint8_t> log_suffix_image(const LogScan& scan,
+                                           std::uint64_t bound);
 
 }  // namespace ms::ft

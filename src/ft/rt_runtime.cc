@@ -71,11 +71,14 @@ RtRuntime::RtRuntime(rt::RtEngine* engine, RtRuntimeConfig config)
         config_.metrics ? config_.metrics : &MetricsRegistry::global();
     m_torn_frames_ = m->counter("ft.log.torn_frames");
     m_append_failures_ = m->counter("ft.log.append_failures");
+    m_truncations_skipped_ = m->counter("ft.log.truncation_skipped");
     m_corrupt_manifests_ = m->counter("ft.scan.corrupt_manifests");
     m_corrupt_artifacts_ = m->counter("ft.recovery.corrupt_artifacts");
     m_fallbacks_ = m->counter("ft.recovery.fallbacks");
   }
-  scan_existing_state();
+  // A log read error here is logged; recover() re-reads that log and aborts
+  // retryably if it still fails.
+  (void)scan_existing_state();
   baseline_seq_.assign(static_cast<std::size_t>(n), 0);
   delta_enabled_ = config_.mode == RtMode::kSrcApDelta ||
                    (config_.mode != RtMode::kBaseline &&
@@ -160,6 +163,7 @@ Status RtRuntime::start() {
     std::scoped_lock lk(ctl_mu_);
     initiation_stopped_ = false;
   }
+  drop_log_views();  // the engine appends from here on
   engine_->start();
   arm_initiation();
   if (config_.auto_recover) start_supervisor();
@@ -633,48 +637,49 @@ Result<RtRuntime::Manifest> RtRuntime::read_manifest(
   return decode_manifest(payload, path);
 }
 
-std::vector<RtRuntime::LogRecord> RtRuntime::read_log(int op,
-                                                      LogHealth* health) const {
-  std::vector<LogRecord> records;
-  if (health) *health = LogHealth{};
-  std::vector<std::uint8_t> bytes;
-  const Status st = storage::read_raw(
-      log_path(op), storage::ArtifactKind::kSourceLog, durable_opts(), &bytes);
-  if (!st.is_ok()) {
-    // kNotFound is a genuinely empty log. Anything else is a transient read
-    // failure over bytes that may be intact — report it, because an empty
-    // return here is indistinguishable from "nothing to replay".
-    if (health && st.code() != StatusCode::kNotFound) health->error = st;
-    return records;
+Status RtRuntime::read_log(int op, LogView* view) const {
+  const Status st = storage::read_raw(log_path(op),
+                                      storage::ArtifactKind::kSourceLog,
+                                      durable_opts(), &view->bytes);
+  // kNotFound is a genuinely empty log. Anything else is a transient read
+  // failure over bytes that may be intact — report it, because an empty
+  // view is indistinguishable from "nothing to replay".
+  if (st.code() == StatusCode::kNotFound) return Status::ok();
+  if (!st.is_ok()) return st;
+  // read_raw reports a short read as success. Callers hold the log's mutex
+  // with the engine stopped or appends excluded, so the file cannot have
+  // shrunk since: fewer bytes than the file holds is a damaged read. A short
+  // read that ends on a frame boundary scans clean, and trusting it would
+  // hide every record past that point.
+  std::error_code ec;
+  const auto fsize = fs::file_size(log_path(op), ec);
+  if (ec || view->bytes.size() != fsize) {
+    view->bytes.clear();
+    return Status::unavailable("short read: " + log_path(op));
   }
-  const LogScan scan = scan_log_bytes(bytes.data(), bytes.size());
-  if (health) {
-    health->new_format = scan.new_format;
-    health->torn = scan.torn;
-    health->valid_bytes = scan.valid_bytes;
+  view->scan = scan_log_bytes(view->bytes.data(), view->bytes.size());
+  return Status::ok();
+}
+
+RtRuntime::LogRecord RtRuntime::decode_log_record(
+    const LogFrameView& frame) const {
+  // The scanner already enforced len >= kLogFrameFixed, so the fixed fields
+  // cannot trip BinaryReader's fail-stop.
+  BinaryReader r(frame.data, frame.len);
+  LogRecord rec;
+  rec.index = r.read<std::uint64_t>();
+  rec.out_port = static_cast<int>(r.read<std::int32_t>());
+  rec.tuple.id = r.read<std::uint64_t>();
+  rec.tuple.source_hau = r.read<std::uint32_t>();
+  rec.tuple.source_seq = r.read<std::uint64_t>();
+  rec.tuple.edge_seq = r.read<std::uint64_t>();
+  rec.tuple.event_time = SimTime::nanos(r.read<std::int64_t>());
+  rec.tuple.wire_size = static_cast<Bytes>(r.read<std::uint64_t>());
+  const bool has_payload = r.read<std::uint8_t>() != 0;
+  if (has_payload && config_.codec.decode_payload) {
+    rec.tuple.payload = config_.codec.decode_payload(r);
   }
-  for (const LogFrameView& frame : scan.frames) {
-    // The scanner already enforced len >= kLogFrameFixed (legacy) or a
-    // matching CRC (new format); re-check the floor so a CRC-valid but
-    // impossibly short frame cannot trip BinaryReader's fail-stop.
-    if (frame.len < kLogFrameFixed) break;
-    BinaryReader r(frame.data, frame.len);
-    LogRecord rec;
-    rec.index = r.read<std::uint64_t>();
-    rec.out_port = static_cast<int>(r.read<std::int32_t>());
-    rec.tuple.id = r.read<std::uint64_t>();
-    rec.tuple.source_hau = r.read<std::uint32_t>();
-    rec.tuple.source_seq = r.read<std::uint64_t>();
-    rec.tuple.edge_seq = r.read<std::uint64_t>();
-    rec.tuple.event_time = SimTime::nanos(r.read<std::int64_t>());
-    rec.tuple.wire_size = static_cast<Bytes>(r.read<std::uint64_t>());
-    const bool has_payload = r.read<std::uint8_t>() != 0;
-    if (has_payload && config_.codec.decode_payload) {
-      rec.tuple.payload = config_.codec.decode_payload(r);
-    }
-    records.push_back(std::move(rec));
-  }
-  return records;
+  return rec;
 }
 
 void RtRuntime::truncate_log(int op, std::uint64_t boundary) {
@@ -687,48 +692,41 @@ void RtRuntime::truncate_log(int op, std::uint64_t boundary) {
     log.failed_since = SourceLog::kNoAppendFailure;
   }
   if (boundary <= log.begin_index) return;  // nothing behind the boundary
-  // Every append hits the kernel before return, so the file is complete up
-  // to next_index.
-  LogHealth read_health;
-  const std::vector<LogRecord> records = read_log(op, &read_health);
-  if (!read_health.error.is_ok()) {
-    // Rewriting from a failed read would commit an empty (or partial) image
-    // over records the read never saw. Keep the file; the next commit
-    // retries the truncation.
+  LogView view;
+  const Status st = read_log(op, &view);
+  // Every append hits the kernel before return, so a whole read of the file
+  // verifies every frame up to next_index - 1. A read that ends early — an
+  // error, a short read, a flipped bit — would commit an image that drops
+  // records the read never saw, records the sink may already have. Keep the
+  // file; the next commit retries the truncation.
+  const auto& frames = view.scan.frames;
+  const bool complete = st.is_ok() && !view.scan.torn && !frames.empty() &&
+                        frames.back().index + 1 == log.next_index;
+  if (!complete) {
     MS_LOG_WARN("ft", "rt source log truncation skipped for op %d: %s", op,
-                read_health.error.message().c_str());
+                st.is_ok() ? "read ended before the last appended record"
+                           : st.message().c_str());
+    m_truncations_skipped_->add(1);
     return;
   }
+  // The rewrite copies the kept frames as they are and always emits the
+  // checksummed format — this is where a legacy log upgrades.
+  const std::vector<std::uint8_t> image = log_suffix_image(view.scan, boundary);
   log.out.close();
-  // The rewrite always emits the checksummed format — this is where a legacy
-  // log upgrades.
-  BinaryWriter w;
-  w.write<std::uint32_t>(kLogFileMagic);
-  w.write<std::uint32_t>(kLogFileVersion);
-  for (const LogRecord& rec : records) {
-    if (rec.index < boundary) continue;
-    const std::vector<std::uint8_t> body =
-        encode_log_record(rec.index, rec.out_port, rec.tuple, config_.codec);
-    w.write<std::uint32_t>(static_cast<std::uint32_t>(body.size()));
-    w.write<std::uint32_t>(storage::crc32c(body.data(), body.size()));
-    w.write_bytes(body.data(), body.size());
-  }
-  const std::vector<std::uint8_t> bytes = w.take();
-  const Status st = storage::write_raw_atomic(log.path,
-                                              storage::ArtifactKind::kSourceLog,
-                                              bytes.data(), bytes.size(),
-                                              durable_opts());
-  if (st.is_ok()) {
+  const Status wst = storage::write_raw_atomic(
+      log.path, storage::ArtifactKind::kSourceLog, image.data(), image.size(),
+      durable_opts());
+  if (wst.is_ok()) {
     log.begin_index = boundary;
     log.legacy = false;
   } else {
     MS_LOG_WARN("ft", "rt source log truncation failed for op %d: %s", op,
-                st.message().c_str());
+                wst.message().c_str());
   }
   log.out.open(log.path);
 }
 
-void RtRuntime::scan_existing_state() {
+Status RtRuntime::scan_existing_state() {
   // Engine stopped, no epochs pending: safe to rebuild the durable view.
   last_durable_ = 0;
   chain_epochs_.clear();
@@ -861,68 +859,85 @@ void RtRuntime::scan_existing_state() {
   }
 
   const auto tip_it = committed.find(last_durable_);
+  Status log_error = Status::ok();
   for (std::size_t i = 0; i < logs_.size(); ++i) {
     if (!logs_[i]) continue;
     SourceLog& log = *logs_[i];
     std::scoped_lock lk(log.mu);
-    if (log.out.is_open()) log.out.close();
-    std::uint64_t committed_boundary = 0;
-    if (tip_it != committed.end() && i < tip_it->second.ops.size()) {
-      committed_boundary = tip_it->second.ops[i].boundary;
-    }
-    LogHealth health;
-    const auto records = read_log(static_cast<int>(i), &health);
-    if (!health.error.is_ok()) {
-      // Transient read error: the bytes may be fine. Classifying the format
-      // or cursors off a failed read could stamp legacy=true on a framed
-      // file (appending CRC-less frames the next scan would "truncate" as
-      // torn, destroying committed records) or reuse record indices. Leave
-      // the handle closed — appends fail loudly into the append-failure
-      // accounting — and let recover() abort retryably.
-      MS_LOG_WARN("ft", "rt source log %zu unreadable at scan: %s", i,
-                  health.error.message().c_str());
-      continue;
-    }
-    if (health.torn) {
-      // Crash mid-append or a flipped bit in a frame: everything past the
-      // last verifiable frame is unusable. Truncate the file so the garbage
-      // cannot resurface in the middle of the log after the next append.
-      MS_LOG_WARN("ft", "rt source log %zu: torn tail, truncating %llu -> "
-                  "%llu bytes",
-                  i,
-                  static_cast<unsigned long long>(
-                      fs::file_size(log.path, ec)),
-                  static_cast<unsigned long long>(health.valid_bytes));
-      m_torn_frames_->add(1);
-      std::error_code rs_ec;
-      fs::resize_file(log.path, health.valid_bytes, rs_ec);
-      if (rs_ec) {
-        MS_LOG_WARN("ft", "rt source log %zu: truncation failed: %s", i,
-                    rs_ec.message().c_str());
+    if (!log.view) {
+      // Nothing cached: read the file once, trim a torn tail and fix the
+      // append format. A cached view already did all of this, and the file
+      // has not changed since.
+      if (log.out.is_open()) log.out.close();
+      auto view = std::make_unique<LogView>();
+      const Status st = read_log(static_cast<int>(i), view.get());
+      if (!st.is_ok()) {
+        // Transient read error: the bytes may be fine. Classifying the
+        // format or cursors off a failed read could stamp legacy=true on a
+        // framed file (appending CRC-less frames the next scan would
+        // "truncate" as torn, destroying committed records) or reuse record
+        // indices. Leave the handle closed — appends fail loudly into the
+        // append-failure accounting — and let recover() abort retryably.
+        MS_LOG_WARN("ft", "rt source log %zu unreadable at scan: %s", i,
+                    st.message().c_str());
+        if (log_error.is_ok()) log_error = st;
+        continue;
       }
+      LogScan& scan = view->scan;
+      if (scan.torn) {
+        // Crash mid-append or a flipped bit in a frame: everything past the
+        // last verifiable frame is unusable. Truncate the file so the garbage
+        // cannot resurface in the middle of the log after the next append.
+        MS_LOG_WARN("ft", "rt source log %zu: torn tail, truncating %zu -> "
+                    "%llu bytes",
+                    i, view->bytes.size(),
+                    static_cast<unsigned long long>(scan.valid_bytes));
+        m_torn_frames_->add(1);
+        std::error_code rs_ec;
+        fs::resize_file(log.path, scan.valid_bytes, rs_ec);
+        if (rs_ec) {
+          MS_LOG_WARN("ft", "rt source log %zu: truncation failed: %s", i,
+                      rs_ec.message().c_str());
+        } else {
+          scan.torn = false;  // the view mirrors the file again
+        }
+      }
+      std::error_code sz_ec;
+      const auto fsize = fs::file_size(log.path, sz_ec);
+      const bool exists_nonempty = !sz_ec && fsize > 0;
+      // Appends must stay format-consistent with the existing bytes; an
+      // empty or fresh file starts in the checksummed format.
+      log.legacy = exists_nonempty && !scan.new_format;
+      log.out.open(log.path);
+      if (!exists_nonempty && log.out.is_open()) {
+        const auto hdr = log_file_header();
+        log.out.append(hdr.data(), hdr.size(), durable_opts());
+      }
+      log.view = std::move(view);
     }
-    std::error_code sz_ec;
-    const auto fsize = fs::file_size(log.path, sz_ec);
-    const bool exists_nonempty = !sz_ec && fsize > 0;
-    // Appends must stay format-consistent with the existing bytes; an empty
-    // or fresh file starts in the checksummed format (header written below).
-    log.legacy = exists_nonempty && !health.new_format;
-    if (records.empty()) {
+    const std::vector<LogFrameView>& frames = log.view->scan.frames;
+    if (frames.empty()) {
       // Either a fresh log or one truncated down to nothing; the committed
       // boundary is where the next index continues from.
+      std::uint64_t committed_boundary = 0;
+      if (tip_it != committed.end() && i < tip_it->second.ops.size()) {
+        committed_boundary = tip_it->second.ops[i].boundary;
+      }
       log.begin_index = committed_boundary;
       log.next_index = committed_boundary;
     } else {
-      log.begin_index = records.front().index;
-      log.next_index = records.back().index + 1;
+      log.begin_index = frames.front().index;
+      log.next_index = frames.back().index + 1;
     }
-    log.out.open(log.path);
-    if (!exists_nonempty && log.out.is_open()) {
-      std::uint8_t hdr[kLogFileHeaderSize];
-      std::memcpy(hdr, &kLogFileMagic, 4);
-      std::memcpy(hdr + 4, &kLogFileVersion, 4);
-      log.out.append(hdr, sizeof(hdr), durable_opts());
-    }
+  }
+  return log_error;
+}
+
+void RtRuntime::drop_log_views() {
+  for (const auto& log : logs_) {
+    if (!log) continue;
+    std::scoped_lock lk(log->mu);
+    log->view.reset();
   }
 }
 
@@ -950,11 +965,17 @@ Status RtRuntime::recover(RecoveryStats* stats) {
   const SimTime t0 = now();
   emit_probe(FtPoint::kRecoveryStart, -1, seq);
 
-  // Phase 1: locate the last complete epoch and the preserved logs.
+  // Phase 1: locate the last complete epoch and the preserved logs. A log
+  // the constructor (or a failed earlier attempt) already read and verified
+  // is not read again.
   emit_probe(FtPoint::kRecoveryPhase1, -1, seq);
   {
     std::scoped_lock lk(ctl_mu_);
-    scan_existing_state();
+    const Status st = scan_existing_state();
+    // Transient: replaying without the log's records would silently lose
+    // every tuple past the checkpoint boundary. Abort retryably instead
+    // (same contract as manifests and blobs).
+    if (!st.is_ok()) return st;
   }
   if (crashed_.load()) return Status::unavailable("crashed during recovery");
 
@@ -1064,7 +1085,8 @@ Status RtRuntime::recover(RecoveryStats* stats) {
         fs::remove_all(epoch_dir(e), rm_ec);
       }
       std::scoped_lock lk(ctl_mu_);
-      scan_existing_state();
+      const Status st = scan_existing_state();  // logs: the cached views
+      if (!st.is_ok()) return st;
     }
   }
   const SimTime t_read1 = now();
@@ -1072,7 +1094,9 @@ Status RtRuntime::recover(RecoveryStats* stats) {
 
   // Phase 3: install operator state and source cursors.
   emit_probe(FtPoint::kRecoveryPhase3, -1, seq);
-  // Replay records per source, read once and reused in phase 4.
+  // Replay records per source, decoded from phase 1's view and reused in
+  // phase 4. Only frames at or past the boundary are decoded: the snapshot
+  // already holds everything below it.
   std::vector<std::vector<LogRecord>> replay(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     const auto idx = static_cast<std::size_t>(i);
@@ -1085,21 +1109,23 @@ Status RtRuntime::recover(RecoveryStats* stats) {
     }
     emit_probe(FtPoint::kRecoveryChainDone, i, seq);
     if (!logs_[idx]) continue;
-    LogHealth log_health;
-    replay[idx] = read_log(i, &log_health);
-    if (!log_health.error.is_ok()) {
-      // Transient: completing "successfully" here would replay zero records
-      // and silently lose every tuple past the checkpoint boundary. Abort
-      // retryably instead (same contract as manifests and blobs).
-      return log_health.error;
-    }
     // The restored lineage cursor must clear every preserved tuple so fresh
-    // emissions never collide with replayed ids.
+    // emissions never collide with replayed ids. Records below the boundary
+    // were emitted before the cut, so the snapshot's cursors already clear
+    // them.
     std::uint64_t next_seq = loaded.next_seqs[idx];
     std::uint64_t emitted = loaded.boundaries[idx];
-    for (const LogRecord& rec : replay[idx]) {
-      next_seq = std::max(next_seq, rec.tuple.source_seq + 1);
-      emitted = std::max(emitted, rec.index + 1);
+    {
+      SourceLog& log = *logs_[idx];
+      std::scoped_lock lk(log.mu);
+      MS_CHECK_MSG(log.view != nullptr, "RtRuntime: phase 1 left no log view");
+      for (const LogFrameView& frame : log.view->scan.frames) {
+        if (frame.index < loaded.boundaries[idx]) continue;
+        LogRecord rec = decode_log_record(frame);
+        next_seq = std::max(next_seq, rec.tuple.source_seq + 1);
+        emitted = std::max(emitted, rec.index + 1);
+        replay[idx].push_back(std::move(rec));
+      }
     }
     st = engine_->set_source_progress(i, next_seq, emitted);
     if (!st.is_ok()) return st;
@@ -1116,15 +1142,14 @@ Status RtRuntime::recover(RecoveryStats* stats) {
   const SimTime t_replay0 = now();
   std::uint64_t replayed = 0;
   for (int i = 0; i < n; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    for (const LogRecord& rec : replay[idx]) {
-      if (rec.index < loaded.boundaries[idx]) continue;  // in the snapshot
+    for (const LogRecord& rec : replay[static_cast<std::size_t>(i)]) {
       const Status st = engine_->replay_downstream(i, rec.out_port, rec.tuple);
       if (!st.is_ok()) return st;
       ++replayed;
     }
   }
   const SimTime t_replay1 = now();
+  drop_log_views();  // the engine appends from here on
   engine_->start();
   {
     std::scoped_lock lk(ctl_mu_);

@@ -40,7 +40,8 @@
 //   source_<i>.log          length-prefixed source emission records, written
 //                           by the engine's SourceTap *before* the tuple is
 //                           dispatched (durable-before-dispatch) and
-//                           truncated to the epoch boundary at commit
+//                           truncated to the epoch boundary at commit by
+//                           copying the verified frames past it
 //   baseline/op_<i>.ckpt    RtMode::kBaseline only: per-unit independent
 //                           checkpoint (tmp + rename). No manifest ties the
 //                           units together and source logs are never
@@ -246,6 +247,16 @@ class RtRuntime final : public Runtime {
     std::map<int, std::uint64_t> next_seqs;
   };
 
+  /// A source log's bytes as read from disk and their verified frame scan
+  /// (the frames point into `bytes`, so a view is never copied).
+  struct LogView {
+    LogView() = default;
+    LogView(const LogView&) = delete;
+    LogView& operator=(const LogView&) = delete;
+    std::vector<std::uint8_t> bytes;
+    LogScan scan;
+  };
+
   /// One source's preservation log (appended under its own mutex by the
   /// engine tap; rewritten at truncation).
   struct SourceLog {
@@ -266,9 +277,15 @@ class RtRuntime final : public Runtime {
     /// boundary passes it, a recovery would silently replay without that
     /// tuple — health() reports the window. Guarded by mu.
     std::uint64_t failed_since = kNoAppendFailure;
+    /// The verified scan of the file from the last scan_existing_state, kept
+    /// so recover() replays from the same read instead of reading the log
+    /// again. It exists only while the engine is stopped and nothing has been
+    /// appended or rewritten since the read: start() and recover()'s own
+    /// engine start drop it, and a failed read leaves none. Guarded by mu.
+    std::unique_ptr<LogView> view;
   };
 
-  /// A log record rehydrated for replay or truncation.
+  /// A log record rehydrated for replay.
   struct LogRecord {
     std::uint64_t index = 0;
     int out_port = 0;
@@ -278,17 +295,6 @@ class RtRuntime final : public Runtime {
   /// Manifest payload layout lives in durable_layout.h so the msverify
   /// scrubber decodes exactly what the runtime writes.
   using Manifest = EpochManifest;
-
-  /// What one source log's on-disk bytes look like (read_log out-param).
-  struct LogHealth {
-    bool new_format = false;  // MSLG header + per-frame CRCs
-    bool torn = false;        // trailing bytes past the last whole frame
-    std::uint64_t valid_bytes = 0;  // end of the last verifiable frame
-    /// Non-OK (kUnavailable) when the file could not be read at all: the
-    /// records may be intact — an empty return with this set is "could not
-    /// look", never "nothing to replay". A missing file stays OK.
-    Status error = Status::ok();
-  };
 
   /// Everything recovery needs from one committed epoch (chain resolved):
   /// per-op state bytes, layered deltas, replay boundaries.
@@ -319,14 +325,23 @@ class RtRuntime final : public Runtime {
   /// kDataLoss = frame or payload fails verification; kUnavailable =
   /// transient read error.
   Result<Manifest> read_manifest(std::uint64_t epoch) const;
-  /// Parse one source log; torn tails (crash mid-append, bad frame CRC) are
-  /// dropped and reported via `health` (the file itself is untouched here —
-  /// scan_existing_state does the truncation). A transient read error sets
-  /// `health->error` and returns no records — callers must distinguish that
-  /// from an empty log or replay silently loses the whole suffix.
-  std::vector<LogRecord> read_log(int op, LogHealth* health = nullptr) const;
+  /// Read one source log and scan its frames (verified, not decoded) into
+  /// `view`. Torn tails (crash mid-append, bad frame CRC) show up in
+  /// `view->scan` only — the file itself is untouched here;
+  /// scan_existing_state does the truncation. A missing file is an empty
+  /// log. Any other failure, including a read that returned fewer bytes
+  /// than the file holds, is kUnavailable over bytes that may be intact:
+  /// "could not look", never "nothing to replay".
+  Status read_log(int op, LogView* view) const;
+  /// Decode one verified frame (the only place a record is decoded).
+  LogRecord decode_log_record(const LogFrameView& frame) const;
   void truncate_log(int op, std::uint64_t boundary);
-  void scan_existing_state();
+  /// Rebuild the epoch and log view from disk (engine stopped). Source logs
+  /// that already hold a view are not read again. Returns the first log read
+  /// error; that log keeps its append handle closed and gets no view.
+  Status scan_existing_state();
+  /// Drop every log's cached view (the engine is about to append).
+  void drop_log_views();
   /// Resolve `epoch`'s delta chain and read + verify every blob. kDataLoss =
   /// some artifact in the closure is corrupt/missing (recovery falls back);
   /// kUnavailable = transient read error (recovery aborts retryably).
@@ -420,6 +435,7 @@ class RtRuntime final : public Runtime {
   // Durable-state integrity counters.
   Counter* m_torn_frames_ = nullptr;        // ft.log.torn_frames
   Counter* m_append_failures_ = nullptr;    // ft.log.append_failures
+  Counter* m_truncations_skipped_ = nullptr;  // ft.log.truncation_skipped
   Counter* m_corrupt_manifests_ = nullptr;  // ft.scan.corrupt_manifests
   Counter* m_corrupt_artifacts_ = nullptr;  // ft.recovery.corrupt_artifacts
   Counter* m_fallbacks_ = nullptr;          // ft.recovery.fallbacks

@@ -113,6 +113,27 @@ void scrub_source_log(const std::string& path, ScrubReport* report) {
                    std::to_string(scan.valid_bytes) + " (" +
                    std::to_string(scan.frames.size()) + " whole frames)"});
   }
+  ScrubLog run;
+  run.path = path;
+  run.records = scan.frames.size();
+  for (std::size_t k = 0; k < scan.frames.size(); ++k) {
+    const std::uint64_t index = scan.frames[k].index;
+    if (k == 0) {
+      run.first_index = index;
+    } else if (index != run.last_index + 1) {
+      // Indices are assigned consecutively at append, so anything but the
+      // successor means records between the two are gone.
+      report->issues.push_back(
+          {path, index > run.last_index
+                     ? "records " + std::to_string(run.last_index + 1) + ".." +
+                           std::to_string(index - 1) + " missing"
+                     : "record " + std::to_string(index) +
+                           " out of order after " +
+                           std::to_string(run.last_index)});
+    }
+    run.last_index = index;
+  }
+  report->logs.push_back(std::move(run));
 }
 
 void scrub_baseline(const std::string& path, ScrubReport* report) {

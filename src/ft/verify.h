@@ -2,7 +2,8 @@
 // behind tools/msverify. Walks every durable artifact the runtime writes
 // (epoch manifests, checkpoint/delta blobs, source logs, baseline unit
 // files), verifies frames and cross-checks blob sizes against their
-// manifest, and reports per-file verdicts without modifying anything on
+// manifest, reports each source log's record-index run (a gap in it is a
+// lost record), and reports per-file verdicts without modifying anything on
 // disk. The runtime's recovery performs the same checks inline; the scrub
 // exists so an operator can ask "which exact file is damaged?" before (or
 // instead of) letting recovery fall back.
@@ -19,12 +20,22 @@ struct ScrubIssue {
   std::string detail;  // what failed verification
 };
 
+/// One source log's record-index run, read from the frames' index fields
+/// without decoding the records.
+struct ScrubLog {
+  std::string path;
+  std::uint64_t records = 0;      // whole, verifiable frames
+  std::uint64_t first_index = 0;  // meaningful when records > 0
+  std::uint64_t last_index = 0;   // meaningful when records > 0
+};
+
 struct ScrubReport {
   int epochs = 0;        // committed epoch dirs examined
   int incomplete = 0;    // epoch dirs without a MANIFEST (crash leftovers)
   int artifacts = 0;     // files whose frames were verified
   int legacy = 0;        // pre-checksum files (unverifiable by construction)
   std::uint64_t verified_bytes = 0;
+  std::vector<ScrubLog> logs;  // every source log, in path order
   std::vector<ScrubIssue> issues;
   bool clean() const { return issues.empty(); }
 };

@@ -228,14 +228,13 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t n) {
   return true;
 }
 
-/// Write `bytes` (possibly truncated to `limit`) to `path`, O_TRUNC.
-/// `do_sync` fdatasyncs before close.
-bool write_file(const std::string& path, const std::vector<std::uint8_t>& bytes,
-                std::size_t limit, bool do_sync) {
+/// Write the first min(`limit`, `n`) of `n` bytes at `data` to `path`,
+/// O_TRUNC. `do_sync` fdatasyncs before close.
+bool write_file(const std::string& path, const std::uint8_t* data,
+                std::size_t n, std::size_t limit, bool do_sync) {
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return false;
-  const std::size_t n = std::min(limit, bytes.size());
-  bool ok = write_all(fd, bytes.data(), n);
+  bool ok = write_all(fd, data, std::min(limit, n));
   if (ok && do_sync) ok = ::fdatasync(fd) == 0;
   ::close(fd);
   return ok;
@@ -260,20 +259,21 @@ Status write_artifact(const std::string& path, ArtifactKind kind,
       return Status::unavailable("injected write error: " + path);
     case WriteFault::kTorn:
       // The disk lied: part of the frame landed, success was reported.
-      write_file(path, framed, static_cast<std::size_t>(fault.offset),
-                 do_sync);
+      write_file(path, framed.data(), framed.size(),
+                 static_cast<std::size_t>(fault.offset), do_sync);
       return Status::ok();
     case WriteFault::kCrashBeforeRename:
     case WriteFault::kCrashAfterRename:
       // No rename in the direct path; a crash here means the bytes may or
       // may not have landed. Write fully, then die.
-      write_file(path, framed, framed.size(), do_sync);
+      write_file(path, framed.data(), framed.size(), framed.size(), do_sync);
       if (opts.faults) opts.faults->on_crash_point(path);
       return Status::unavailable("injected crash during write: " + path);
     case WriteFault::kNone:
       break;
   }
-  if (!write_file(path, framed, framed.size(), do_sync)) {
+  if (!write_file(path, framed.data(), framed.size(), framed.size(),
+                  do_sync)) {
     return Status::unavailable("write failed: " + path);
   }
   return Status::ok();
@@ -281,10 +281,11 @@ Status write_artifact(const std::string& path, ArtifactKind kind,
 
 namespace {
 
-/// Shared tmp-write + rename commit path; `framed` is the exact on-disk
-/// image (already MSDF-framed, or internally framed for raw callers).
+/// Shared tmp-write + rename commit path; the `n` bytes at `data` are the
+/// exact on-disk image (already MSDF-framed, or internally framed for raw
+/// callers).
 Status commit_atomic(const std::string& path, ArtifactKind kind,
-                     const std::vector<std::uint8_t>& framed,
+                     const std::uint8_t* data, std::size_t n,
                      const DurableOptions& opts) {
   const bool do_sync = opts.sync != SyncMode::kNone;
   const std::string tmp = path + ".tmp";
@@ -295,8 +296,8 @@ Status commit_atomic(const std::string& path, ArtifactKind kind,
   }
   const std::size_t limit = fault.fault == WriteFault::kTorn
                                 ? static_cast<std::size_t>(fault.offset)
-                                : framed.size();
-  if (!write_file(tmp, framed, limit, do_sync)) {
+                                : n;
+  if (!write_file(tmp, data, n, limit, do_sync)) {
     return Status::unavailable("write failed: " + tmp);
   }
   if (fault.fault == WriteFault::kCrashBeforeRename) {
@@ -326,15 +327,15 @@ Status commit_atomic(const std::string& path, ArtifactKind kind,
 Status write_artifact_atomic(const std::string& path, ArtifactKind kind,
                              const void* data, std::size_t n,
                              const DurableOptions& opts) {
-  return commit_atomic(path, kind, frame_artifact(kind, data, n), opts);
+  const std::vector<std::uint8_t> framed = frame_artifact(kind, data, n);
+  return commit_atomic(path, kind, framed.data(), framed.size(), opts);
 }
 
 Status write_raw_atomic(const std::string& path, ArtifactKind kind,
                         const void* data, std::size_t n,
                         const DurableOptions& opts) {
-  std::vector<std::uint8_t> bytes(n);
-  if (n > 0) std::memcpy(bytes.data(), data, n);
-  return commit_atomic(path, kind, bytes, opts);
+  return commit_atomic(path, kind, static_cast<const std::uint8_t*>(data), n,
+                       opts);
 }
 
 Status read_raw(const std::string& path, ArtifactKind kind,

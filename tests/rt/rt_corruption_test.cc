@@ -7,6 +7,7 @@
 // with every byte left in place for msverify forensics.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -14,6 +15,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "../testing/rt_feed.h"
@@ -453,6 +455,123 @@ TEST(RtCorruptionTest, TransientLogReadErrorAbortsRecoveryRetryably) {
   expect_table_exact(engine, total);
 }
 
+// A read that comes back short without an error, ending on a frame boundary,
+// scans clean: it looks like a log with nothing past the header. The
+// constructor must not keep that view for recover() to replay from — the
+// replay would stop at the checkpoint boundary and fresh appends would reuse
+// indices already in the file. The short read counts as a read error, and
+// recover() reads the log again.
+TEST(RtCorruptionTest, ShortLogReadAtConstructionIsNotReplayed) {
+  auto feed = std::make_shared<ExternalFeed>();
+  MetricsRegistry reg;
+  auto cfg = drill_config(fresh_dir("ms_corr_logshort"), &reg);
+  std::int64_t total = 0;
+  {
+    // One checkpoint, then records past its boundary that only the log holds.
+    rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
+    RtRuntime runtime(&engine, cfg);
+    ASSERT_TRUE(runtime.start().is_ok());
+    ASSERT_TRUE(wait_drained(engine, 100));
+    ASSERT_TRUE(take_checkpoint(runtime, 0));
+    ASSERT_TRUE(wait_drained(engine, engine.sink_tuples() + 100));
+    runtime.simulate_crash();
+    feed->paused.store(true);
+    wait_quiescent(engine);
+    total = feed->cursor.load();
+    runtime.stop();
+  }
+  const auto log_size = fs::file_size(cfg.dir + "/source_0.log");
+
+  DiskFaultInjector faults;
+  cfg.disk_faults = &faults;
+  faults.arm_read(storage::ArtifactKind::kSourceLog,
+                  storage::ReadFault::kShortRead, kLogFileHeaderSize);
+
+  rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
+  RtRuntime runtime(&engine, cfg);  // the constructor scan reads short
+  EXPECT_EQ(faults.injected(), 1);
+  EXPECT_EQ(fs::file_size(cfg.dir + "/source_0.log"), log_size);
+  ASSERT_TRUE(runtime.recover(nullptr).is_ok());
+  wait_quiescent(engine);
+  runtime.stop();
+  EXPECT_EQ(reg.counter("ft.log.torn_frames")->value(), 0);
+  expect_sink_exact(engine, total);
+  expect_table_exact(engine, total);
+}
+
+// --- damaged reads during commit-time truncation -----------------------------
+
+/// Run a full-epochs-only incarnation whose every commit truncates the log to
+/// its own boundary, with `fault` armed (one-shot) on the second commit's
+/// truncation read; then crash, recover in a fresh incarnation and demand an
+/// exact sink. A truncation that trusts the damaged read commits a log
+/// ending where the read ended and durably drops records past the boundary
+/// that the sink has already seen.
+void damaged_truncation_read_drill(const std::string& name,
+                                   storage::ReadFault fault,
+                                   std::uint64_t offset) {
+  auto feed = std::make_shared<ExternalFeed>();
+  MetricsRegistry reg;
+  auto cfg = drill_config(fresh_dir(name), &reg);
+  cfg.mode = RtMode::kSrcAp;  // full epochs only
+  cfg.params.retain_fallback_epochs = 0;
+  DiskFaultInjector faults;
+  cfg.disk_faults = &faults;
+
+  std::int64_t total = 0;
+  {
+    rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
+    RtRuntime runtime(&engine, cfg);
+    // Hold every checkpoint report back a little, so records past the
+    // boundary are in the log by the time the commit truncates it.
+    runtime.add_probe([](FtPoint point, int, std::uint64_t) {
+      if (point == FtPoint::kCheckpointDone) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+    });
+    ASSERT_TRUE(runtime.start().is_ok());
+    ASSERT_TRUE(wait_drained(engine, 100));
+    ASSERT_TRUE(take_checkpoint(runtime, 0));
+    ASSERT_TRUE(wait_drained(engine, engine.sink_tuples() + 100));
+    faults.arm_read(storage::ArtifactKind::kSourceLog, fault, offset);
+    ASSERT_TRUE(take_checkpoint(runtime, 1));
+    EXPECT_EQ(faults.injected(), 1) << "the truncation read was not damaged";
+    EXPECT_GE(reg.counter("ft.log.truncation_skipped")->value(), 1);
+    EXPECT_TRUE(runtime.health().is_ok()) << runtime.health().to_string();
+    ASSERT_TRUE(wait_drained(engine, engine.sink_tuples() + 50));
+    runtime.simulate_crash();
+    feed->paused.store(true);
+    wait_quiescent(engine);
+    total = feed->cursor.load();
+    runtime.stop();
+  }
+  EXPECT_TRUE(scrub_checkpoint_dir(cfg.dir).clean());
+
+  cfg.disk_faults = nullptr;
+  rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
+  RtRuntime runtime(&engine, cfg);
+  ASSERT_TRUE(runtime.recover(nullptr).is_ok());
+  wait_quiescent(engine);
+  runtime.stop();
+  expect_sink_exact(engine, total);
+  expect_table_exact(engine, total);
+}
+
+// The read hands back only the MSLG header: the scan finds no frames.
+TEST(RtCorruptionTest, ShortTruncationReadKeepsTheLog) {
+  damaged_truncation_read_drill("ms_corr_trunc_short",
+                                storage::ReadFault::kShortRead,
+                                kLogFileHeaderSize);
+}
+
+// A bit flips in the first frame's payload: its CRC fails and the scan
+// stops there.
+TEST(RtCorruptionTest, BitFlippedTruncationReadKeepsTheLog) {
+  damaged_truncation_read_drill("ms_corr_trunc_flip",
+                                storage::ReadFault::kBitFlip,
+                                (kLogFileHeaderSize + 8 + 2) * 8 + 1);
+}
+
 // --- failed source-log appends -----------------------------------------------
 
 // A failed append leaves the emitted tuple absent from the replay log. That
@@ -674,13 +793,84 @@ TEST(RtCorruptionTest, LegacyPreChecksumDirectoryStillRecovers) {
   EXPECT_TRUE(report.clean());
   EXPECT_GT(report.legacy, 0);
 
+  // No fallback rung: the first full epoch after recovery supersedes the
+  // whole legacy chain, so its commit truncates — and upgrades — the log.
+  auto rcfg = cfg;
+  rcfg.params.retain_fallback_epochs = 0;
   rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
-  RtRuntime runtime(&engine, cfg);
+  RtRuntime runtime(&engine, rcfg);
   ASSERT_TRUE(runtime.recover(nullptr).is_ok());
   wait_quiescent(engine);
+
+  // Appends after recovery stay CRC-less until the first commit rewrites the
+  // log; every frame it keeps must come out checksummed.
+  feed->paused.store(false);
+  ASSERT_TRUE(wait_drained(engine, engine.sink_tuples() + 100));
+  ASSERT_TRUE(take_checkpoint(runtime, 0));
+  feed->paused.store(true);
+  wait_quiescent(engine);
   runtime.stop();
-  expect_sink_exact(engine, total);
-  expect_table_exact(engine, total);
+  const std::int64_t grown = feed->cursor.load();
+  EXPECT_GT(grown, total);
+  expect_sink_exact(engine, grown);
+  expect_table_exact(engine, grown);
+  const ScrubReport upgraded = scrub_checkpoint_dir(cfg.dir);
+  EXPECT_TRUE(upgraded.clean());
+  EXPECT_EQ(upgraded.legacy, 0);
+  ASSERT_EQ(upgraded.logs.size(), 1u);
+  EXPECT_GT(upgraded.logs[0].records, 0u);
+  EXPECT_EQ(upgraded.logs[0].last_index,
+            static_cast<std::uint64_t>(grown - 1));
+}
+
+// --- record-index runs in the scrub -------------------------------------------
+
+// A frame missing from the middle of a log (what a truncation that trusted a
+// short read would leave behind) is a lost record: the frames around it
+// still verify, but the scrub's index run shows the gap.
+TEST(RtCorruptionTest, ScrubReportsAnIndexGapAsALostRecord) {
+  auto feed = std::make_shared<ExternalFeed>();
+  MetricsRegistry reg;
+  const auto cfg = drill_config(fresh_dir("ms_corr_gap"), &reg);
+  (void)seed_chain(feed, cfg);
+  const std::string path = cfg.dir + "/source_0.log";
+
+  const ScrubReport before = scrub_checkpoint_dir(cfg.dir);
+  ASSERT_TRUE(before.clean());
+  ASSERT_EQ(before.logs.size(), 1u);
+  const ScrubLog run = before.logs[0];
+  EXPECT_EQ(run.path, path);
+  ASSERT_GE(run.records, 3u);
+  EXPECT_EQ(run.last_index - run.first_index + 1, run.records);
+
+  // Cut the second frame out of the file, leaving every CRC intact.
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(storage::read_raw(path, storage::ArtifactKind::kSourceLog,
+                                storage::DurableOptions{}, &bytes)
+                  .is_ok());
+  const LogScan scan = scan_log_bytes(bytes.data(), bytes.size());
+  ASSERT_TRUE(scan.new_format);
+  const LogFrameView victim = scan.frames[1];
+  const auto begin = static_cast<std::ptrdiff_t>(victim.data - bytes.data()) - 8;
+  bytes.erase(bytes.begin() + begin,
+              bytes.begin() + begin + 8 + static_cast<std::ptrdiff_t>(victim.len));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+
+  const ScrubReport after = scrub_checkpoint_dir(cfg.dir);
+  ASSERT_EQ(after.issues.size(), 1u);
+  EXPECT_EQ(after.issues[0].path, path);
+  const std::string missing = std::to_string(victim.index);
+  EXPECT_NE(after.issues[0].detail.find(missing + ".." + missing),
+            std::string::npos)
+      << after.issues[0].detail;
+  ASSERT_EQ(after.logs.size(), 1u);
+  EXPECT_EQ(after.logs[0].records, run.records - 1);
+  EXPECT_EQ(after.logs[0].first_index, run.first_index);
+  EXPECT_EQ(after.logs[0].last_index, run.last_index);
 }
 
 // --- the happy path, for contrast -------------------------------------------

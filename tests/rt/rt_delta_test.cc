@@ -22,6 +22,7 @@
 #include "../testing/test_ops.h"
 #include "failure/disk_fault.h"
 #include "failure/rt_chaos.h"
+#include "ft/durable_layout.h"
 #include "ft/rt_runtime.h"
 #include "rt/engine.h"
 #include "storage/durable_file.h"
@@ -349,6 +350,88 @@ TEST(RtDeltaTest, SrcApModeIgnoresDeltaSupport) {
   runtime.stop();
 
   EXPECT_EQ(count_files_with_extension(cfg.dir, ".delta"), 0);
+}
+
+// --- the source log on the recovery path ------------------------------------
+
+/// Counts source-log reads; injects nothing.
+class LogReadCounter final : public storage::FaultInjector {
+ public:
+  storage::WriteFaultSpec write_fault(const std::string&,
+                                      storage::ArtifactKind) override {
+    return {};
+  }
+  storage::ReadFaultSpec read_fault(const std::string&,
+                                    storage::ArtifactKind kind) override {
+    if (kind == storage::ArtifactKind::kSourceLog) reads.fetch_add(1);
+    return {};
+  }
+  std::atomic<int> reads{0};
+};
+
+// The log keeps records below the tip's boundary (the chain's and the
+// fallback rung's boundaries bound truncation), yet construction plus
+// recover() read it exactly once and decode exactly the records replayed.
+TEST(RtDeltaTest, RecoveryReadsTheLogOnceAndDecodesOnlyTheReplay) {
+  auto feed = std::make_shared<ExternalFeed>();
+  auto cfg = delta_config(fresh_dir("ms_delta_logonce"), /*compact_every=*/2);
+  std::int64_t total = 0;
+  {
+    rt::RtEngine engine(delta_chain(feed), rt::RtConfig{});
+    RtRuntime runtime(&engine, cfg);
+    ASSERT_TRUE(runtime.start().is_ok());
+    // full, delta, delta, full (the first base becomes a fallback rung),
+    // delta — then a suffix past the tip.
+    for (std::uint64_t done = 0; done < 5; ++done) {
+      ASSERT_TRUE(wait_drained(engine, engine.sink_tuples() + 50));
+      ASSERT_TRUE(take_checkpoint(runtime, done));
+    }
+    ASSERT_TRUE(wait_drained(engine, engine.sink_tuples() + 100));
+    runtime.simulate_crash();
+    feed->paused.store(true);
+    wait_quiescent(engine);
+    total = feed->cursor.load();
+    runtime.stop();
+  }
+
+  auto decodes = std::make_shared<std::atomic<int>>(0);
+  const auto decode = cfg.codec.decode_payload;
+  cfg.codec.decode_payload = [decode, decodes](BinaryReader& r) {
+    decodes->fetch_add(1);
+    return decode(r);
+  };
+  LogReadCounter counter;
+  cfg.disk_faults = &counter;
+  rt::RtEngine engine(delta_chain(feed), rt::RtConfig{});
+  RtRuntime runtime(&engine, cfg);
+  ASSERT_TRUE(runtime.recover(nullptr).is_ok());
+  const int decoded = decodes->load();
+  EXPECT_EQ(counter.reads.load(), 1);
+  wait_quiescent(engine);
+  runtime.stop();
+  expect_sink_exact(engine, total);
+
+  const std::string manifest = cfg.dir + "/epoch_" +
+                               std::to_string(runtime.last_durable_epoch()) +
+                               "/MANIFEST";
+  std::vector<std::uint8_t> payload;
+  ASSERT_TRUE(storage::read_artifact(manifest, storage::ArtifactKind::kManifest,
+                                     storage::DurableOptions{}, &payload)
+                  .is_ok());
+  const auto tip = decode_manifest(payload, manifest);
+  ASSERT_TRUE(tip.is_ok());
+  const std::uint64_t boundary = tip.value().ops[0].boundary;
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(storage::read_raw(cfg.dir + "/source_0.log",
+                                storage::ArtifactKind::kSourceLog,
+                                storage::DurableOptions{}, &bytes)
+                  .is_ok());
+  const LogScan scan = scan_log_bytes(bytes.data(), bytes.size());
+  ASSERT_FALSE(scan.frames.empty());
+  EXPECT_LT(scan.frames.front().index, boundary)
+      << "the log kept nothing below the tip's boundary";
+  EXPECT_EQ(decoded, total - static_cast<std::int64_t>(boundary));
+  EXPECT_GT(decoded, 0);
 }
 
 // --- chain-breaking edge cases ---------------------------------------------

@@ -7,14 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "../testing/rt_feed.h"
 #include "../testing/test_ops.h"
+#include "ft/durable_layout.h"
 #include "rt/engine.h"
+#include "storage/durable_file.h"
 
 namespace ms::ft {
 namespace {
@@ -58,6 +63,12 @@ void wait_quiescent(rt::RtEngine& engine, int quiet_ms = 150) {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
+}
+
+bool read_log_file(const std::string& path, std::vector<std::uint8_t>* out) {
+  return storage::read_raw(path, storage::ArtifactKind::kSourceLog,
+                           storage::DurableOptions{}, out)
+      .is_ok();
 }
 
 void expect_sink_exact(rt::RtEngine& engine, int sink_op, std::int64_t n) {
@@ -275,12 +286,22 @@ TEST(RtProtocolTest, SourceLogTruncatesAtCommit) {
   cfg.params.periodic = false;
   cfg.codec = int_codec();
 
+  const auto log = fs::path(cfg.dir) / "source_0.log";
+  // The log as the commit is about to truncate it, captured at every unit's
+  // report (the last one commits) after a pause that lets the source append
+  // past the boundary. Appends continue, so this is a prefix of what the
+  // truncation reads.
+  std::vector<std::uint8_t> pre;
   rt::RtEngine engine(feed_chain(feed, 1, SimTime::micros(200), 4),
                       rt::RtConfig{});
   RtRuntime runtime(&engine, cfg);
+  runtime.add_probe([&](FtPoint point, int, std::uint64_t) {
+    if (point != FtPoint::kCheckpointDone) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    EXPECT_TRUE(read_log_file(log.string(), &pre));
+  });
   ASSERT_TRUE(runtime.start().is_ok());
   wait_drained(engine, 300);
-  const auto log = fs::path(cfg.dir) / "source_0.log";
   ASSERT_TRUE(fs::exists(log));
   const auto before = fs::file_size(log);
   ASSERT_GT(before, 0u);
@@ -291,6 +312,43 @@ TEST(RtProtocolTest, SourceLogTruncatesAtCommit) {
   runtime.stop();
   // Commit truncated the preserved prefix behind the epoch boundary.
   EXPECT_LT(fs::file_size(log), before);
+
+  // What is left is the MSLG header followed by exactly the frames from the
+  // boundary onward, byte-identical to the file before the commit.
+  const std::string manifest = cfg.dir + "/epoch_" +
+                               std::to_string(runtime.last_durable_epoch()) +
+                               "/MANIFEST";
+  std::vector<std::uint8_t> payload;
+  ASSERT_TRUE(storage::read_artifact(manifest, storage::ArtifactKind::kManifest,
+                                     storage::DurableOptions{}, &payload)
+                  .is_ok());
+  const auto decoded = decode_manifest(payload, manifest);
+  ASSERT_TRUE(decoded.is_ok());
+  const std::uint64_t bound = decoded.value().ops[0].boundary;
+  const LogScan pre_scan = scan_log_bytes(pre.data(), pre.size());
+  ASSERT_TRUE(pre_scan.new_format);
+  const auto first_kept =
+      std::find_if(pre_scan.frames.begin(), pre_scan.frames.end(),
+                   [bound](const LogFrameView& f) { return f.index >= bound; });
+  ASSERT_NE(first_kept, pre_scan.frames.end())
+      << "no record past the boundary before the commit";
+  ASSERT_GT(bound, pre_scan.frames.front().index)
+      << "nothing behind the boundary";
+  const auto from =
+      static_cast<std::size_t>(first_kept->data - pre.data()) - 8;
+  const std::size_t kept = pre_scan.valid_bytes - from;
+
+  std::vector<std::uint8_t> post;
+  ASSERT_TRUE(read_log_file(log.string(), &post));
+  ASSERT_GE(post.size(), kLogFileHeaderSize + kept);
+  const auto header = log_file_header();
+  EXPECT_TRUE(std::equal(header.begin(), header.end(), post.begin()));
+  EXPECT_TRUE(std::equal(pre.begin() + static_cast<std::ptrdiff_t>(from),
+                         pre.begin() + static_cast<std::ptrdiff_t>(from + kept),
+                         post.begin() + kLogFileHeaderSize));
+  const LogScan post_scan = scan_log_bytes(post.data(), post.size());
+  ASSERT_FALSE(post_scan.frames.empty());
+  EXPECT_EQ(post_scan.frames.front().index, bound);
 }
 
 TEST(RtProtocolTest, RuntimeGuardsReturnStatus) {

@@ -3,9 +3,11 @@
 // Walks every durable artifact the runtime writes (epoch MANIFESTs,
 // op_<i>.ckpt / op_<i>.delta blobs, source_<i>.log frames, baseline unit
 // files), verifies frame CRCs, cross-checks blob sizes against their
-// manifest, and prints a per-epoch / per-file verdict. Read-only: running it
-// against a live directory is safe (though a commit racing the scrub can
-// surface transient "incomplete epoch" notes).
+// manifest, and prints a per-epoch / per-file verdict followed by each
+// source log's record-index run (a gap in the run is a lost record and is
+// reported as corrupt). Read-only: running it against a live directory is
+// safe (though a commit racing the scrub can surface transient "incomplete
+// epoch" notes).
 //
 //   msverify --dir /path/to/ckpts     # exit 0 clean, 1 when issues found
 //   msverify --dir /path/to/ckpts -q  # verdict only, no per-file detail
@@ -54,5 +56,18 @@ int main(int argc, char** argv) {
       report.artifacts,
       static_cast<unsigned long long>(report.verified_bytes), report.legacy,
       report.issues.size());
+  if (!quiet) {
+    for (const auto& log : report.logs) {
+      if (log.records == 0) {
+        std::printf("log %s: empty\n", log.path.c_str());
+      } else {
+        std::printf("log %s: %llu record(s), index %llu..%llu\n",
+                    log.path.c_str(),
+                    static_cast<unsigned long long>(log.records),
+                    static_cast<unsigned long long>(log.first_index),
+                    static_cast<unsigned long long>(log.last_index));
+      }
+    }
+  }
   return report.clean() ? 0 : 1;
 }
