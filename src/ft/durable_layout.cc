@@ -69,49 +69,38 @@ std::array<std::uint8_t, kLogFileHeaderSize> log_file_header() {
   return hdr;
 }
 
-LogScan scan_log_bytes(const std::uint8_t* data, std::size_t size) {
+Result<LogScan> scan_log_bytes(const std::uint8_t* data, std::size_t size,
+                               const std::string& path) {
   LogScan scan;
-  std::size_t pos = 0;
-  if (size >= kLogFileHeaderSize) {
-    std::uint32_t magic = 0, version = 0;
-    std::memcpy(&magic, data, 4);
-    std::memcpy(&version, data + 4, 4);
-    if (magic == kLogFileMagic && version == kLogFileVersion) {
-      scan.new_format = true;
-      pos = kLogFileHeaderSize;
-    }
+  if (size == 0) return scan;  // a fresh log
+  if (size < kLogFileHeaderSize) {
+    scan.torn = true;  // a crash while the header was being written
+    return scan;
   }
+  const auto hdr = log_file_header();
+  if (std::memcmp(data, hdr.data(), hdr.size()) != 0) {
+    return Status::data_loss("source log header corrupt: " + path);
+  }
+  std::size_t pos = kLogFileHeaderSize;
   scan.valid_bytes = pos;
-  const std::size_t frame_fixed = scan.new_format ? 8 : 4;  // len [+ crc]
-  while (pos + frame_fixed <= size) {
-    std::uint32_t len = 0;
+  while (pos + 8 <= size) {  // [len][crc]
+    std::uint32_t len = 0, crc = 0;
     std::memcpy(&len, data + pos, 4);
-    if (len < kLogFrameFixed) {
-      // No writer produces a record shorter than its fixed fields; for
-      // legacy frames, which carry no CRC, this is the only corruption a
-      // scan can prove.
+    std::memcpy(&crc, data + pos + 4, 4);
+    const std::uint8_t* payload = data + pos + 8;
+    // No writer produces a record shorter than its fixed fields, so such a
+    // frame is corrupt even when its CRC matches.
+    if (len < kLogFrameFixed || pos + 8 + len > size ||
+        storage::crc32c(payload, len) != crc) {
       scan.torn = true;
       break;
-    }
-    if (pos + frame_fixed + len > size) {  // incomplete tail
-      scan.torn = true;
-      break;
-    }
-    const std::uint8_t* payload = data + pos + frame_fixed;
-    if (scan.new_format) {
-      std::uint32_t crc = 0;
-      std::memcpy(&crc, data + pos + 4, 4);
-      if (storage::crc32c(payload, len) != crc) {
-        scan.torn = true;
-        break;
-      }
     }
     LogFrameView frame;
     std::memcpy(&frame.index, payload, 8);
     frame.data = payload;
     frame.len = len;
     scan.frames.push_back(frame);
-    pos += frame_fixed + len;
+    pos += 8 + len;
     scan.valid_bytes = pos;
   }
   // Loose trailing bytes too short to hold a frame header are a torn tail
@@ -131,18 +120,8 @@ std::vector<std::uint8_t> log_suffix_image(const LogScan& scan,
   const auto hdr = log_file_header();
   out.insert(out.end(), hdr.begin(), hdr.end());
   for (const LogFrameView& f : scan.frames) {
-    if (f.index < bound) continue;
-    if (scan.new_format) {
-      // [len][crc] sit right before the payload, the CRC already verified.
-      out.insert(out.end(), f.data - 8, f.data + f.len);
-      continue;
-    }
-    std::uint8_t head[8];
-    const std::uint32_t crc = storage::crc32c(f.data, f.len);
-    std::memcpy(head, &f.len, 4);
-    std::memcpy(head + 4, &crc, 4);
-    out.insert(out.end(), head, head + 8);
-    out.insert(out.end(), f.data, f.data + f.len);
+    // [len][crc] sit right before the payload, the CRC already verified.
+    if (f.index >= bound) out.insert(out.end(), f.data - 8, f.data + f.len);
   }
   return out;
 }

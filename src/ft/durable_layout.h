@@ -6,14 +6,10 @@
 // CRC32C); this header describes the *payloads*:
 //
 //   MANIFEST payload     "MSMF" v2 — epoch, chain predecessor, per-op
-//                        size/kind/replay-cursor records. Unchanged from the
-//                        pre-checksum era so one decoder handles both a
-//                        framed payload and a legacy bare file.
+//                        size/kind/replay-cursor records.
 //   source_<i>.log       "MSLG" v1 file header, then per-record frames of
-//                        [u32 len][u32 crc32c(payload)][payload]. Legacy
-//                        logs have no file header and no per-frame CRC
-//                        ([u32 len][payload]); the reader detects the format
-//                        from the header and scans either.
+//                        [u32 len][u32 crc32c(payload)][payload]. A log of
+//                        at least 8 bytes without that header is kDataLoss.
 #pragma once
 
 #include <array>
@@ -69,13 +65,12 @@ constexpr std::size_t kLogFrameFixed =
     8 /*source_seq*/ + 8 /*edge_seq*/ + 8 /*event_time*/ + 8 /*wire_size*/ +
     1 /*has_payload*/;
 
-/// The MSLG header a checksummed log starts with.
+/// The MSLG header every log starts with.
 std::array<std::uint8_t, kLogFileHeaderSize> log_file_header();
 
-/// One whole verified (or, legacy, plausible) record payload inside the
-/// scanned buffer — a view, valid while the buffer lives. `index` is the
-/// record index, the payload's first 8 bytes in both formats, read without
-/// decoding the rest of the record.
+/// One whole CRC-verified record payload inside the scanned buffer — a view,
+/// valid while the buffer lives. `index` is the record index, the payload's
+/// first 8 bytes, read without decoding the rest of the record.
 struct LogFrameView {
   std::uint64_t index = 0;
   const std::uint8_t* data = nullptr;
@@ -83,8 +78,6 @@ struct LogFrameView {
 };
 
 struct LogScan {
-  /// File carries the MSLG header and per-frame CRCs.
-  bool new_format = false;
   /// Scan ended on a corrupt or incomplete frame (torn tail): `valid_bytes`
   /// is where the damage starts; everything after is unusable.
   bool torn = false;
@@ -92,17 +85,18 @@ struct LogScan {
   std::vector<LogFrameView> frames;
 };
 
-/// Walk a source log's bytes frame by frame, verifying per-frame CRCs in the
-/// new format and falling back to length-sanity checks for legacy files. A
-/// frame too short to hold a record's fixed fields is corrupt in either
-/// format. Never throws or aborts on corrupt input — a torn tail stops the
-/// scan.
-LogScan scan_log_bytes(const std::uint8_t* data, std::size_t size);
+/// Verify a source log's MSLG header, then walk its bytes frame by frame,
+/// verifying each frame's CRC (`path` is used only for error messages). An
+/// empty file is a fresh log; a file shorter than the header is a header torn
+/// at creation (torn, valid_bytes 0). A corrupt frame, or one too short to
+/// hold a record's fixed fields, is a torn tail that stops the scan. A file
+/// holding a whole header that does not verify is kDataLoss.
+Result<LogScan> scan_log_bytes(const std::uint8_t* data, std::size_t size,
+                               const std::string& path);
 
-/// The checksummed file image that keeps `scan`'s frames with index >=
-/// `bound`: the MSLG header, then each kept frame as [len][crc32c][payload].
-/// Checksummed frames are copied with the CRC the scan verified; legacy
-/// frames gain theirs here, which is where a pre-checksum log upgrades.
+/// The file image that keeps `scan`'s frames with index >= `bound`: the MSLG
+/// header, then each kept frame as [len][crc32c][payload], copied with the
+/// CRC the scan verified.
 std::vector<std::uint8_t> log_suffix_image(const LogScan& scan,
                                            std::uint64_t bound);
 

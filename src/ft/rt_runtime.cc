@@ -72,12 +72,13 @@ RtRuntime::RtRuntime(rt::RtEngine* engine, RtRuntimeConfig config)
     m_torn_frames_ = m->counter("ft.log.torn_frames");
     m_append_failures_ = m->counter("ft.log.append_failures");
     m_truncations_skipped_ = m->counter("ft.log.truncation_skipped");
+    m_torn_unconfirmed_ = m->counter("ft.log.torn_unconfirmed");
     m_corrupt_manifests_ = m->counter("ft.scan.corrupt_manifests");
     m_corrupt_artifacts_ = m->counter("ft.recovery.corrupt_artifacts");
     m_fallbacks_ = m->counter("ft.recovery.fallbacks");
   }
-  // A log read error here is logged; recover() re-reads that log and aborts
-  // retryably if it still fails.
+  // A log read error here is logged; recover() re-reads that log and returns
+  // the error if it persists.
   (void)scan_existing_state();
   baseline_seq_.assign(static_cast<std::size_t>(n), 0);
   delta_enabled_ = config_.mode == RtMode::kSrcApDelta ||
@@ -556,15 +557,12 @@ void RtRuntime::on_source_emit(int op, int out_port, const core::Tuple& tuple) {
   std::scoped_lock lk(log.mu);
   const std::vector<std::uint8_t> frame =
       encode_log_record(log.next_index, out_port, tuple, config_.codec);
-  // One buffer per record so a single write() carries the whole frame — the
-  // only tear a crash can produce is a short final frame, which the scanner
-  // drops. Legacy files keep the CRC-less layout until truncation upgrades
-  // them; new files carry [len][crc32c(payload)][payload].
+  // One buffer per record so a single write() carries the whole
+  // [len][crc32c(payload)][payload] frame — the only tear a crash can produce
+  // is a short final frame, which the scanner drops.
   BinaryWriter rec(8 + frame.size());
   rec.write<std::uint32_t>(static_cast<std::uint32_t>(frame.size()));
-  if (!log.legacy) {
-    rec.write<std::uint32_t>(storage::crc32c(frame.data(), frame.size()));
-  }
+  rec.write<std::uint32_t>(storage::crc32c(frame.data(), frame.size()));
   rec.write_bytes(frame.data(), frame.size());
   const std::vector<std::uint8_t> bytes = rec.take();
   if (!log.out.append(bytes.data(), bytes.size(), durable_opts())) {
@@ -576,6 +574,11 @@ void RtRuntime::on_source_emit(int op, int out_port, const core::Tuple& tuple) {
                 op, static_cast<unsigned long long>(log.next_index));
     m_append_failures_->add(1);
     log.failed_since = std::min(log.failed_since, log.next_index);
+    // A partial frame left in place would strand every later frame behind
+    // a tear the next scan stops at. Cut the file back to before this append.
+    if (log.out.is_open() && !log.out.rollback()) {
+      MS_LOG_WARN("ft", "rt source log rollback failed for op %d", op);
+    }
   }
   ++log.next_index;
 }
@@ -632,8 +635,6 @@ Result<RtRuntime::Manifest> RtRuntime::read_manifest(
   const Status st = storage::read_artifact(
       path, storage::ArtifactKind::kManifest, durable_opts(), &payload);
   if (!st.is_ok()) return st;
-  // Legacy (pre-checksum) manifests are the bare payload; framed ones hand
-  // back the identical bytes, so one decoder serves both.
   return decode_manifest(payload, path);
 }
 
@@ -657,7 +658,13 @@ Status RtRuntime::read_log(int op, LogView* view) const {
     view->bytes.clear();
     return Status::unavailable("short read: " + log_path(op));
   }
-  view->scan = scan_log_bytes(view->bytes.data(), view->bytes.size());
+  auto scan =
+      scan_log_bytes(view->bytes.data(), view->bytes.size(), log_path(op));
+  if (!scan.is_ok()) {
+    view->bytes.clear();
+    return scan.status();
+  }
+  view->scan = std::move(scan).value();
   return Status::ok();
 }
 
@@ -709,8 +716,7 @@ void RtRuntime::truncate_log(int op, std::uint64_t boundary) {
     m_truncations_skipped_->add(1);
     return;
   }
-  // The rewrite copies the kept frames as they are and always emits the
-  // checksummed format — this is where a legacy log upgrades.
+  // The rewrite copies the kept frames with the CRCs the read verified.
   const std::vector<std::uint8_t> image = log_suffix_image(view.scan, boundary);
   log.out.close();
   const Status wst = storage::write_raw_atomic(
@@ -718,7 +724,6 @@ void RtRuntime::truncate_log(int op, std::uint64_t boundary) {
       durable_opts());
   if (wst.is_ok()) {
     log.begin_index = boundary;
-    log.legacy = false;
   } else {
     MS_LOG_WARN("ft", "rt source log truncation failed for op %d: %s", op,
                 wst.message().c_str());
@@ -865,19 +870,40 @@ Status RtRuntime::scan_existing_state() {
     SourceLog& log = *logs_[i];
     std::scoped_lock lk(log.mu);
     if (!log.view) {
-      // Nothing cached: read the file once, trim a torn tail and fix the
-      // append format. A cached view already did all of this, and the file
-      // has not changed since.
+      // Nothing cached: read the file once and trim a torn tail. A cached
+      // view already did this, and the file has not changed since.
       if (log.out.is_open()) log.out.close();
       auto view = std::make_unique<LogView>();
-      const Status st = read_log(static_cast<int>(i), view.get());
+      Status st = read_log(static_cast<int>(i), view.get());
+      if (st.is_ok() && view->scan.torn) {
+        // Truncating a torn tail drops every byte past it, and a bit flipped
+        // in the read looks just like one flipped on disk. Read again: only a
+        // tear both reads place at the same offset is in the file.
+        auto again = std::make_unique<LogView>();
+        st = read_log(static_cast<int>(i), again.get());
+        if (st.is_ok() && (!again->scan.torn ||
+                           again->scan.valid_bytes != view->scan.valid_bytes)) {
+          MS_LOG_WARN("ft", "rt source log %zu: torn at %llu on one read, "
+                      "%s on the next; keeping the file",
+                      i,
+                      static_cast<unsigned long long>(view->scan.valid_bytes),
+                      again->scan.torn ? "elsewhere" : "whole");
+          m_torn_unconfirmed_->add(1);
+          if (again->scan.torn) {
+            st = Status::unavailable("source log reads disagree: " +
+                                     log.path);
+          } else {
+            view = std::move(again);
+          }
+        }
+      }
       if (!st.is_ok()) {
-        // Transient read error: the bytes may be fine. Classifying the
-        // format or cursors off a failed read could stamp legacy=true on a
-        // framed file (appending CRC-less frames the next scan would
-        // "truncate" as torn, destroying committed records) or reuse record
-        // indices. Leave the handle closed — appends fail loudly into the
-        // append-failure accounting — and let recover() abort retryably.
+        // A read error (the bytes may be fine) or a header that does not
+        // verify (kDataLoss). Taking cursors off it would reuse record
+        // indices, and appending behind a bad header would bury the records
+        // under bytes no scan accepts. Leave the file as it is and the handle
+        // closed — appends fail loudly into the append-failure accounting —
+        // and let recover() return the error.
         MS_LOG_WARN("ft", "rt source log %zu unreadable at scan: %s", i,
                     st.message().c_str());
         if (log_error.is_ok()) log_error = st;
@@ -885,9 +911,10 @@ Status RtRuntime::scan_existing_state() {
       }
       LogScan& scan = view->scan;
       if (scan.torn) {
-        // Crash mid-append or a flipped bit in a frame: everything past the
-        // last verifiable frame is unusable. Truncate the file so the garbage
-        // cannot resurface in the middle of the log after the next append.
+        // Both reads agree: a crash mid-append or a frame damaged on disk.
+        // Everything past the last verifiable frame is unusable. Truncate the
+        // file so the garbage cannot resurface in the middle of the log after
+        // the next append.
         MS_LOG_WARN("ft", "rt source log %zu: torn tail, truncating %zu -> "
                     "%llu bytes",
                     i, view->bytes.size(),
@@ -902,14 +929,8 @@ Status RtRuntime::scan_existing_state() {
           scan.torn = false;  // the view mirrors the file again
         }
       }
-      std::error_code sz_ec;
-      const auto fsize = fs::file_size(log.path, sz_ec);
-      const bool exists_nonempty = !sz_ec && fsize > 0;
-      // Appends must stay format-consistent with the existing bytes; an
-      // empty or fresh file starts in the checksummed format.
-      log.legacy = exists_nonempty && !scan.new_format;
       log.out.open(log.path);
-      if (!exists_nonempty && log.out.is_open()) {
+      if (log.out.is_open() && log.out.size() == 0) {
         const auto hdr = log_file_header();
         log.out.append(hdr.data(), hdr.size(), durable_opts());
       }
@@ -972,9 +993,10 @@ Status RtRuntime::recover(RecoveryStats* stats) {
   {
     std::scoped_lock lk(ctl_mu_);
     const Status st = scan_existing_state();
-    // Transient: replaying without the log's records would silently lose
-    // every tuple past the checkpoint boundary. Abort retryably instead
-    // (same contract as manifests and blobs).
+    // Replaying without the log's records would silently lose every tuple
+    // past the checkpoint boundary. A read error aborts retryably, a log
+    // header that does not verify is kDataLoss (same contract as manifests
+    // and blobs).
     if (!st.is_ok()) return st;
   }
   if (crashed_.load()) return Status::unavailable("crashed during recovery");
@@ -1015,10 +1037,8 @@ Status RtRuntime::recover(RecoveryStats* stats) {
       }
       constexpr std::size_t kHeader = 8 + 1 + 8 + 8 + 8;
       if (payload.size() < kHeader) {
-        // No writer of any era produced fewer bytes than the fixed header,
-        // and a framed file truncated at rest below the 4-byte magic sniffs
-        // as "legacy" — without this check it would silently restore the
-        // operator from empty state instead of reporting the damage.
+        // The frame verified, but no writer produces a payload shorter than
+        // the fixed header: report the damage rather than read past the end.
         m_corrupt_artifacts_->add(1);
         emit_probe(FtPoint::kCorruptArtifact, i, 0);
         return Status::data_loss(
@@ -1249,9 +1269,8 @@ Status RtRuntime::load_epoch_state(std::uint64_t epoch, LoadedEpoch* out) {
             st.message());
       }
       if (bytes.size() != rec->size) {
-        // Legacy (unframed) blobs have no CRC; the manifest's recorded size
-        // is the only tripwire — and for framed blobs a passing CRC with the
-        // wrong size still means the manifest and blob disagree.
+        // A blob whose CRC passes with the wrong size still means the
+        // manifest and the blob disagree.
         m_corrupt_artifacts_->add(1);
         emit_probe(FtPoint::kCorruptArtifact, i, rec_epoch);
         return Status::data_loss("RtRuntime: checkpoint size mismatch for op " +

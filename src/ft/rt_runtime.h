@@ -15,8 +15,9 @@
 // chain are retained as fallback rungs, params.retain_fallback_epochs); a
 // corrupt manifest classifies its epoch as never-committed; a torn
 // source-log tail is truncated to the last whole frame (ft.log.torn_frames)
-// instead of silently resurfacing after the next append. Pre-checksum
-// directories still recover via the legacy compat path.
+// instead of silently resurfacing after the next append. A file that fails
+// verification is never read as data: recovery falls back or returns
+// kDataLoss.
 //
 // Durability layout under `config.dir`:
 //   epoch_<E>/op_<i>.ckpt   per-operator full snapshot bytes of epoch E
@@ -266,10 +267,6 @@ class RtRuntime final : public Runtime {
     std::mutex mu;
     std::string path;
     storage::AppendFile out;        // append handle, reopened on truncation
-    /// Pre-checksum file format (no MSLG header, no per-frame CRC). Appends
-    /// stay format-consistent with the existing bytes; the first truncation
-    /// rewrite upgrades the file to the checksummed format.
-    bool legacy = false;
     std::uint64_t begin_index = 0;  // first record still in the file
     std::uint64_t next_index = 0;   // index the next append gets
     /// Lowest record index whose append failed (the tuple went downstream
@@ -329,9 +326,10 @@ class RtRuntime final : public Runtime {
   /// `view`. Torn tails (crash mid-append, bad frame CRC) show up in
   /// `view->scan` only — the file itself is untouched here;
   /// scan_existing_state does the truncation. A missing file is an empty
-  /// log. Any other failure, including a read that returned fewer bytes
-  /// than the file holds, is kUnavailable over bytes that may be intact:
-  /// "could not look", never "nothing to replay".
+  /// log and a header that does not verify is kDataLoss. Any other failure,
+  /// including a read that returned fewer bytes than the file holds, is
+  /// kUnavailable over bytes that may be intact: "could not look", never
+  /// "nothing to replay".
   Status read_log(int op, LogView* view) const;
   /// Decode one verified frame (the only place a record is decoded).
   LogRecord decode_log_record(const LogFrameView& frame) const;
@@ -436,6 +434,7 @@ class RtRuntime final : public Runtime {
   Counter* m_torn_frames_ = nullptr;        // ft.log.torn_frames
   Counter* m_append_failures_ = nullptr;    // ft.log.append_failures
   Counter* m_truncations_skipped_ = nullptr;  // ft.log.truncation_skipped
+  Counter* m_torn_unconfirmed_ = nullptr;   // ft.log.torn_unconfirmed
   Counter* m_corrupt_manifests_ = nullptr;  // ft.scan.corrupt_manifests
   Counter* m_corrupt_artifacts_ = nullptr;  // ft.recovery.corrupt_artifacts
   Counter* m_fallbacks_ = nullptr;          // ft.recovery.fallbacks

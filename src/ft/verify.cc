@@ -16,18 +16,37 @@ namespace {
 
 /// Frame-verify one artifact file; returns true when the payload came back.
 bool check_artifact(const std::string& path, storage::ArtifactKind kind,
-                    std::vector<std::uint8_t>* payload, bool* legacy,
-                    ScrubReport* report) {
+                    std::vector<std::uint8_t>* payload, ScrubReport* report) {
   const storage::DurableOptions opts{storage::SyncMode::kNone, nullptr};
-  const Status st = storage::read_artifact(path, kind, opts, payload, legacy);
+  const Status st = storage::read_artifact(path, kind, opts, payload);
   if (!st.is_ok()) {
     report->issues.push_back({path, st.message()});
     return false;
   }
   ++report->artifacts;
-  if (*legacy) ++report->legacy;
   report->verified_bytes += payload->size();
   return true;
+}
+
+/// Frame-verify every blob of an epoch whose manifest is unusable. Without
+/// recorded sizes nothing can be cross-checked, but a blob that does not
+/// verify is still named.
+void scrub_unlisted_blobs(const std::string& edir, ScrubReport* report) {
+  std::vector<fs::path> blobs;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(edir, ec)) {
+    const fs::path ext = entry.path().extension();
+    if (ext == ".ckpt" || ext == ".delta") blobs.push_back(entry.path());
+  }
+  std::sort(blobs.begin(), blobs.end());
+  for (const fs::path& path : blobs) {
+    std::vector<std::uint8_t> blob;
+    (void)check_artifact(path.string(),
+                         path.extension() == ".delta"
+                             ? storage::ArtifactKind::kDelta
+                             : storage::ArtifactKind::kCheckpoint,
+                         &blob, report);
+  }
 }
 
 void scrub_epoch(const std::string& dir, std::uint64_t epoch,
@@ -42,14 +61,15 @@ void scrub_epoch(const std::string& dir, std::uint64_t epoch,
   }
   ++report->epochs;
   std::vector<std::uint8_t> payload;
-  bool legacy = false;
   if (!check_artifact(mpath, storage::ArtifactKind::kManifest, &payload,
-                      &legacy, report)) {
-    return;  // everything below needs the manifest's sizes
+                      report)) {
+    scrub_unlisted_blobs(edir, report);  // the checks below need its sizes
+    return;
   }
   auto decoded = decode_manifest(payload, mpath);
   if (!decoded.is_ok()) {
     report->issues.push_back({mpath, decoded.status().message()});
+    scrub_unlisted_blobs(edir, report);
     return;
   }
   const EpochManifest& m = decoded.value();
@@ -77,11 +97,10 @@ void scrub_epoch(const std::string& dir, std::uint64_t epoch,
       continue;
     }
     std::vector<std::uint8_t> blob;
-    bool blob_legacy = false;
     if (!check_artifact(bpath,
                         op.delta ? storage::ArtifactKind::kDelta
                                  : storage::ArtifactKind::kCheckpoint,
-                        &blob, &blob_legacy, report)) {
+                        &blob, report)) {
       continue;
     }
     if (blob.size() != op.size) {
@@ -102,9 +121,13 @@ void scrub_source_log(const std::string& path, ScrubReport* report) {
     report->issues.push_back({path, st.message()});
     return;
   }
-  const LogScan scan = scan_log_bytes(bytes.data(), bytes.size());
+  auto scanned = scan_log_bytes(bytes.data(), bytes.size(), path);
+  if (!scanned.is_ok()) {
+    report->issues.push_back({path, scanned.status().message()});
+    return;
+  }
+  const LogScan& scan = scanned.value();
   ++report->artifacts;
-  if (!scan.new_format && !bytes.empty()) ++report->legacy;
   report->verified_bytes += scan.valid_bytes;
   if (scan.torn) {
     report->issues.push_back(
@@ -138,9 +161,8 @@ void scrub_source_log(const std::string& path, ScrubReport* report) {
 
 void scrub_baseline(const std::string& path, ScrubReport* report) {
   std::vector<std::uint8_t> payload;
-  bool legacy = false;
   if (!check_artifact(path, storage::ArtifactKind::kBaseline, &payload,
-                      &legacy, report)) {
+                      report)) {
     return;
   }
   constexpr std::size_t kHeader = 8 + 1 + 8 + 8 + 8;

@@ -33,7 +33,6 @@ struct ScrubReport {
   int epochs = 0;        // committed epoch dirs examined
   int incomplete = 0;    // epoch dirs without a MANIFEST (crash leftovers)
   int artifacts = 0;     // files whose frames were verified
-  int legacy = 0;        // pre-checksum files (unverifiable by construction)
   std::uint64_t verified_bytes = 0;
   std::vector<ScrubLog> logs;  // every source log, in path order
   std::vector<ScrubIssue> issues;

@@ -1,6 +1,7 @@
 #include "storage/durable_file.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <array>
@@ -167,19 +168,12 @@ std::vector<std::uint8_t> frame_artifact(ArtifactKind kind,
 
 Status unframe_artifact(const std::string& path,
                         std::vector<std::uint8_t> file, ArtifactKind expect,
-                        std::vector<std::uint8_t>* payload, bool* legacy) {
-  if (legacy) *legacy = false;
-  if (file.size() < 4 || get_u32(file.data()) != kArtifactMagic) {
-    // Pre-checksum artifact: the whole file is the payload, unverifiable by
-    // construction. The compat path that keeps old checkpoint dirs readable.
-    if (legacy) *legacy = true;
-    *payload = std::move(file);
-    return Status::ok();
-  }
+                        std::vector<std::uint8_t>* payload) {
   if (file.size() < kArtifactHeaderSize) {
-    // The magic is there but the header is not: a framed artifact truncated
-    // mid-header, not a legacy file.
     return data_loss(path, "truncated header");
+  }
+  if (get_u32(file.data()) != kArtifactMagic) {
+    return data_loss(path, "magic");
   }
   const std::uint8_t* h = file.data();
   if (crc32c(h, 20) != get_u32(h + 20)) {
@@ -391,11 +385,11 @@ Status read_raw(const std::string& path, ArtifactKind kind,
 
 Status read_artifact(const std::string& path, ArtifactKind kind,
                      const DurableOptions& opts,
-                     std::vector<std::uint8_t>* payload, bool* legacy) {
+                     std::vector<std::uint8_t>* payload) {
   std::vector<std::uint8_t> file;
   const Status st = read_raw(path, kind, opts, &file);
   if (!st.is_ok()) return st;
-  return unframe_artifact(path, std::move(file), kind, payload, legacy);
+  return unframe_artifact(path, std::move(file), kind, payload);
 }
 
 // --- AppendFile ------------------------------------------------------------
@@ -404,6 +398,9 @@ bool AppendFile::open(const std::string& path) {
   close();
   fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   path_ = path;
+  struct stat st {};
+  if (fd_ >= 0 && ::fstat(fd_, &st) != 0) close();
+  size_ = fd_ >= 0 ? static_cast<std::uint64_t>(st.st_size) : 0;
   return fd_ >= 0;
 }
 
@@ -435,7 +432,12 @@ bool AppendFile::append(const void* data, std::size_t n,
     if (opts.faults) opts.faults->on_crash_point(path_);
     return false;
   }
+  if (wrote) size_ += n;
   return wrote;
+}
+
+bool AppendFile::rollback() {
+  return fd_ >= 0 && ::ftruncate(fd_, static_cast<off_t>(size_)) == 0;
 }
 
 }  // namespace ms::storage

@@ -18,11 +18,6 @@
 // chaos drills exercise exactly the paths a real commodity disk fails on.
 // The hook interface lives here rather than in src/failure to keep the
 // dependency arrow pointing one way: ms_failure links ms_ft links this.
-//
-// Compat: files written before this framing existed (pre-checksum v2
-// artifacts) carry no header; readers detect the missing magic and hand the
-// whole file back as the payload with `legacy` set, so an upgrade reads an
-// old checkpoint directory byte-identically.
 #pragma once
 
 #include <cstdint>
@@ -67,15 +62,12 @@ std::vector<std::uint8_t> frame_artifact(ArtifactKind kind,
 
 /// Validate and strip the frame of `file` (the full on-disk bytes of `path`,
 /// used only for error messages). On success `*payload` receives the payload
-/// bytes. A file that does not start with the artifact magic is a
-/// pre-checksum legacy artifact: the whole file is the payload and `*legacy`
-/// (if non-null) is set. Returns kDataLoss when the frame is present but the
-/// header or payload fails verification (wrong kind, bad length, CRC
-/// mismatch) — the definitive "these bytes are not what was written".
+/// bytes. Returns kDataLoss when the header or payload fails verification
+/// (missing magic, wrong kind, bad length, CRC mismatch) — the definitive
+/// "these bytes are not what was written".
 Status unframe_artifact(const std::string& path,
                         std::vector<std::uint8_t> file, ArtifactKind expect,
-                        std::vector<std::uint8_t>* payload,
-                        bool* legacy = nullptr);
+                        std::vector<std::uint8_t>* payload);
 
 // --- fault injection -------------------------------------------------------
 
@@ -172,12 +164,10 @@ Status write_raw_atomic(const std::string& path, ArtifactKind kind,
 Status read_raw(const std::string& path, ArtifactKind kind,
                 const DurableOptions& opts, std::vector<std::uint8_t>* bytes);
 
-/// read_raw + unframe_artifact: the verified payload of a framed artifact
-/// (or the whole file, with `*legacy` set, for pre-checksum files).
+/// read_raw + unframe_artifact: the verified payload of a framed artifact.
 Status read_artifact(const std::string& path, ArtifactKind kind,
                      const DurableOptions& opts,
-                     std::vector<std::uint8_t>* payload,
-                     bool* legacy = nullptr);
+                     std::vector<std::uint8_t>* payload);
 
 /// fd-based append handle for source logs: appends are plain write()s (no
 /// stream buffering — the bytes are in the kernel when append() returns),
@@ -195,11 +185,18 @@ class AppendFile {
   void close();
   /// Append `n` bytes; false on failure (injected or real). Under
   /// SyncMode::kAlways in `opts` the append is fdatasynced before returning.
+  /// A failed append may leave part of its bytes in the file.
   bool append(const void* data, std::size_t n, const DurableOptions& opts);
+  /// File size at open plus every successful append since.
+  std::uint64_t size() const { return size_; }
+  /// Cut the file back to size(), dropping whatever a failed append left
+  /// behind. False when the handle is closed or the truncate fails.
+  bool rollback();
 
  private:
   int fd_ = -1;
   std::string path_;
+  std::uint64_t size_ = 0;
 };
 
 }  // namespace ms::storage

@@ -415,6 +415,63 @@ TEST(RtCorruptionTest, TornLogTailIsTruncatedCountedAndReplaysExactly) {
   EXPECT_TRUE(scrub_checkpoint_dir(cfg.dir).clean());
 }
 
+// The MSLG header is verified like any frame: an empty file is a fresh log,
+// a file shorter than the header is a header torn at creation (torn at 0,
+// and the runtime resets it), and a whole header that does not verify is
+// kDataLoss, never a torn tail to truncate.
+TEST(RtCorruptionTest, LogHeaderIsVerifiedLikeAFrame) {
+  const auto hdr = log_file_header();
+  std::vector<std::uint8_t> bytes;
+  auto scan = scan_log_bytes(bytes.data(), bytes.size(), "empty");
+  ASSERT_TRUE(scan.is_ok());
+  EXPECT_FALSE(scan.value().torn);
+  EXPECT_EQ(scan.value().valid_bytes, 0u);
+
+  bytes.assign(hdr.begin(), hdr.end());
+  scan = scan_log_bytes(bytes.data(), bytes.size(), "header");
+  ASSERT_TRUE(scan.is_ok());
+  EXPECT_FALSE(scan.value().torn);
+  EXPECT_EQ(scan.value().valid_bytes, kLogFileHeaderSize);
+
+  bytes.resize(kLogFileHeaderSize - 3);
+  scan = scan_log_bytes(bytes.data(), bytes.size(), "short");
+  ASSERT_TRUE(scan.is_ok());
+  EXPECT_TRUE(scan.value().torn);
+  EXPECT_EQ(scan.value().valid_bytes, 0u);
+
+  for (std::size_t byte = 0; byte < kLogFileHeaderSize; ++byte) {
+    bytes.assign(hdr.begin(), hdr.end());
+    bytes[byte] ^= 0x04;
+    scan = scan_log_bytes(bytes.data(), bytes.size(), "flipped");
+    EXPECT_EQ(scan.status().code(), StatusCode::kDataLoss) << "byte " << byte;
+  }
+
+  // The runtime resets a header torn at creation and appends behind a fresh
+  // one.
+  auto feed = std::make_shared<ExternalFeed>();
+  MetricsRegistry reg;
+  const auto cfg = drill_config(fresh_dir("ms_corr_hdrtorn"), &reg);
+  fs::create_directories(cfg.dir);
+  {
+    std::ofstream out(cfg.dir + "/source_0.log", std::ios::binary);
+    out.write(reinterpret_cast<const char*>(hdr.data()), 5);
+  }
+  rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
+  RtRuntime runtime(&engine, cfg);
+  EXPECT_EQ(reg.counter("ft.log.torn_frames")->value(), 1);
+  EXPECT_EQ(fs::file_size(cfg.dir + "/source_0.log"), kLogFileHeaderSize);
+  ASSERT_TRUE(runtime.start().is_ok());
+  ASSERT_TRUE(wait_drained(engine, 50));
+  feed->paused.store(true);
+  wait_quiescent(engine);
+  runtime.stop();
+  const ScrubReport report = scrub_checkpoint_dir(cfg.dir);
+  EXPECT_TRUE(report.clean());
+  ASSERT_EQ(report.logs.size(), 1u);
+  EXPECT_EQ(report.logs[0].first_index, 0u);
+  EXPECT_EQ(report.logs[0].last_index + 1, report.logs[0].records);
+}
+
 // --- transient source-log read errors ----------------------------------------
 
 // A transient read error on a source log during recovery must abort
@@ -455,19 +512,20 @@ TEST(RtCorruptionTest, TransientLogReadErrorAbortsRecoveryRetryably) {
   expect_table_exact(engine, total);
 }
 
-// A read that comes back short without an error, ending on a frame boundary,
-// scans clean: it looks like a log with nothing past the header. The
-// constructor must not keep that view for recover() to replay from — the
-// replay would stop at the checkpoint boundary and fresh appends would reuse
-// indices already in the file. The short read counts as a read error, and
-// recover() reads the log again.
-TEST(RtCorruptionTest, ShortLogReadAtConstructionIsNotReplayed) {
+/// One checkpoint, then a suffix only the log holds; the constructor's scan
+/// reads the log with `fault` at `offset` (one-shot). The read is damaged but
+/// the file is intact: the constructor must not truncate it, and recover()
+/// must come back exact. `unconfirmed` is how many torn verdicts the
+/// confirming read must overturn.
+void construction_read_fault_drill(const std::string& name,
+                                   storage::ReadFault fault,
+                                   std::uint64_t offset,
+                                   std::int64_t unconfirmed) {
   auto feed = std::make_shared<ExternalFeed>();
   MetricsRegistry reg;
-  auto cfg = drill_config(fresh_dir("ms_corr_logshort"), &reg);
+  auto cfg = drill_config(fresh_dir(name), &reg);
   std::int64_t total = 0;
   {
-    // One checkpoint, then records past its boundary that only the log holds.
     rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
     RtRuntime runtime(&engine, cfg);
     ASSERT_TRUE(runtime.start().is_ok());
@@ -484,19 +542,95 @@ TEST(RtCorruptionTest, ShortLogReadAtConstructionIsNotReplayed) {
 
   DiskFaultInjector faults;
   cfg.disk_faults = &faults;
-  faults.arm_read(storage::ArtifactKind::kSourceLog,
-                  storage::ReadFault::kShortRead, kLogFileHeaderSize);
+  faults.arm_read(storage::ArtifactKind::kSourceLog, fault, offset);
 
   rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
-  RtRuntime runtime(&engine, cfg);  // the constructor scan reads short
+  RtRuntime runtime(&engine, cfg);  // the constructor scan reads the damage
   EXPECT_EQ(faults.injected(), 1);
   EXPECT_EQ(fs::file_size(cfg.dir + "/source_0.log"), log_size);
   ASSERT_TRUE(runtime.recover(nullptr).is_ok());
   wait_quiescent(engine);
   runtime.stop();
   EXPECT_EQ(reg.counter("ft.log.torn_frames")->value(), 0);
+  EXPECT_EQ(reg.counter("ft.log.torn_unconfirmed")->value(), unconfirmed);
   expect_sink_exact(engine, total);
   expect_table_exact(engine, total);
+}
+
+// A read that comes back short without an error, ending on a frame boundary,
+// scans clean: it looks like a log with nothing past the header. The
+// constructor must not keep that view for recover() to replay from — the
+// replay would stop at the checkpoint boundary and fresh appends would reuse
+// indices already in the file. The short read counts as a read error, and
+// recover() reads the log again.
+TEST(RtCorruptionTest, ShortLogReadAtConstructionIsNotReplayed) {
+  construction_read_fault_drill("ms_corr_logshort",
+                                storage::ReadFault::kShortRead,
+                                kLogFileHeaderSize, 0);
+}
+
+// A flip in the MSLG magic: the header does not verify, which is kDataLoss
+// for that read, never a torn tail at byte 0. The constructor keeps no view
+// and recover() reads the log again.
+TEST(RtCorruptionTest, HeaderFlipAtConstructionIsNotTruncated) {
+  construction_read_fault_drill("ms_corr_ctor_hdrflip",
+                                storage::ReadFault::kBitFlip, 3, 0);
+}
+
+// A flip in a frame mid-file (byte 2000): the first read is torn there, the
+// confirming read is whole, and the constructor keeps the file and the whole
+// view.
+TEST(RtCorruptionTest, FrameFlipAtConstructionIsNotTruncated) {
+  construction_read_fault_drill("ms_corr_ctor_frameflip",
+                                storage::ReadFault::kBitFlip, 16000, 1);
+}
+
+// --- torn appends ----------------------------------------------------------------
+
+// An append that fails partway is cut back to the file's size before it, so
+// later whole frames do not sit behind a tear that the next scan would stop at
+// and truncate. The lost record is a one-record gap in the index run, and
+// health() reports the window while the process lives.
+TEST(RtCorruptionTest, TornAppendIsTrimmedBackBeforeLaterAppends) {
+  auto feed = std::make_shared<ExternalFeed>();
+  MetricsRegistry reg;
+  auto cfg = drill_config(fresh_dir("ms_corr_tornappend"), &reg);
+  DiskFaultInjector faults;
+  cfg.disk_faults = &faults;
+  std::uint64_t k = 0;
+  {
+    rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
+    RtRuntime runtime(&engine, cfg);
+    ASSERT_TRUE(runtime.start().is_ok());
+    ASSERT_TRUE(wait_drained(engine, 50));
+    feed->paused.store(true);
+    wait_quiescent(engine);
+    k = static_cast<std::uint64_t>(feed->cursor.load());  // next record index
+    faults.arm_write(storage::ArtifactKind::kSourceLog,
+                     storage::WriteFault::kTorn, /*offset=*/5);
+    feed->paused.store(false);
+    ASSERT_TRUE(wait_drained(engine, engine.sink_tuples() + 50));
+    EXPECT_EQ(faults.injected(), 1);
+    EXPECT_EQ(reg.counter("ft.log.append_failures")->value(), 1);
+    EXPECT_EQ(runtime.health().code(), StatusCode::kDataLoss);
+    runtime.simulate_crash();  // before any checkpoint
+    feed->paused.store(true);
+    wait_quiescent(engine);
+    runtime.stop();
+  }
+
+  const ScrubReport report = scrub_checkpoint_dir(cfg.dir);
+  ASSERT_EQ(report.issues.size(), 1u);
+  const std::string gap = std::to_string(k) + ".." + std::to_string(k);
+  EXPECT_NE(report.issues[0].detail.find(gap), std::string::npos)
+      << report.issues[0].detail;
+  EXPECT_EQ(report.issues[0].detail.find("torn"), std::string::npos)
+      << report.issues[0].detail;
+
+  cfg.disk_faults = nullptr;
+  rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
+  RtRuntime runtime(&engine, cfg);  // the restart scan
+  EXPECT_EQ(reg.counter("ft.log.torn_frames")->value(), 0);
 }
 
 // --- damaged reads during commit-time truncation -----------------------------
@@ -614,9 +748,9 @@ TEST(RtCorruptionTest, FailedLogAppendDegradesHealthUntilCovered) {
 
 // --- truncated baseline unit files -------------------------------------------
 
-// A baseline checkpoint truncated at rest below the 4-byte magic sniffs as
-// "legacy"; it must still read as kDataLoss, not silently restore the
-// operator from empty state.
+// A baseline checkpoint truncated at rest to 3 bytes holds no frame header
+// at all; it must read as kDataLoss, not silently restore the operator from
+// empty state.
 TEST(RtCorruptionTest, BaselineCheckpointTruncatedAtRestIsDataLoss) {
   auto feed = std::make_shared<ExternalFeed>();
   MetricsRegistry reg;
@@ -732,7 +866,7 @@ TEST(RtCorruptionTest, PowerLossAfterManifestRenameCommitsTheEpoch) {
   expect_table_exact(engine, total);
 }
 
-// --- backward compatibility -------------------------------------------------
+// --- files without the checksummed framing -----------------------------------
 
 /// Strip the MSDF frame from an artifact, leaving the pre-checksum file.
 void strip_frame(const std::string& path, storage::ArtifactKind kind) {
@@ -752,8 +886,9 @@ void downgrade_log(const std::string& path) {
   ASSERT_TRUE(storage::read_raw(path, storage::ArtifactKind::kSourceLog,
                                 storage::DurableOptions{}, &bytes)
                   .is_ok());
-  const LogScan scan = scan_log_bytes(bytes.data(), bytes.size());
-  ASSERT_TRUE(scan.new_format);
+  const auto scanned = scan_log_bytes(bytes.data(), bytes.size(), path);
+  ASSERT_TRUE(scanned.is_ok()) << scanned.status().to_string();
+  const LogScan& scan = scanned.value();
   ASSERT_FALSE(scan.torn);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   for (const LogFrameView& f : scan.frames) {
@@ -764,17 +899,18 @@ void downgrade_log(const std::string& path) {
   }
 }
 
-// A checkpoint directory written before the framing existed (no MSDF
-// headers, no MSLG log header, no CRCs) recovers byte-identically: readers
-// treat the whole file as the payload and the scrub reports it legacy, not
-// corrupt.
-TEST(RtCorruptionTest, LegacyPreChecksumDirectoryStillRecovers) {
+// A checkpoint directory in the pre-checksum layout (no MSDF headers, no
+// MSLG log header, no CRCs) carries nothing that verifies its bytes. Every
+// file is damage, not data: the scrub names each one, recovery returns
+// kDataLoss instead of restoring unverified state, and the log it could not
+// verify stays on disk byte for byte.
+TEST(RtCorruptionTest, PreChecksumDirectoryIsTypedDataLoss) {
   auto feed = std::make_shared<ExternalFeed>();
   MetricsRegistry reg;
-  const auto cfg = drill_config(fresh_dir("ms_corr_legacy"), &reg);
-  const std::int64_t total = seed_chain(feed, cfg);
+  const auto cfg = drill_config(fresh_dir("ms_corr_prechecksum"), &reg);
+  (void)seed_chain(feed, cfg);
 
-  // Downgrade every artifact on disk to the pre-checksum format.
+  std::vector<std::string> stripped;
   for (const auto& entry : fs::recursive_directory_iterator(cfg.dir)) {
     if (!entry.is_regular_file()) continue;
     const std::string path = entry.path().string();
@@ -787,40 +923,36 @@ TEST(RtCorruptionTest, LegacyPreChecksumDirectoryStillRecovers) {
       strip_frame(path, storage::ArtifactKind::kDelta);
     } else if (entry.path().extension() == ".log") {
       downgrade_log(path);
+    } else {
+      continue;
     }
+    stripped.push_back(path);
   }
+  ASSERT_GT(stripped.size(), 3u);
+
   const ScrubReport report = scrub_checkpoint_dir(cfg.dir);
-  EXPECT_TRUE(report.clean());
-  EXPECT_GT(report.legacy, 0);
+  EXPECT_FALSE(report.clean());
+  std::set<std::string> named;
+  for (const ScrubIssue& issue : report.issues) named.insert(issue.path);
+  for (const std::string& path : stripped) {
+    EXPECT_EQ(named.count(path), 1u) << "scrub did not name " << path;
+  }
 
-  // No fallback rung: the first full epoch after recovery supersedes the
-  // whole legacy chain, so its commit truncates — and upgrades — the log.
-  auto rcfg = cfg;
-  rcfg.params.retain_fallback_epochs = 0;
+  const std::string log = cfg.dir + "/source_0.log";
+  std::vector<std::uint8_t> before;
+  ASSERT_TRUE(storage::read_raw(log, storage::ArtifactKind::kSourceLog,
+                                storage::DurableOptions{}, &before)
+                  .is_ok());
   rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
-  RtRuntime runtime(&engine, rcfg);
-  ASSERT_TRUE(runtime.recover(nullptr).is_ok());
-  wait_quiescent(engine);
-
-  // Appends after recovery stay CRC-less until the first commit rewrites the
-  // log; every frame it keeps must come out checksummed.
-  feed->paused.store(false);
-  ASSERT_TRUE(wait_drained(engine, engine.sink_tuples() + 100));
-  ASSERT_TRUE(take_checkpoint(runtime, 0));
-  feed->paused.store(true);
-  wait_quiescent(engine);
-  runtime.stop();
-  const std::int64_t grown = feed->cursor.load();
-  EXPECT_GT(grown, total);
-  expect_sink_exact(engine, grown);
-  expect_table_exact(engine, grown);
-  const ScrubReport upgraded = scrub_checkpoint_dir(cfg.dir);
-  EXPECT_TRUE(upgraded.clean());
-  EXPECT_EQ(upgraded.legacy, 0);
-  ASSERT_EQ(upgraded.logs.size(), 1u);
-  EXPECT_GT(upgraded.logs[0].records, 0u);
-  EXPECT_EQ(upgraded.logs[0].last_index,
-            static_cast<std::uint64_t>(grown - 1));
+  RtRuntime runtime(&engine, cfg);
+  const Status st = runtime.recover(nullptr);
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.to_string();
+  EXPECT_EQ(reg.counter("ft.log.torn_frames")->value(), 0);
+  std::vector<std::uint8_t> after;
+  ASSERT_TRUE(storage::read_raw(log, storage::ArtifactKind::kSourceLog,
+                                storage::DurableOptions{}, &after)
+                  .is_ok());
+  EXPECT_EQ(after, before) << "the unverifiable log was modified";
 }
 
 // --- record-index runs in the scrub -------------------------------------------
@@ -848,9 +980,9 @@ TEST(RtCorruptionTest, ScrubReportsAnIndexGapAsALostRecord) {
   ASSERT_TRUE(storage::read_raw(path, storage::ArtifactKind::kSourceLog,
                                 storage::DurableOptions{}, &bytes)
                   .is_ok());
-  const LogScan scan = scan_log_bytes(bytes.data(), bytes.size());
-  ASSERT_TRUE(scan.new_format);
-  const LogFrameView victim = scan.frames[1];
+  const auto scanned = scan_log_bytes(bytes.data(), bytes.size(), path);
+  ASSERT_TRUE(scanned.is_ok()) << scanned.status().to_string();
+  const LogFrameView victim = scanned.value().frames[1];
   const auto begin = static_cast<std::ptrdiff_t>(victim.data - bytes.data()) - 8;
   bytes.erase(bytes.begin() + begin,
               bytes.begin() + begin + 8 + static_cast<std::ptrdiff_t>(victim.len));
@@ -889,7 +1021,6 @@ TEST(RtCorruptionTest, CleanDirectoryScrubsClean) {
   EXPECT_EQ(report.epochs, 3);
   EXPECT_GT(report.artifacts, 0);
   EXPECT_GT(report.verified_bytes, 0u);
-  EXPECT_EQ(report.legacy, 0);
   // A directory that never existed is vacuously clean, not an error.
   EXPECT_TRUE(scrub_checkpoint_dir("/nonexistent/nowhere").clean());
 }

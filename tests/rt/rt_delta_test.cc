@@ -426,7 +426,9 @@ TEST(RtDeltaTest, RecoveryReadsTheLogOnceAndDecodesOnlyTheReplay) {
                                 storage::ArtifactKind::kSourceLog,
                                 storage::DurableOptions{}, &bytes)
                   .is_ok());
-  const LogScan scan = scan_log_bytes(bytes.data(), bytes.size());
+  const auto scanned = scan_log_bytes(bytes.data(), bytes.size(), "log");
+  ASSERT_TRUE(scanned.is_ok()) << scanned.status().to_string();
+  const LogScan& scan = scanned.value();
   ASSERT_FALSE(scan.frames.empty());
   EXPECT_LT(scan.frames.front().index, boundary)
       << "the log kept nothing below the tip's boundary";

@@ -325,8 +325,9 @@ TEST(RtProtocolTest, SourceLogTruncatesAtCommit) {
   const auto decoded = decode_manifest(payload, manifest);
   ASSERT_TRUE(decoded.is_ok());
   const std::uint64_t bound = decoded.value().ops[0].boundary;
-  const LogScan pre_scan = scan_log_bytes(pre.data(), pre.size());
-  ASSERT_TRUE(pre_scan.new_format);
+  const auto pre_scanned = scan_log_bytes(pre.data(), pre.size(), "pre");
+  ASSERT_TRUE(pre_scanned.is_ok()) << pre_scanned.status().to_string();
+  const LogScan& pre_scan = pre_scanned.value();
   const auto first_kept =
       std::find_if(pre_scan.frames.begin(), pre_scan.frames.end(),
                    [bound](const LogFrameView& f) { return f.index >= bound; });
@@ -346,7 +347,9 @@ TEST(RtProtocolTest, SourceLogTruncatesAtCommit) {
   EXPECT_TRUE(std::equal(pre.begin() + static_cast<std::ptrdiff_t>(from),
                          pre.begin() + static_cast<std::ptrdiff_t>(from + kept),
                          post.begin() + kLogFileHeaderSize));
-  const LogScan post_scan = scan_log_bytes(post.data(), post.size());
+  const auto post_scanned = scan_log_bytes(post.data(), post.size(), "post");
+  ASSERT_TRUE(post_scanned.is_ok()) << post_scanned.status().to_string();
+  const LogScan& post_scan = post_scanned.value();
   ASSERT_FALSE(post_scan.frames.empty());
   EXPECT_EQ(post_scan.frames.front().index, bound);
 }

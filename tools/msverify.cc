@@ -51,10 +51,10 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "%s: %d committed epoch(s), %d incomplete, %d artifact(s) verified "
-      "(%llu bytes), %d legacy, %zu issue(s)\n",
+      "(%llu bytes), %zu issue(s)\n",
       report.clean() ? "clean" : "CORRUPT", report.epochs, report.incomplete,
       report.artifacts,
-      static_cast<unsigned long long>(report.verified_bytes), report.legacy,
+      static_cast<unsigned long long>(report.verified_bytes),
       report.issues.size());
   if (!quiet) {
     for (const auto& log : report.logs) {
