@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <system_error>
 #include <thread>
@@ -42,28 +41,21 @@ std::vector<std::uint8_t> encode_log_record(
 RtRuntime::RtRuntime(rt::RtEngine* engine, RtRuntimeConfig config)
     : engine_(engine),
       config_(std::move(config)),
-      epoch0_(std::chrono::steady_clock::now()) {
+      epoch0_(std::chrono::steady_clock::now()),
+      store_(config_.dir, {config_.sync_mode, config_.disk_faults},
+             config_.params.retain_fallback_epochs,
+             config_.mode == RtMode::kBaseline) {
   MS_CHECK_MSG(engine_ != nullptr, "RtRuntime: null engine");
   MS_CHECK_MSG(!engine_->running(), "RtRuntime: engine already running");
   MS_CHECK_MSG(!config_.dir.empty(), "RtRuntime: durable dir required");
 
-  fs::create_directories(config_.dir);
-  if (config_.mode == RtMode::kBaseline) {
-    fs::create_directories(config_.dir + "/baseline");
-  }
-  // Make the directory skeleton itself durable: the baseline/ dirent lives
-  // in config_.dir, and atomic writes below only fsync their immediate
-  // parent.
-  if (config_.sync_mode != storage::SyncMode::kNone) {
-    storage::fsync_dir(config_.dir);
-  }
 
   const int n = engine_->num_operators();
   logs_.resize(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     if (!engine_->op_is_source(i)) continue;
     auto log = std::make_unique<SourceLog>();
-    log->path = log_path(i);
+    log->path = source_log_path(config_.dir, i);
     logs_[static_cast<std::size_t>(i)] = std::move(log);
   }
   {
@@ -236,7 +228,7 @@ bool RtRuntime::wait_checkpoints(std::uint64_t n, SimTime timeout) {
 
 std::uint64_t RtRuntime::last_durable_epoch() const {
   std::scoped_lock lk(ctl_mu_);
-  return last_durable_;
+  return store_.tip();
 }
 
 void RtRuntime::add_probe(FtProbe probe) {
@@ -282,41 +274,26 @@ void RtRuntime::schedule_after(SimTime delay, std::function<void()> fn) {
 
 void RtRuntime::start_epoch(std::uint64_t epoch) {
   // Called by the coordinator under ctl_mu_.
-  const std::uint64_t disk = epoch_base_ + epoch;
+  const std::uint64_t disk = store_.epoch_base() + epoch;
   EpochState es;
-  es.disk_epoch = disk;
   es.fence = recovery_seq_.load();
   es.initiated = now();
-  if (delta_enabled_ && !chain_broken_ && last_durable_ != 0) {
-    // Delta unless compaction is due: too many deltas stacked, or the chain
-    // has grown past the read-amplification cap relative to its base.
-    const bool compact_count =
-        deltas_since_full_ >= std::max(1, config_.params.delta_compact_every);
-    const bool compact_ratio =
-        base_bytes_ > 0 &&
-        static_cast<double>(chain_delta_bytes_) >
-            config_.params.delta_compact_ratio * static_cast<double>(base_bytes_);
-    if (!compact_count && !compact_ratio) es.kind = rt::SnapshotKind::kDelta;
-  }
-  if (!crashed_.load()) {
-    std::error_code ec;
-    fs::create_directories(epoch_dir(disk), ec);
-    // The MANIFEST commit below only fsyncs epoch_<E> (its parent). The
-    // epoch_<E> dirent itself lives in config_.dir and must be durable
-    // before the epoch can be acknowledged, or a power loss after the
-    // commit drops the whole directory and recovery silently falls back an
-    // epoch.
-    if (!ec && config_.sync_mode != storage::SyncMode::kNone) {
-      storage::fsync_dir(config_.dir);
-    }
-  }
-  const rt::SnapshotKind kind = es.kind;
+  es.manifest.epoch = disk;
+  es.manifest.ops.resize(static_cast<std::size_t>(engine_->num_operators()));
   pending_[disk] = std::move(es);
+  if (!crashed_.load()) store_.create_epoch(disk);
+  // Delta unless compaction is due: too many deltas stacked, or the chain
+  // has grown past the read-amplification cap relative to its base.
+  const bool delta =
+      delta_enabled_ &&
+      store_.delta_allowed(config_.params.delta_compact_every,
+                           config_.params.delta_compact_ratio);
   emit_probe(FtPoint::kTokenAlignStart, -1, epoch);
   const rt::SnapshotMode mode = config_.mode == RtMode::kSrc
                                     ? rt::SnapshotMode::kSync
                                     : rt::SnapshotMode::kAsync;
-  const Status st = engine_->begin_epoch(disk, mode, kind);
+  const Status st = engine_->begin_epoch(
+      disk, mode, delta ? rt::SnapshotKind::kDelta : rt::SnapshotKind::kFull);
   if (!st.is_ok()) {
     MS_LOG_WARN("ft", "rt epoch %llu failed to start: %s",
                 static_cast<unsigned long long>(disk), st.message().c_str());
@@ -326,145 +303,40 @@ void RtRuntime::start_epoch(std::uint64_t epoch) {
 
 void RtRuntime::commit_epoch(std::uint64_t epoch) {
   // Called by the coordinator under ctl_mu_ once every unit reported.
-  const std::uint64_t disk = epoch_base_ + epoch;
+  const std::uint64_t disk = store_.epoch_base() + epoch;
   auto it = pending_.find(disk);
   if (it == pending_.end()) return;
+  EpochManifest manifest = std::move(it->second.manifest);
+  pending_.erase(it);
   if (crashed_.load()) {  // a dead process commits nothing
-    pending_.erase(it);
-    chain_broken_ = true;  // baselines advanced at the cut, nothing durable
+    store_.abandon(disk, /*remove_files=*/false);
     return;
   }
-  const EpochState& es = it->second;
-  // The epoch is a chain link iff any op actually delivered a delta; a
-  // "delta" epoch where every op serialized fully is self-contained and
-  // compacts the chain exactly like a requested full epoch.
-  bool any_delta = false;
-  for (const auto& [op, is_delta] : es.deltas) any_delta |= is_delta;
-
-  Manifest manifest;
-  manifest.epoch = disk;
-  manifest.prev_epoch = any_delta ? last_durable_ : 0;  // chain predecessor
-  const int n = engine_->num_operators();
-  manifest.ops.resize(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    Manifest::Op& op = manifest.ops[static_cast<std::size_t>(i)];
-    const auto size_it = es.sizes.find(i);
-    op.size = size_it == es.sizes.end() ? 0 : size_it->second;
-    op.is_source = engine_->op_is_source(i);
-    const auto d_it = es.deltas.find(i);
-    op.delta = d_it != es.deltas.end() && d_it->second;
-    const auto b_it = es.boundaries.find(i);
-    op.boundary = b_it == es.boundaries.end() ? 0 : b_it->second;
-    const auto s_it = es.next_seqs.find(i);
-    op.next_seq = s_it == es.next_seqs.end() ? 0 : s_it->second;
-  }
-  const std::vector<std::uint8_t> payload = encode_manifest(manifest);
-  const Status mst = storage::write_artifact_atomic(
-      epoch_dir(disk) + "/MANIFEST", storage::ArtifactKind::kManifest,
-      payload.data(), payload.size(), durable_opts());
-  if (!mst.is_ok()) {
+  const Status st = store_.commit(std::move(manifest));
+  if (!st.is_ok()) {
     MS_LOG_WARN("ft", "rt epoch %llu: manifest write failed: %s",
-                static_cast<unsigned long long>(disk), mst.message().c_str());
-    pending_.erase(it);
-    // Operators advanced their dirty baselines at this epoch's cut but the
-    // epoch never became durable — a later delta chained on last_durable_
-    // would silently omit everything mutated in this window. Same rebase as
-    // abandon_epoch: the next epoch must be full.
-    chain_broken_ = true;
+                static_cast<unsigned long long>(disk), st.message().c_str());
     // A crash fault (kCrashAfterRename) may have landed the rename before
     // "dying": a dead process deletes nothing, and the next scan decides
     // whether the epoch committed. Only a live failed write cleans up.
-    if (!crashed_.load()) {
-      std::error_code ec;
-      fs::remove_all(epoch_dir(disk), ec);
-    }
+    store_.abandon(disk, /*remove_files=*/!crashed_.load());
     return;
   }
-
-  // The rename above is the commit point: epoch `disk` now exists. A delta
-  // epoch extends the committed chain (its predecessors stay — recovery
-  // needs them); a full epoch supersedes the whole chain, which is GC'd.
-  last_durable_ = disk;
-  // Bytes that actually extend the chain: only delta blobs count toward the
-  // compaction ratio. Full-fallback blobs from delta-unaware ops supersede
-  // their own previous record at recovery (the chain walk stops at the
-  // newest full record per op), so they don't accumulate read cost the way
-  // deltas do — folding them in would force compaction as soon as any op
-  // with growing state lacks delta support.
-  std::uint64_t epoch_bytes = 0;
-  std::uint64_t delta_bytes = 0;
-  for (const auto& [op, sz] : es.sizes) {
-    epoch_bytes += sz;
-    const auto d_it2 = es.deltas.find(op);
-    if (d_it2 != es.deltas.end() && d_it2->second) delta_bytes += sz;
-  }
-  {
-    std::map<int, std::uint64_t> bmap;
-    for (const auto& [op, b] : es.boundaries) bmap[op] = b;
-    retained_boundaries_[disk] = std::move(bmap);
-  }
-  if (any_delta) {
-    chain_epochs_.push_back(disk);
-    ++deltas_since_full_;
-    chain_delta_bytes_ += delta_bytes;
-  } else {
-    // A full epoch supersedes the whole chain. Its deltas are unusable
-    // without their tip and are GC'd, but the chain's full base survives as
-    // a fallback rung (newest retain_fallback_epochs kept) so a corrupt new
-    // tip never strands recovery with nothing verifiable to fall back on.
-    for (std::size_t j = 1; j < chain_epochs_.size(); ++j) {
-      std::error_code ec;
-      fs::remove_all(epoch_dir(chain_epochs_[j]), ec);
-      retained_boundaries_.erase(chain_epochs_[j]);
+  // A fallback to any epoch still committed must find every record past its
+  // cut, so each log keeps everything from the lowest boundary among them.
+  for (std::size_t i = 0; i < logs_.size(); ++i) {
+    if (logs_[i]) {
+      truncate_log(static_cast<int>(i),
+                   store_.truncation_floor(static_cast<int>(i)));
     }
-    if (!chain_epochs_.empty()) fallback_epochs_.push_back(chain_epochs_[0]);
-    const auto keep = static_cast<std::size_t>(
-        std::max(0, config_.params.retain_fallback_epochs));
-    while (fallback_epochs_.size() > keep) {
-      std::error_code ec;
-      fs::remove_all(epoch_dir(fallback_epochs_.front()), ec);
-      retained_boundaries_.erase(fallback_epochs_.front());
-      fallback_epochs_.erase(fallback_epochs_.begin());
-    }
-    chain_epochs_.assign(1, disk);
-    deltas_since_full_ = 0;
-    chain_delta_bytes_ = 0;
-    base_bytes_ = epoch_bytes;
-    // The operators' dirty baselines were pinned at this epoch's cut and
-    // the full image is now durable: the chain is intact again.
-    chain_broken_ = false;
   }
-  for (int i = 0; i < n; ++i) {
-    if (!logs_[static_cast<std::size_t>(i)]) continue;
-    const auto b_it = es.boundaries.find(i);
-    if (b_it == es.boundaries.end()) continue;
-    // Falling back to an older retained epoch (chain predecessor or rung)
-    // must still find every record past *that* epoch's cut, so truncation is
-    // bounded by the minimum boundary across every epoch still on disk.
-    std::uint64_t bound = b_it->second;
-    for (const auto& [e, bmap] : retained_boundaries_) {
-      (void)e;
-      const auto rit = bmap.find(i);
-      bound = std::min(bound, rit == bmap.end() ? 0 : rit->second);
-    }
-    truncate_log(i, bound);
-  }
-  pending_.erase(it);
 }
 
 void RtRuntime::abandon_epoch(std::uint64_t epoch) {
   // Called by the coordinator under ctl_mu_ (wedge or unit failure).
-  const std::uint64_t disk = epoch_base_ + epoch;
+  const std::uint64_t disk = store_.epoch_base() + epoch;
   pending_.erase(disk);
-  // Operators that already serialized for this epoch advanced their dirty
-  // baselines at the cut, but the bytes are being discarded — a delta
-  // against those baselines would no longer layer onto the committed chain
-  // tip. Rebase: the next epoch must be full.
-  chain_broken_ = true;
-  if (!crashed_.load()) {
-    std::error_code ec;
-    fs::remove_all(epoch_dir(disk), ec);
-  }
+  store_.abandon(disk, /*remove_files=*/!crashed_.load());
 }
 
 // ---------------------------------------------------------------------------
@@ -477,42 +349,24 @@ void RtRuntime::on_snapshot(const rt::Snapshot& snap) {
   const SimTime serialized_at = now();
 
   if (config_.mode == RtMode::kBaseline) {
-    BinaryWriter w(snap.size + 64);
-    w.write<std::uint64_t>(snap.epoch);
-    w.write<std::uint8_t>(engine_->op_is_source(snap.op) ? 1 : 0);
-    w.write<std::uint64_t>(snap.source_boundary);
-    w.write<std::uint64_t>(snap.source_next_seq);
-    w.write<std::uint64_t>(snap.size);
-    w.write_bytes(snap.data, snap.size);
+    const BaselineUnit unit{snap.epoch, engine_->op_is_source(snap.op),
+                            snap.source_boundary, snap.source_next_seq, {}};
     emit_probe(FtPoint::kCheckpointWrite, snap.op, snap.epoch);
-    const std::string path =
-        config_.dir + "/baseline/op_" + std::to_string(snap.op) + ".ckpt";
-    const std::vector<std::uint8_t> bytes = w.take();
-    const Status st = storage::write_artifact_atomic(
-        path, storage::ArtifactKind::kBaseline, bytes.data(), bytes.size(),
-        durable_opts());
+    const Status st =
+        store_.write_baseline_unit(snap.op, unit, snap.data, snap.size);
     if (!st.is_ok()) {
-      MS_LOG_WARN("ft", "rt baseline checkpoint write failed: %s (%s)",
-                  path.c_str(), st.message().c_str());
+      MS_LOG_WARN("ft", "rt baseline checkpoint write failed for op %d: %s",
+                  snap.op, st.message().c_str());
       return;
     }
     emit_probe(FtPoint::kCheckpointDone, snap.op, snap.epoch);
     return;
   }
 
-  const std::uint64_t id = snap.epoch - epoch_base_;
+  const std::uint64_t id = snap.epoch - store_.epoch_base();
   emit_probe(FtPoint::kCheckpointWrite, snap.op, id);
-  const std::string path = epoch_dir(snap.epoch) + "/op_" +
-                           std::to_string(snap.op) +
-                           (snap.delta ? ".delta" : ".ckpt");
-  // Direct (non-atomic) framed write: the blob's visibility is gated by the
-  // epoch's MANIFEST rename, and the frame CRC lets recovery catch a torn
-  // write that slipped through.
   const bool wrote =
-      storage::write_artifact(path,
-                              snap.delta ? storage::ArtifactKind::kDelta
-                                         : storage::ArtifactKind::kCheckpoint,
-                              snap.data, snap.size, durable_opts())
+      store_.write_blob(snap.epoch, snap.op, snap.delta, snap.data, snap.size)
           .is_ok();
   const SimTime written_at = now();
 
@@ -528,12 +382,10 @@ void RtRuntime::on_snapshot(const rt::Snapshot& snap) {
   }
   emit_probe(FtPoint::kCheckpointDone, snap.op, id);
   EpochState& es = it->second;
-  es.sizes[snap.op] = snap.size;
-  es.deltas[snap.op] = snap.delta;
-  if (engine_->op_is_source(snap.op)) {
-    es.boundaries[snap.op] = snap.source_boundary;
-    es.next_seqs[snap.op] = snap.source_next_seq;
-  }
+  // The replay cursors are 0 in a non-source's snapshot.
+  es.manifest.ops[static_cast<std::size_t>(snap.op)] = {
+      snap.size, engine_->op_is_source(snap.op), snap.delta,
+      snap.source_boundary, snap.source_next_seq};
   HauCheckpointReport report;
   report.hau_id = snap.op;
   report.checkpoint_id = id;
@@ -592,7 +444,7 @@ void RtRuntime::on_engine_proto(rt::ProtoPoint point, int op,
     }
     return;
   }
-  const std::uint64_t id = epoch - epoch_base_;
+  const std::uint64_t id = epoch - store_.epoch_base();
   switch (point) {
     case rt::ProtoPoint::kTokenArrived:
       emit_probe(FtPoint::kTokenReceived, op, id);
@@ -618,55 +470,7 @@ void RtRuntime::on_engine_proto(rt::ProtoPoint point, int op,
 }
 
 // ---------------------------------------------------------------------------
-// Disk layout
-
-std::string RtRuntime::epoch_dir(std::uint64_t epoch) const {
-  return config_.dir + "/epoch_" + std::to_string(epoch);
-}
-
-std::string RtRuntime::log_path(int op) const {
-  return config_.dir + "/source_" + std::to_string(op) + ".log";
-}
-
-Result<RtRuntime::Manifest> RtRuntime::read_manifest(
-    std::uint64_t epoch) const {
-  const std::string path = epoch_dir(epoch) + "/MANIFEST";
-  std::vector<std::uint8_t> payload;
-  const Status st = storage::read_artifact(
-      path, storage::ArtifactKind::kManifest, durable_opts(), &payload);
-  if (!st.is_ok()) return st;
-  return decode_manifest(payload, path);
-}
-
-Status RtRuntime::read_log(int op, LogView* view) const {
-  const Status st = storage::read_raw(log_path(op),
-                                      storage::ArtifactKind::kSourceLog,
-                                      durable_opts(), &view->bytes);
-  // kNotFound is a genuinely empty log. Anything else is a transient read
-  // failure over bytes that may be intact — report it, because an empty
-  // view is indistinguishable from "nothing to replay".
-  if (st.code() == StatusCode::kNotFound) return Status::ok();
-  if (!st.is_ok()) return st;
-  // read_raw reports a short read as success. Callers hold the log's mutex
-  // with the engine stopped or appends excluded, so the file cannot have
-  // shrunk since: fewer bytes than the file holds is a damaged read. A short
-  // read that ends on a frame boundary scans clean, and trusting it would
-  // hide every record past that point.
-  std::error_code ec;
-  const auto fsize = fs::file_size(log_path(op), ec);
-  if (ec || view->bytes.size() != fsize) {
-    view->bytes.clear();
-    return Status::unavailable("short read: " + log_path(op));
-  }
-  auto scan =
-      scan_log_bytes(view->bytes.data(), view->bytes.size(), log_path(op));
-  if (!scan.is_ok()) {
-    view->bytes.clear();
-    return scan.status();
-  }
-  view->scan = std::move(scan).value();
-  return Status::ok();
-}
+// Source logs
 
 RtRuntime::LogRecord RtRuntime::decode_log_record(
     const LogFrameView& frame) const {
@@ -700,7 +504,7 @@ void RtRuntime::truncate_log(int op, std::uint64_t boundary) {
   }
   if (boundary <= log.begin_index) return;  // nothing behind the boundary
   LogView view;
-  const Status st = read_log(op, &view);
+  const Status st = read_source_log(log.path, durable_opts(), &view);
   // Every append hits the kernel before return, so a whole read of the file
   // verifies every frame up to next_index - 1. A read that ends early — an
   // error, a short read, a flipped bit — would commit an image that drops
@@ -733,137 +537,15 @@ void RtRuntime::truncate_log(int op, std::uint64_t boundary) {
 
 Status RtRuntime::scan_existing_state() {
   // Engine stopped, no epochs pending: safe to rebuild the durable view.
-  last_durable_ = 0;
-  chain_epochs_.clear();
-  fallback_epochs_.clear();
-  committed_desc_.clear();
-  retained_boundaries_.clear();
-  deltas_since_full_ = 0;
-  chain_delta_bytes_ = 0;
-  base_bytes_ = 0;
-  // Whatever is on disk, the operators' in-memory dirty baselines are not
-  // the chain tip (fresh construction or a recovery in progress) — the next
-  // epoch must be a full one.
-  chain_broken_ = true;
-  std::uint64_t max_epoch = 0;
-  std::vector<std::uint64_t> incomplete;
-  // Epochs whose manifest read and verified, with the decoded manifest
-  // (ascending by map order).
-  std::map<std::uint64_t, Manifest> committed;
-  // Epochs whose manifest exists but hit a transient read error: they count
-  // as committed (and block GC) but cannot be classified.
-  std::vector<std::uint64_t> unreadable;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(config_.dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("epoch_", 0) != 0) continue;
-    std::uint64_t e = 0;
-    try {
-      e = std::stoull(name.substr(6));
-    } catch (...) {
-      continue;
-    }
-    max_epoch = std::max(max_epoch, e);
-    auto m = read_manifest(e);
-    if (m.is_ok()) {
-      last_durable_ = std::max(last_durable_, e);
-      committed.emplace(e, std::move(m.value()));
-    } else if (m.status().code() == StatusCode::kNotFound) {
-      incomplete.push_back(e);  // crash mid-checkpoint: never existed
-    } else if (m.status().code() == StatusCode::kDataLoss) {
-      // The commit marker itself fails verification: the epoch never safely
-      // existed. Dropping it here is what lets recovery's ladder land on a
-      // verifiable predecessor instead of choking on garbage.
-      MS_LOG_WARN("ft", "rt scan: corrupt manifest for epoch %llu (%s); "
-                  "classifying as never committed",
-                  static_cast<unsigned long long>(e),
-                  m.status().message().c_str());
-      m_corrupt_manifests_->add(1);
-      emit_probe(FtPoint::kCorruptArtifact, -1, e);
-      std::error_code rm_ec;
-      fs::remove_all(epoch_dir(e), rm_ec);
-    } else {
-      // Transient (EIO, fd exhaustion): the manifest may be intact bytes we
-      // temporarily cannot see. Deleting or reclassifying would destroy a
-      // possibly-good epoch — keep it, block GC, surface retryably later.
-      unreadable.push_back(e);
-      last_durable_ = std::max(last_durable_, e);
-    }
+  for (const std::uint64_t e : store_.scan()) {
+    m_corrupt_manifests_->add(1);
+    emit_probe(FtPoint::kCorruptArtifact, -1, e);
   }
-  // Keep numbering past removed directories so a re-created epoch can never
-  // collide with a file a concurrent reader might still hold open.
-  epoch_base_ = max_epoch;
-  for (std::uint64_t e : incomplete) {
-    std::error_code rm_ec;
-    fs::remove_all(epoch_dir(e), rm_ec);
-  }
-  // Rebuild the committed chain by walking prev_epoch pointers back from
-  // the tip; oldest (the full base) first. An unreadable manifest truncates
-  // the walk — recovery will surface the breakage if the remaining chain is
-  // unusable.
-  bool walk_clean = last_durable_ == 0;
-  if (last_durable_ != 0) {
-    std::uint64_t e = last_durable_;
-    while (e != 0 &&
-           std::find(chain_epochs_.begin(), chain_epochs_.end(), e) ==
-               chain_epochs_.end()) {
-      chain_epochs_.insert(chain_epochs_.begin(), e);
-      const auto m_it = committed.find(e);
-      if (m_it == committed.end()) break;
-      e = m_it->second.prev_epoch;
-      if (e == 0) walk_clean = true;  // reached the chain's full base
-    }
-  }
-  // Recovery's fallback ladder: every epoch still claiming to be committed,
-  // newest first.
-  for (const auto& [e, m] : committed) {
-    (void)m;
-    committed_desc_.push_back(e);
-  }
-  committed_desc_.insert(committed_desc_.end(), unreadable.begin(),
-                         unreadable.end());
-  std::sort(committed_desc_.begin(), committed_desc_.end(),
-            std::greater<std::uint64_t>());
-  // Committed epochs not on the chain are superseded predecessors (or
-  // crash-leftovers from a full commit that died before GC). The newest
-  // retain_fallback_epochs of them stay as fallback rungs; the rest go —
-  // but only when the walk reached the full base can we tell "superseded"
-  // from "unreachable". A transient read error on a mid-chain manifest must
-  // not trigger deletion of bytes recovery still needs.
-  std::vector<std::uint64_t> off_chain;  // ascending (map order)
-  for (const auto& [e, m] : committed) {
-    (void)m;
-    if (std::find(chain_epochs_.begin(), chain_epochs_.end(), e) ==
-        chain_epochs_.end()) {
-      off_chain.push_back(e);
-    }
-  }
-  if (walk_clean && unreadable.empty()) {
-    const auto keep = static_cast<std::size_t>(
-        std::max(0, config_.params.retain_fallback_epochs));
-    while (off_chain.size() > keep) {
-      const std::uint64_t e = off_chain.front();
-      std::error_code rm_ec;
-      fs::remove_all(epoch_dir(e), rm_ec);
-      committed.erase(e);
-      committed_desc_.erase(
-          std::remove(committed_desc_.begin(), committed_desc_.end(), e),
-          committed_desc_.end());
-      off_chain.erase(off_chain.begin());
-    }
-  }
-  fallback_epochs_ = off_chain;
-  // Boundary floors for commit-time log truncation: every epoch still on
-  // disk with a readable manifest.
-  for (const auto& [e, m] : committed) {
-    std::map<int, std::uint64_t> bmap;
-    for (std::size_t i = 0; i < m.ops.size(); ++i) {
-      if (m.ops[i].is_source) bmap[static_cast<int>(i)] = m.ops[i].boundary;
-    }
-    retained_boundaries_[e] = std::move(bmap);
-  }
+  return scan_logs();
+}
 
-  const auto tip_it = committed.find(last_durable_);
+Status RtRuntime::scan_logs() {
+  const EpochManifest* tip = store_.manifest(store_.tip());
   Status log_error = Status::ok();
   for (std::size_t i = 0; i < logs_.size(); ++i) {
     if (!logs_[i]) continue;
@@ -874,13 +556,13 @@ Status RtRuntime::scan_existing_state() {
       // view already did this, and the file has not changed since.
       if (log.out.is_open()) log.out.close();
       auto view = std::make_unique<LogView>();
-      Status st = read_log(static_cast<int>(i), view.get());
+      Status st = read_source_log(log.path, durable_opts(), view.get());
       if (st.is_ok() && view->scan.torn) {
         // Truncating a torn tail drops every byte past it, and a bit flipped
         // in the read looks just like one flipped on disk. Read again: only a
         // tear both reads place at the same offset is in the file.
         auto again = std::make_unique<LogView>();
-        st = read_log(static_cast<int>(i), again.get());
+        st = read_source_log(log.path, durable_opts(), again.get());
         if (st.is_ok() && (!again->scan.torn ||
                            again->scan.valid_bytes != view->scan.valid_bytes)) {
           MS_LOG_WARN("ft", "rt source log %zu: torn at %llu on one read, "
@@ -941,8 +623,8 @@ Status RtRuntime::scan_existing_state() {
       // Either a fresh log or one truncated down to nothing; the committed
       // boundary is where the next index continues from.
       std::uint64_t committed_boundary = 0;
-      if (tip_it != committed.end() && i < tip_it->second.ops.size()) {
-        committed_boundary = tip_it->second.ops[i].boundary;
+      if (tip != nullptr && i < tip->ops.size()) {
+        committed_boundary = tip->ops[i].boundary;
       }
       log.begin_index = committed_boundary;
       log.next_index = committed_boundary;
@@ -1004,11 +686,7 @@ Status RtRuntime::recover(RecoveryStats* stats) {
   const int n = engine_->num_operators();
   const bool baseline = config_.mode == RtMode::kBaseline;
   std::uint64_t epoch = 0;
-  LoadedEpoch loaded;
-  loaded.state.resize(static_cast<std::size_t>(n));
-  loaded.deltas.resize(static_cast<std::size_t>(n));
-  loaded.boundaries.assign(static_cast<std::size_t>(n), 0);
-  loaded.next_seqs.assign(static_cast<std::size_t>(n), 0);
+  LoadedEpoch loaded(static_cast<std::size_t>(n));
 
   // Phase 2: read and VERIFY the checkpoint bytes. The fallback ladder:
   // try every committed epoch, newest first. Definitive corruption anywhere
@@ -1020,62 +698,44 @@ Status RtRuntime::recover(RecoveryStats* stats) {
   if (baseline) {
     for (int i = 0; i < n; ++i) {
       const auto idx = static_cast<std::size_t>(i);
-      const std::string path =
-          config_.dir + "/baseline/op_" + std::to_string(i) + ".ckpt";
-      std::vector<std::uint8_t> payload;
-      const Status st = storage::read_artifact(
-          path, storage::ArtifactKind::kBaseline, durable_opts(), &payload);
-      if (st.code() == StatusCode::kNotFound) {
+      const std::string path = baseline_unit_path(config_.dir, i);
+      auto unit = read_baseline_unit(path, durable_opts());
+      if (unit.status().code() == StatusCode::kNotFound) {
         continue;  // never checkpointed: restarts from empty
       }
-      if (!st.is_ok()) {
-        if (st.code() == StatusCode::kDataLoss) {
+      if (!unit.is_ok()) {
+        if (unit.status().code() == StatusCode::kDataLoss) {
           m_corrupt_artifacts_->add(1);
           emit_probe(FtPoint::kCorruptArtifact, i, 0);
         }
-        return st;  // baseline has no chain to fall back along
+        return unit.status();  // baseline has no chain to fall back along
       }
-      constexpr std::size_t kHeader = 8 + 1 + 8 + 8 + 8;
-      if (payload.size() < kHeader) {
-        // The frame verified, but no writer produces a payload shorter than
-        // the fixed header: report the damage rather than read past the end.
-        m_corrupt_artifacts_->add(1);
-        emit_probe(FtPoint::kCorruptArtifact, i, 0);
-        return Status::data_loss(
-            "RtRuntime: baseline checkpoint truncated, op " +
-            std::to_string(i));
-      }
-      BinaryReader r(payload);
-      r.read<std::uint64_t>();  // per-unit checkpoint counter
-      r.read<std::uint8_t>();   // is_source
-      loaded.boundaries[idx] = r.read<std::uint64_t>();
-      loaded.next_seqs[idx] = r.read<std::uint64_t>();
-      const auto size = r.read<std::uint64_t>();
-      if (size != payload.size() - kHeader) {
-        m_corrupt_artifacts_->add(1);
-        emit_probe(FtPoint::kCorruptArtifact, i, 0);
-        return Status::data_loss("RtRuntime: baseline checkpoint corrupt, op " +
-                                 std::to_string(i));
-      }
-      loaded.state[idx].assign(payload.begin() + kHeader, payload.end());
+      loaded.boundaries[idx] = unit.value().boundary;
+      loaded.next_seqs[idx] = unit.value().next_seq;
+      loaded.state[idx] = std::move(unit.value().state);
       loaded.bytes_read += loaded.state[idx].size();
     }
   } else {
     std::vector<std::uint64_t> candidates;
     {
       std::scoped_lock lk(ctl_mu_);
-      candidates = committed_desc_;
+      candidates = store_.ladder();
     }
     Status last_err = Status::ok();
     for (const std::uint64_t cand : candidates) {
       LoadedEpoch attempt;
-      const Status st = load_epoch_state(cand, &attempt);
+      const Status st = store_.load(cand, n, &attempt);
       if (st.is_ok()) {
         epoch = cand;
         loaded = std::move(attempt);
         break;
       }
       if (st.code() == StatusCode::kUnavailable) return st;  // transient
+      if (attempt.corrupt_op >= 0) {
+        m_corrupt_artifacts_->add(1);
+        emit_probe(FtPoint::kCorruptArtifact, attempt.corrupt_op,
+                   attempt.corrupt_epoch);
+      }
       MS_LOG_WARN("ft", "rt recovery: epoch %llu failed verification (%s); "
                   "falling back",
                   static_cast<unsigned long long>(cand),
@@ -1096,16 +756,15 @@ Status RtRuntime::recover(RecoveryStats* stats) {
     if (!candidates.empty() && epoch != candidates.front()) {
       // Fallback landed below the tip: every newer committed epoch is now
       // proven (directly or transitively) unusable. Remove them so the next
-      // scan cannot resurrect a tip recovery just rejected, then rebuild
-      // the chain/boundary view around the surviving epoch.
+      // scan cannot resurrect a tip recovery just rejected, then set the log
+      // cursors from the surviving tip.
+      std::scoped_lock lk(ctl_mu_);
       for (const std::uint64_t e : candidates) {
         if (e <= epoch) break;  // descending order
         m_corrupt_artifacts_->add(1);
-        std::error_code rm_ec;
-        fs::remove_all(epoch_dir(e), rm_ec);
+        store_.remove(e);
       }
-      std::scoped_lock lk(ctl_mu_);
-      const Status st = scan_existing_state();  // logs: the cached views
+      const Status st = scan_logs();  // logs: the cached views
       if (!st.is_ok()) return st;
     }
   }
@@ -1141,9 +800,17 @@ Status RtRuntime::recover(RecoveryStats* stats) {
       MS_CHECK_MSG(log.view != nullptr, "RtRuntime: phase 1 left no log view");
       for (const LogFrameView& frame : log.view->scan.frames) {
         if (frame.index < loaded.boundaries[idx]) continue;
+        // Indices are assigned consecutively at append, so the replay must
+        // run from the boundary without a hole: a record a failed append
+        // left out went downstream before the crash and cannot be replayed.
+        if (frame.index != emitted) {
+          return Status::data_loss(
+              "RtRuntime: source log " + std::to_string(i) + " is missing "
+              "record " + std::to_string(emitted) + " past the boundary");
+        }
         LogRecord rec = decode_log_record(frame);
         next_seq = std::max(next_seq, rec.tuple.source_seq + 1);
-        emitted = std::max(emitted, rec.index + 1);
+        emitted = rec.index + 1;
         replay[idx].push_back(std::move(rec));
       }
     }
@@ -1191,102 +858,6 @@ Status RtRuntime::recover(RecoveryStats* stats) {
         (stats->completed - t0) - stats->disk_io - stats->reconnection;
     stats->haus_recovered = n;
     stats->bytes_read = static_cast<Bytes>(loaded.bytes_read);
-  }
-  return Status::ok();
-}
-
-Status RtRuntime::load_epoch_state(std::uint64_t epoch, LoadedEpoch* out) {
-  const int n = engine_->num_operators();
-  out->state.resize(static_cast<std::size_t>(n));
-  out->deltas.resize(static_cast<std::size_t>(n));
-  out->boundaries.assign(static_cast<std::size_t>(n), 0);
-  out->next_seqs.assign(static_cast<std::size_t>(n), 0);
-  out->bytes_read = 0;
-  // Resolve the candidate's chain closure: a delta tip pulls in its
-  // predecessors so per-op chains can be walked back to a full base.
-  std::map<std::uint64_t, Manifest> chain;
-  std::uint64_t e = epoch;
-  while (e != 0 && chain.find(e) == chain.end()) {
-    auto m = read_manifest(e);
-    if (!m.is_ok()) {
-      if (m.status().code() == StatusCode::kUnavailable) return m.status();
-      // kNotFound or kDataLoss: a link this candidate depends on is gone or
-      // garbage — the candidate is definitively unusable.
-      return Status::data_loss("RtRuntime: chain manifest for epoch " +
-                               std::to_string(e) + " unusable: " +
-                               m.status().message());
-    }
-    if (m.value().ops.size() != static_cast<std::size_t>(n)) {
-      return Status::data_loss(
-          "RtRuntime: manifest operator count mismatch, epoch " +
-          std::to_string(e));
-    }
-    const std::uint64_t prev = m.value().prev_epoch;
-    chain.emplace(e, std::move(m.value()));
-    e = prev;
-  }
-  const Manifest& tip = chain.at(epoch);
-  for (int i = 0; i < n; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    // Walk this op's records from the tip back to its newest full one.
-    std::vector<std::pair<std::uint64_t, const Manifest::Op*>> records;
-    e = epoch;
-    for (;;) {
-      const auto m_it = chain.find(e);
-      if (m_it == chain.end()) {
-        return Status::data_loss("RtRuntime: delta chain broken for op " +
-                                 std::to_string(i) + " at epoch " +
-                                 std::to_string(e));
-      }
-      const Manifest::Op& rec = m_it->second.ops[idx];
-      records.emplace_back(e, &rec);
-      if (!rec.delta) break;
-      if (m_it->second.prev_epoch == 0) {
-        return Status::data_loss("RtRuntime: delta without a base for op " +
-                                 std::to_string(i));
-      }
-      e = m_it->second.prev_epoch;
-    }
-    std::reverse(records.begin(), records.end());  // full base first
-    for (std::size_t j = 0; j < records.size(); ++j) {
-      const auto& [rec_epoch, rec] = records[j];
-      const std::string path = epoch_dir(rec_epoch) + "/op_" +
-                               std::to_string(i) +
-                               (rec->delta ? ".delta" : ".ckpt");
-      std::vector<std::uint8_t> bytes;
-      const Status st = storage::read_artifact(
-          path,
-          rec->delta ? storage::ArtifactKind::kDelta
-                     : storage::ArtifactKind::kCheckpoint,
-          durable_opts(), &bytes);
-      if (!st.is_ok()) {
-        if (st.code() == StatusCode::kUnavailable) return st;
-        m_corrupt_artifacts_->add(1);
-        emit_probe(FtPoint::kCorruptArtifact, i, rec_epoch);
-        return Status::data_loss(
-            "RtRuntime: checkpoint bytes missing or corrupt for op " +
-            std::to_string(i) + " epoch " + std::to_string(rec_epoch) + ": " +
-            st.message());
-      }
-      if (bytes.size() != rec->size) {
-        // A blob whose CRC passes with the wrong size still means the
-        // manifest and the blob disagree.
-        m_corrupt_artifacts_->add(1);
-        emit_probe(FtPoint::kCorruptArtifact, i, rec_epoch);
-        return Status::data_loss("RtRuntime: checkpoint size mismatch for op " +
-                                 std::to_string(i) + " epoch " +
-                                 std::to_string(rec_epoch));
-      }
-      out->bytes_read += bytes.size();
-      if (j == 0) {
-        out->state[idx] = std::move(bytes);
-      } else {
-        out->deltas[idx].push_back(std::move(bytes));
-      }
-    }
-    // Replay cursors always come from the tip — the chain's youngest cut.
-    out->boundaries[idx] = tip.ops[idx].boundary;
-    out->next_seqs[idx] = tip.ops[idx].next_seq;
   }
   return Status::ok();
 }

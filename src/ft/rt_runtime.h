@@ -7,47 +7,13 @@
 // everything the engine deliberately does not: checkpoint files, source
 // logs, epoch commit, and restart-and-replay recovery.
 //
-// Every durable file below travels inside a storage::durable_file frame
-// (magic + length + CRC32C; see durable_layout.h for the payloads), written
-// under the config's SyncMode fsync discipline, and recovery verifies what
-// it reads: a corrupt delta invalidates only its chain suffix and recovery
-// falls back to the newest verifiable epoch (full epochs beyond the live
-// chain are retained as fallback rungs, params.retain_fallback_epochs); a
-// corrupt manifest classifies its epoch as never-committed; a torn
-// source-log tail is truncated to the last whole frame (ft.log.torn_frames)
-// instead of silently resurfacing after the next append. A file that fails
-// verification is never read as data: recovery falls back or returns
-// kDataLoss.
-//
-// Durability layout under `config.dir`:
-//   epoch_<E>/op_<i>.ckpt   per-operator full snapshot bytes of epoch E
-//   epoch_<E>/op_<i>.delta  delta epochs (kSrcApDelta / delta_checkpoints):
-//                           only the state the operator mutated since its
-//                           previous cut. Delta epochs chain on the last
-//                           committed epoch via the manifest's prev_epoch
-//                           pointer; recovery walks each op's chain back to
-//                           its newest full record and layers the deltas in
-//                           order. A full epoch compacts the chain (every
-//                           delta_compact_every deltas, or once accumulated
-//                           delta bytes cross delta_compact_ratio × base)
-//                           and garbage-collects every predecessor.
-//   epoch_<E>/MANIFEST      commit marker (written as MANIFEST.tmp, then
-//                           renamed into place) recording per-op sizes,
-//                           kinds (full/delta), the chain predecessor and
-//                           per-source replay boundaries — an epoch without
-//                           a MANIFEST never existed; a crash mid-checkpoint
-//                           (or mid-chain) therefore rolls back to the last
-//                           complete epoch
-//   source_<i>.log          length-prefixed source emission records, written
-//                           by the engine's SourceTap *before* the tuple is
-//                           dispatched (durable-before-dispatch) and
-//                           truncated to the epoch boundary at commit by
-//                           copying the verified frames past it
-//   baseline/op_<i>.ckpt    RtMode::kBaseline only: per-unit independent
-//                           checkpoint (tmp + rename). No manifest ties the
-//                           units together and source logs are never
-//                           truncated — the baseline's unbounded
-//                           preservation, kept deliberately.
+// The checkpoint directory — layout, payloads, committed epochs, fallback
+// rungs and GC — belongs to EpochStore (ft/epoch_store.h), which msverify
+// reads through too. Source logs are appended by the engine's SourceTap
+// *before* a tuple is dispatched (durable-before-dispatch) and truncated at
+// commit to the oldest retained epoch's boundary. A file that fails
+// verification is never read as data: recovery falls back to an older epoch
+// or returns kDataLoss, and so does a hole in the replayed record indices.
 //
 // Modes mirror the simulator's schemes:
 //   kSrc      tokens trickle, each unit's snapshot is written synchronously
@@ -79,12 +45,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -93,8 +57,8 @@
 #include "common/status.h"
 #include "core/tuple.h"
 #include "ft/aa_controller.h"
-#include "ft/durable_layout.h"
 #include "ft/cadence_controller.h"
+#include "ft/epoch_store.h"
 #include "ft/failure_detector.h"
 #include "ft/params.h"
 #include "ft/probe.h"
@@ -231,31 +195,14 @@ class RtRuntime final : public Runtime {
 
  private:
   struct EpochState {
-    std::uint64_t disk_epoch = 0;
     /// recovery_seq_ at initiation: snapshots fenced against a recovery that
     /// happened while the bytes were in flight.
     std::uint64_t fence = 0;
-    /// Kind requested from the engine (delta only when the committed chain
-    /// is intact and compaction is not due).
-    rt::SnapshotKind kind = rt::SnapshotKind::kFull;
     SimTime initiated;
     std::map<int, SimTime> aligned_at;
-    std::map<int, std::uint64_t> sizes;
-    /// What each op actually delivered: an op without supports_delta()
-    /// serializes fully even on a delta epoch.
-    std::map<int, bool> deltas;
-    std::map<int, std::uint64_t> boundaries;
-    std::map<int, std::uint64_t> next_seqs;
-  };
-
-  /// A source log's bytes as read from disk and their verified frame scan
-  /// (the frames point into `bytes`, so a view is never copied).
-  struct LogView {
-    LogView() = default;
-    LogView(const LogView&) = delete;
-    LogView& operator=(const LogView&) = delete;
-    std::vector<std::uint8_t> bytes;
-    LogScan scan;
+    /// The MANIFEST, filled in from the ops' reports (an op without
+    /// supports_delta() delivers a full record even on a delta epoch).
+    EpochManifest manifest;
   };
 
   /// One source's preservation log (appended under its own mutex by the
@@ -289,20 +236,6 @@ class RtRuntime final : public Runtime {
     core::Tuple tuple;
   };
 
-  /// Manifest payload layout lives in durable_layout.h so the msverify
-  /// scrubber decodes exactly what the runtime writes.
-  using Manifest = EpochManifest;
-
-  /// Everything recovery needs from one committed epoch (chain resolved):
-  /// per-op state bytes, layered deltas, replay boundaries.
-  struct LoadedEpoch {
-    std::vector<std::vector<std::uint8_t>> state;
-    std::vector<std::vector<std::vector<std::uint8_t>>> deltas;
-    std::vector<std::uint64_t> boundaries;
-    std::vector<std::uint64_t> next_seqs;
-    std::uint64_t bytes_read = 0;
-  };
-
   void emit_probe(FtPoint point, int unit, std::uint64_t id) {
     for (const auto& p : probes_) p(point, unit, id);
   }
@@ -312,38 +245,20 @@ class RtRuntime final : public Runtime {
   void on_source_emit(int op, int out_port, const core::Tuple& tuple);
   void on_engine_proto(rt::ProtoPoint point, int op, std::uint64_t epoch);
 
-  // Disk helpers.
-  std::string epoch_dir(std::uint64_t epoch) const;
-  std::string log_path(int op) const;
   storage::DurableOptions durable_opts() const {
     return {config_.sync_mode, config_.disk_faults};
   }
-  /// Read + verify epoch_<E>/MANIFEST. kNotFound = never committed;
-  /// kDataLoss = frame or payload fails verification; kUnavailable =
-  /// transient read error.
-  Result<Manifest> read_manifest(std::uint64_t epoch) const;
-  /// Read one source log and scan its frames (verified, not decoded) into
-  /// `view`. Torn tails (crash mid-append, bad frame CRC) show up in
-  /// `view->scan` only — the file itself is untouched here;
-  /// scan_existing_state does the truncation. A missing file is an empty
-  /// log and a header that does not verify is kDataLoss. Any other failure,
-  /// including a read that returned fewer bytes than the file holds, is
-  /// kUnavailable over bytes that may be intact: "could not look", never
-  /// "nothing to replay".
-  Status read_log(int op, LogView* view) const;
   /// Decode one verified frame (the only place a record is decoded).
   LogRecord decode_log_record(const LogFrameView& frame) const;
   void truncate_log(int op, std::uint64_t boundary);
-  /// Rebuild the epoch and log view from disk (engine stopped). Source logs
-  /// that already hold a view are not read again. Returns the first log read
-  /// error; that log keeps its append handle closed and gets no view.
+  /// Rebuild the committed set, then scan_logs() (engine stopped).
   Status scan_existing_state();
+  /// Read every source log that holds no view yet, trim a confirmed torn
+  /// tail, and set each log's cursors from the tip. Returns the first log
+  /// read error; that log keeps its append handle closed and gets no view.
+  Status scan_logs();
   /// Drop every log's cached view (the engine is about to append).
   void drop_log_views();
-  /// Resolve `epoch`'s delta chain and read + verify every blob. kDataLoss =
-  /// some artifact in the closure is corrupt/missing (recovery falls back);
-  /// kUnavailable = transient read error (recovery aborts retryably).
-  Status load_epoch_state(std::uint64_t epoch, LoadedEpoch* out);
 
   // Mode drivers.
   void arm_initiation();
@@ -368,39 +283,11 @@ class RtRuntime final : public Runtime {
   std::unique_ptr<CheckpointCoordinator> coordinator_;
   std::unique_ptr<AaController> aa_;
   /// In-flight epochs keyed by *disk* epoch number (coordinator id +
-  /// epoch_base_). Guarded by ctl_mu_.
+  /// store_.epoch_base()). Guarded by ctl_mu_.
   std::map<std::uint64_t, EpochState> pending_;
-  /// Disk epoch numbering continues across restarts: coordinator ids start
-  /// at 1 in every incarnation, the base bridges to what is already on disk.
-  std::uint64_t epoch_base_ = 0;
-  std::uint64_t last_durable_ = 0;   // guarded by ctl_mu_
-  /// The committed chain ending at last_durable_, oldest (full base) first —
-  /// the set of epoch dirs recovery may need and commit-time GC removes when
-  /// a full epoch supersedes them. Non-delta modes degenerate to a single
-  /// entry (the predecessor removed at the next commit). Guarded by ctl_mu_.
-  std::vector<std::uint64_t> chain_epochs_;
-  /// Fallback rungs: committed full epochs superseded by a newer chain but
-  /// retained (newest params.retain_fallback_epochs of them, oldest first) so
-  /// a corrupt tip never strands recovery. Guarded by ctl_mu_.
-  std::vector<std::uint64_t> fallback_epochs_;
-  /// Every committed epoch on disk, newest first — recovery's fallback
-  /// ladder. Rebuilt by scan_existing_state (includes epochs whose manifest
-  /// was transiently unreadable). Guarded by ctl_mu_.
-  std::vector<std::uint64_t> committed_desc_;
-  /// Per-surviving-epoch source replay boundaries (epoch -> op -> boundary):
-  /// commit-time log truncation may only drop records below the *oldest*
-  /// retained epoch's boundary, or falling back to a rung could not replay
-  /// with full fidelity. Guarded by ctl_mu_.
-  std::map<std::uint64_t, std::map<int, std::uint64_t>> retained_boundaries_;
-  /// True whenever the operators' in-memory dirty baselines are NOT the tip
-  /// of the committed chain — at construction, after an abandoned epoch
-  /// (serialization advanced the baselines but the files were discarded) and
-  /// after a recovery. The next epoch must then be full; only a committed
-  /// full epoch clears it. Guarded by ctl_mu_.
-  bool chain_broken_ = true;
-  int deltas_since_full_ = 0;          // guarded by ctl_mu_
-  std::uint64_t chain_delta_bytes_ = 0;  // guarded by ctl_mu_
-  std::uint64_t base_bytes_ = 0;         // guarded by ctl_mu_
+  /// The checkpoint directory and its committed epochs. Guarded by ctl_mu_
+  /// (its const file functions excepted).
+  EpochStore store_;
   /// Delta epochs enabled (kSrcApDelta or params.delta_checkpoints).
   bool delta_enabled_ = false;
   std::unique_ptr<CadenceController> cadence_;

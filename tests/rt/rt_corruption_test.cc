@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -22,7 +23,7 @@
 #include "../testing/test_ops.h"
 #include "common/metrics_registry.h"
 #include "failure/disk_fault.h"
-#include "ft/durable_layout.h"
+#include "ft/epoch_store.h"
 #include "ft/rt_runtime.h"
 #include "ft/verify.h"
 #include "rt/engine.h"
@@ -110,7 +111,20 @@ class DeltaSum final : public core::Operator {
   std::set<std::int64_t> dirty_;
 };
 
-core::QueryGraph sum_chain(std::shared_ptr<ExternalFeed> feed) {
+/// Forwards every tuple and keeps no state: the default serialize_state
+/// writes nothing, so each of its checkpoint blobs holds a 0-byte payload.
+class PassThrough final : public core::Operator {
+ public:
+  explicit PassThrough(std::string name) : core::Operator(std::move(name)) {}
+  void process(int, const core::Tuple& t, core::OperatorContext& ctx) override {
+    ctx.emit(0, t);
+  }
+};
+
+/// src -> sum -> sink, or src -> sum -> pass -> sink with `pass_through`
+/// (the stateless op is added last, so it is op 3).
+core::QueryGraph sum_chain(std::shared_ptr<ExternalFeed> feed,
+                           bool pass_through = false) {
   core::QueryGraph g;
   const int src = g.add_source("src", [feed] {
     return std::make_unique<FeedSource>("src", feed, SimTime::micros(200), 4);
@@ -120,7 +134,14 @@ core::QueryGraph sum_chain(std::shared_ptr<ExternalFeed> feed) {
   const int sink =
       g.add_sink("sink", [] { return std::make_unique<RecordingSink>("sink"); });
   g.connect(src, sum);
-  g.connect(sum, sink);
+  if (pass_through) {
+    const int pass = g.add_operator(
+        "pass", [] { return std::make_unique<PassThrough>("pass"); });
+    g.connect(sum, pass);
+    g.connect(pass, sink);
+  } else {
+    g.connect(sum, sink);
+  }
   return g;
 }
 
@@ -169,8 +190,9 @@ void expect_table_exact(rt::RtEngine& engine, std::int64_t total) {
 /// Run one incarnation: base + two deltas on disk, then a clean crash with
 /// the feed fenced at a known cursor. Returns the total tuple count.
 std::int64_t seed_chain(std::shared_ptr<ExternalFeed> feed,
-                        const RtRuntimeConfig& cfg, int checkpoints = 3) {
-  rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
+                        const RtRuntimeConfig& cfg, int checkpoints = 3,
+                        bool pass_through = false) {
+  rt::RtEngine engine(sum_chain(feed, pass_through), rt::RtConfig{});
   RtRuntime runtime(&engine, cfg);
   EXPECT_TRUE(runtime.start().is_ok());
   wait_drained(engine, 100);
@@ -296,6 +318,120 @@ TEST(RtCorruptionTest, CorruptCompactionFallsBackToTheRetainedRung) {
   runtime.stop();
   expect_sink_exact(engine, total);
   expect_table_exact(engine, total);
+}
+
+// A compaction that commits but dies before its GC leaves full(1), delta(2),
+// delta(3) and full(4) on disk. The restart scan applies the same rule as a
+// commit: the deltas off the live chain go and the superseded chain's full
+// base stays as the rung, so a compaction that then rots still has an epoch
+// to fall back to.
+TEST(RtCorruptionTest, CrashBeforeCompactionGcKeepsTheFullRung) {
+  auto feed = std::make_shared<ExternalFeed>();
+  MetricsRegistry reg;
+  auto cfg = drill_config(fresh_dir("ms_corr_gc_crash"), &reg,
+                          /*compact_every=*/2);
+  std::int64_t total = 0;
+  {
+    rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
+    DiskFaultInjector faults;
+    cfg.disk_faults = &faults;
+    RtRuntime runtime(&engine, cfg);
+    faults.set_crash_hook([&runtime] { runtime.simulate_crash(); });
+    ASSERT_TRUE(runtime.start().is_ok());
+    wait_drained(engine, 100);
+    for (std::uint64_t done = 0; done < 3; ++done) {
+      ASSERT_TRUE(take_checkpoint(runtime, done));
+      wait_drained(engine, engine.sink_tuples() + 100);
+    }
+    feed->paused.store(true);
+    wait_quiescent(engine);
+    faults.arm_write(storage::ArtifactKind::kManifest,
+                     storage::WriteFault::kCrashAfterRename);
+    ASSERT_TRUE(runtime.begin_checkpoint().is_ok());
+    ASSERT_TRUE(wait_for([&runtime] { return runtime.crashed(); }))
+        << "crash point never reached";
+    total = feed->cursor.load();
+    runtime.stop();
+  }
+  for (int e = 1; e <= 4; ++e) {
+    ASSERT_TRUE(fs::exists(cfg.dir + "/epoch_" + std::to_string(e) +
+                           "/MANIFEST"))
+        << "epoch " << e;
+  }
+  ASSERT_TRUE(flip_bit_in_file(cfg.dir + "/epoch_4/op_1.ckpt", payload_bit()));
+
+  cfg.disk_faults = nullptr;
+  rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
+  RtRuntime runtime(&engine, cfg);  // the restart scan runs the GC
+  EXPECT_TRUE(fs::exists(cfg.dir + "/epoch_1/MANIFEST"));
+  EXPECT_FALSE(fs::exists(cfg.dir + "/epoch_2"));
+  EXPECT_FALSE(fs::exists(cfg.dir + "/epoch_3"));
+  ASSERT_TRUE(runtime.recover(nullptr).is_ok());
+  EXPECT_EQ(runtime.last_durable_epoch(), 1u);
+  wait_quiescent(engine);
+  runtime.stop();
+  expect_sink_exact(engine, total);
+  expect_table_exact(engine, total);
+}
+
+// The scrub and recovery read through one set of rules, so damage one of them
+// accepts the other cannot reject. Each input damages a pristine chain of
+// full(1), delta(2), delta(3); the scrub must name the damaged file, and
+// recovery must reject epoch 3 the same way and come back exact from epoch 2.
+TEST(RtCorruptionTest, ScrubAndRecoveryApplyOneRuleSet) {
+  struct Damage {
+    const char* name;
+    std::string file;  // relative to the checkpoint directory
+    std::function<void(const std::string& dir)> apply;
+    std::int64_t corrupt_manifests;  // classified by the restart scan
+  };
+  const std::vector<Damage> damages = {
+      // The stateless op's blob holds 0 bytes, and a missing one is still
+      // a missing blob.
+      {"deleted 0-byte blob", "epoch_3/op_3.ckpt",
+       [](const std::string& dir) { fs::remove(dir + "/epoch_3/op_3.ckpt"); },
+       0},
+      // A verifiable manifest that names another epoch would hand recovery
+      // that epoch's cursors.
+      {"manifest naming another epoch", "epoch_3/MANIFEST",
+       [](const std::string& dir) {
+         fs::copy_file(dir + "/epoch_2/MANIFEST", dir + "/epoch_3/MANIFEST",
+                       fs::copy_options::overwrite_existing);
+       },
+       1},
+  };
+  for (const Damage& damage : damages) {
+    SCOPED_TRACE(damage.name);
+    auto feed = std::make_shared<ExternalFeed>();
+    MetricsRegistry reg;
+    const auto cfg = drill_config(fresh_dir("ms_corr_agree"), &reg);
+    const std::int64_t total =
+        seed_chain(feed, cfg, /*checkpoints=*/3, /*pass_through=*/true);
+    const std::string target = cfg.dir + "/" + damage.file;
+    ASSERT_TRUE(fs::exists(target));
+    damage.apply(cfg.dir);
+
+    const ScrubReport report = scrub_checkpoint_dir(cfg.dir);
+    EXPECT_FALSE(report.clean());
+    bool named = false;
+    for (const ScrubIssue& issue : report.issues) {
+      named |= issue.path == target;
+    }
+    EXPECT_TRUE(named) << "scrub did not name " << target;
+
+    rt::RtEngine engine(sum_chain(feed, /*pass_through=*/true),
+                        rt::RtConfig{});
+    RtRuntime runtime(&engine, cfg);
+    EXPECT_EQ(reg.counter("ft.scan.corrupt_manifests")->value(),
+              damage.corrupt_manifests);
+    const Status st = runtime.recover(nullptr);
+    ASSERT_TRUE(st.is_ok()) << st.to_string();
+    EXPECT_EQ(runtime.last_durable_epoch(), 2u);
+    wait_quiescent(engine);
+    runtime.stop();
+    expect_sink_exact(engine, total);
+    expect_table_exact(engine, total);
+  }
 }
 
 // When EVERY copy is damaged, the runtime must not invent state: typed
@@ -590,7 +726,8 @@ TEST(RtCorruptionTest, FrameFlipAtConstructionIsNotTruncated) {
 // An append that fails partway is cut back to the file's size before it, so
 // later whole frames do not sit behind a tear that the next scan would stop at
 // and truncate. The lost record is a one-record gap in the index run, and
-// health() reports the window while the process lives.
+// health() reports the window while the process lives; after a restart,
+// recover() finds the hole past the boundary and returns kDataLoss.
 TEST(RtCorruptionTest, TornAppendIsTrimmedBackBeforeLaterAppends) {
   auto feed = std::make_shared<ExternalFeed>();
   MetricsRegistry reg;
@@ -628,9 +765,23 @@ TEST(RtCorruptionTest, TornAppendIsTrimmedBackBeforeLaterAppends) {
       << report.issues[0].detail;
 
   cfg.disk_faults = nullptr;
+  const std::string log = cfg.dir + "/source_0.log";
+  std::vector<std::uint8_t> before;
+  ASSERT_TRUE(storage::read_raw(log, storage::ArtifactKind::kSourceLog,
+                                storage::DurableOptions{}, &before)
+                  .is_ok());
   rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
   RtRuntime runtime(&engine, cfg);  // the restart scan
   EXPECT_EQ(reg.counter("ft.log.torn_frames")->value(), 0);
+  // Record k went downstream before the crash but is not in the log, and no
+  // checkpoint boundary covers it: replaying around the hole would lose it.
+  const Status st = runtime.recover(nullptr);
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.to_string();
+  std::vector<std::uint8_t> after;
+  ASSERT_TRUE(storage::read_raw(log, storage::ArtifactKind::kSourceLog,
+                                storage::DurableOptions{}, &after)
+                  .is_ok());
+  EXPECT_EQ(after, before) << "recovery modified the log";
 }
 
 // --- damaged reads during commit-time truncation -----------------------------

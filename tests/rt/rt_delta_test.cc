@@ -22,7 +22,7 @@
 #include "../testing/test_ops.h"
 #include "failure/disk_fault.h"
 #include "failure/rt_chaos.h"
-#include "ft/durable_layout.h"
+#include "ft/epoch_store.h"
 #include "ft/rt_runtime.h"
 #include "rt/engine.h"
 #include "storage/durable_file.h"

@@ -17,7 +17,7 @@
 
 #include "../testing/rt_feed.h"
 #include "../testing/test_ops.h"
-#include "ft/durable_layout.h"
+#include "ft/epoch_store.h"
 #include "rt/engine.h"
 #include "storage/durable_file.h"
 

@@ -54,16 +54,21 @@ for preset in $PRESETS; do
   # Delta-checkpoint smoke: the fifth scheme (incremental checkpoints +
   # adaptive cadence) end-to-end on the real-threads backend, including a
   # mid-run crash and base+delta chain recovery, under each preset's
-  # instrumentation.
+  # instrumentation. The directory the crash and recovery leave behind must
+  # then scrub clean with the same preset's msverify.
   echo "=== [$preset] delta-scheme smoke ==="
   mssim_bin="build/tools/mssim"
   case "$preset" in
     sanitize) mssim_bin="build-sanitize/tools/mssim" ;;
     tsan) mssim_bin="build-tsan/tools/mssim" ;;
   esac
+  smoke_dir="$(mktemp -d)"
   if ! "$mssim_bin" --backend rt --scheme ms-src+ap+delta \
-      --run-for 2 --fail-at 1 --dir "$(mktemp -d)" >/dev/null; then
+      --run-for 2 --fail-at 1 --dir "$smoke_dir" >/dev/null; then
     results+=("$preset: DELTA SMOKE FAILED"); status=1; break
+  fi
+  if ! "${mssim_bin%mssim}msverify" --dir "$smoke_dir"; then
+    results+=("$preset: DELTA SMOKE SCRUB FAILED"); status=1; break
   fi
   results+=("$preset: OK")
 done
