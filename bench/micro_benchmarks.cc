@@ -1,23 +1,19 @@
 // Microbenchmarks (google-benchmark) for the substrate primitives: event
 // queue throughput, network message setup, serialization, state-size
-// estimation, turning-point detection, the application kernels, and the
-// real-threads engine's transport hot path (run with
-// `--benchmark_out_format=json` for the BENCH_* trajectory).
+// estimation, turning-point detection and the application kernels (run with
+// `--benchmark_out_format=json` for the BENCH_* trajectory). The
+// real-threads engine's transport has its own bench, engine_throughput.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <thread>
 
 #include "apps/kernels/blob_count.h"
 #include "apps/kernels/kmeans.h"
 #include "apps/kernels/svm.h"
 #include "common/rng.h"
 #include "common/serialize.h"
-#include "core/stdops.h"
 #include "net/network.h"
-#include "rt/engine.h"
 #include "sim/simulation.h"
 #include "statesize/state_size.h"
 #include "statesize/turning_point.h"
@@ -182,128 +178,6 @@ void BM_BlobCount(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BlobCount);
-
-// ---------------------------------------------------------------------------
-// Engine transport throughput: tuples/sec through the real-threads engine at
-// varying max_batch. max_batch=1 is the seed's per-tuple delivery; the
-// batched settings measure the win from per-edge output buffers + swap-drain
-// worker loops. Tuples are payload-free (wire_size only), so the measurement
-// isolates transport (locks, notifies, queue traffic) from kernel work.
-
-class NullSink final : public core::Operator {
- public:
-  explicit NullSink(std::string name) : core::Operator(std::move(name)) {}
-  void process(int, const core::Tuple&, core::OperatorContext&) override {}
-};
-
-// Minimal pass-through stage. MapOperator would add a std::function call and
-// an extra tuple copy per tuple — kernel cost, not transport cost — so the
-// chain stages use the leanest operator the API allows.
-class Relay final : public core::Operator {
- public:
-  explicit Relay(std::string name) : core::Operator(std::move(name)) {}
-  void process(int, const core::Tuple& t, core::OperatorContext& ctx) override {
-    ctx.emit(0, t);
-  }
-};
-
-core::Tuple make_bench_tuple(std::int64_t seq) {
-  // Pre-stamp lineage and event time so the engine's emit path does not
-  // call the clock per tuple — the measurement isolates transport cost.
-  core::Tuple t;
-  t.id = core::Tuple::make_id(0, static_cast<std::uint64_t>(seq) + 1);
-  t.source_seq = static_cast<std::uint64_t>(seq) + 1;
-  t.event_time = SimTime::nanos(1);
-  return t;
-}
-
-std::unique_ptr<core::Operator> burst_source(std::int64_t total) {
-  return std::make_unique<core::BurstSourceOperator>(
-      "src", SimTime::zero(), /*burst=*/2048, make_bench_tuple, total);
-}
-
-/// 4-operator chain: src -> map -> map -> sink.
-core::QueryGraph bench_chain(std::int64_t total) {
-  core::QueryGraph g;
-  const int src = g.add_source("src", [total] { return burst_source(total); });
-  int prev = src;
-  for (int i = 0; i < 2; ++i) {
-    const int m = g.add_operator("relay" + std::to_string(i), [i] {
-      return std::make_unique<Relay>("relay" + std::to_string(i));
-    });
-    g.connect(prev, m);
-    prev = m;
-  }
-  const int sink =
-      g.add_sink("sink", [] { return std::make_unique<NullSink>("sink"); });
-  g.connect(prev, sink);
-  return g;
-}
-
-/// Diamond: src -> fan -> {a, b} -> union -> sink (sink sees 2x total).
-core::QueryGraph bench_diamond(std::int64_t total) {
-  core::QueryGraph g;
-  const int src = g.add_source("src", [total] { return burst_source(total); });
-  const int fan = g.add_operator(
-      "fan", [] { return std::make_unique<core::FanOutOperator>("fan"); });
-  const int a =
-      g.add_operator("a", [] { return std::make_unique<Relay>("a"); });
-  const int b =
-      g.add_operator("b", [] { return std::make_unique<Relay>("b"); });
-  const int u = g.add_operator(
-      "u", [] { return std::make_unique<core::UnionOperator>("u"); });
-  const int sink =
-      g.add_sink("sink", [] { return std::make_unique<NullSink>("sink"); });
-  g.connect(src, fan);
-  g.connect(fan, a);
-  g.connect(fan, b);
-  g.connect(a, u);
-  g.connect(b, u);
-  g.connect(u, sink);
-  return g;
-}
-
-void run_engine_throughput(benchmark::State& state, const core::QueryGraph& g,
-                           std::int64_t sink_total) {
-  for (auto _ : state) {
-    rt::RtConfig cfg;
-    cfg.max_batch = static_cast<std::size_t>(state.range(0));
-    rt::RtEngine engine(g, cfg);
-    const auto t0 = std::chrono::steady_clock::now();
-    engine.start();
-    while (engine.sink_tuples() < sink_total) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    engine.stop();
-    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
-  }
-  state.SetItemsProcessed(state.iterations() * sink_total);
-}
-
-void BM_EngineThroughputChain(benchmark::State& state) {
-  constexpr std::int64_t kTotal = 500000;
-  run_engine_throughput(state, bench_chain(kTotal), kTotal);
-}
-BENCHMARK(BM_EngineThroughputChain)
-    ->Arg(1)
-    ->Arg(8)
-    ->Arg(64)
-    ->Arg(256)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_EngineThroughputDiamond(benchmark::State& state) {
-  constexpr std::int64_t kTotal = 100000;
-  run_engine_throughput(state, bench_diamond(kTotal), 2 * kTotal);
-}
-BENCHMARK(BM_EngineThroughputDiamond)
-    ->Arg(1)
-    ->Arg(8)
-    ->Arg(64)
-    ->Arg(256)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
 
 void BM_SvmUpdate(benchmark::State& state) {
   Rng rng(19);

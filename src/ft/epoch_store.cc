@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstring>
 #include <filesystem>
 #include <system_error>
 
@@ -209,95 +208,6 @@ Result<BaselineUnit> read_baseline_unit(const std::string& path,
   }
   unit.state.assign(payload.begin() + kBaselineHeader, payload.end());
   return unit;
-}
-
-// --- source logs -------------------------------------------------------------
-
-std::array<std::uint8_t, kLogFileHeaderSize> log_file_header() {
-  std::array<std::uint8_t, kLogFileHeaderSize> hdr{};
-  std::memcpy(hdr.data(), &kLogFileMagic, 4);
-  std::memcpy(hdr.data() + 4, &kLogFileVersion, 4);
-  return hdr;
-}
-
-Result<LogScan> scan_log_bytes(const std::uint8_t* data, std::size_t size,
-                               const std::string& path) {
-  LogScan scan;
-  if (size == 0) return scan;  // a fresh log
-  if (size < kLogFileHeaderSize) {
-    scan.torn = true;  // a crash while the header was being written
-    return scan;
-  }
-  const auto hdr = log_file_header();
-  if (std::memcmp(data, hdr.data(), hdr.size()) != 0) {
-    return Status::data_loss("source log header corrupt: " + path);
-  }
-  std::size_t pos = kLogFileHeaderSize;
-  scan.valid_bytes = pos;
-  while (pos + 8 <= size) {  // [len][crc]
-    std::uint32_t len = 0, crc = 0;
-    std::memcpy(&len, data + pos, 4);
-    std::memcpy(&crc, data + pos + 4, 4);
-    const std::uint8_t* payload = data + pos + 8;
-    // No writer produces a record shorter than its fixed fields, so such a
-    // frame is corrupt even when its CRC matches.
-    if (len < kLogFrameFixed || pos + 8 + len > size ||
-        storage::crc32c(payload, len) != crc) {
-      scan.torn = true;
-      break;
-    }
-    LogFrameView frame;
-    std::memcpy(&frame.index, payload, 8);
-    frame.data = payload;
-    frame.len = len;
-    scan.frames.push_back(frame);
-    pos += 8 + len;
-    scan.valid_bytes = pos;
-  }
-  // Trailing bytes too short for a frame header are a torn tail as well.
-  if (!scan.torn && pos != size) scan.torn = true;
-  return scan;
-}
-
-Status read_source_log(const std::string& path,
-                       const storage::DurableOptions& opts, LogView* view) {
-  const Status st = storage::read_raw(path, storage::ArtifactKind::kSourceLog,
-                                      opts, &view->bytes);
-  if (st.code() == StatusCode::kNotFound) return Status::ok();  // empty log
-  if (!st.is_ok()) return st;
-  // read_raw reports a short read as success, and one ending on a frame
-  // boundary scans clean. The runtime reads with appends excluded, so fewer
-  // bytes than the file holds is a damaged read, not a shrunk file.
-  std::error_code ec;
-  const auto fsize = fs::file_size(path, ec);
-  if (ec || view->bytes.size() != fsize) {
-    view->bytes.clear();
-    return Status::unavailable("short read: " + path);
-  }
-  auto scan = scan_log_bytes(view->bytes.data(), view->bytes.size(), path);
-  if (!scan.is_ok()) {
-    view->bytes.clear();
-    return scan.status();
-  }
-  view->scan = std::move(scan).value();
-  return Status::ok();
-}
-
-std::vector<std::uint8_t> log_suffix_image(const LogScan& scan,
-                                           std::uint64_t bound) {
-  std::size_t size = kLogFileHeaderSize;
-  for (const LogFrameView& f : scan.frames) {
-    if (f.index >= bound) size += 8 + f.len;
-  }
-  std::vector<std::uint8_t> out;
-  out.reserve(size);
-  const auto hdr = log_file_header();
-  out.insert(out.end(), hdr.begin(), hdr.end());
-  for (const LogFrameView& f : scan.frames) {
-    // [len][crc] sit right before the payload, the CRC already verified.
-    if (f.index >= bound) out.insert(out.end(), f.data - 8, f.data + f.len);
-  }
-  return out;
 }
 
 // --- the committed set -------------------------------------------------------

@@ -6,14 +6,15 @@
 // cannot disagree about what is valid.
 //
 // Layout under `dir` (every file but the logs inside a storage::durable_file
-// frame; the logs frame each record):
+// frame):
 //   epoch_<E>/op_<i>.ckpt   op i's full snapshot in epoch E
 //   epoch_<E>/op_<i>.delta  op i's mutations since its previous cut; a delta
 //                           epoch chains on its manifest's prev_epoch
 //   epoch_<E>/MANIFEST      the commit marker (MANIFEST.tmp renamed into
 //                           place): per-op sizes, kinds, replay cursors and
 //                           the chain predecessor. No MANIFEST, no epoch.
-//   source_<i>.log          "MSLG" header, then [len][crc32c][record] per tuple
+//   source_<i>.log          a source's preservation log: its format and its
+//                           lifecycle belong to SourceLogSet (ft/source_log.h)
 //   baseline/op_<i>.ckpt    kBaseline only: one unit's own checkpoint
 //
 // EpochStore's only state is one map from committed epoch to its decoded
@@ -28,7 +29,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -113,64 +113,6 @@ struct BaselineUnit {  // a fixed header, then the state bytes
 /// header that is short or disagrees with the bytes is kDataLoss.
 Result<BaselineUnit> read_baseline_unit(const std::string& path,
                                         const storage::DurableOptions& opts);
-
-// --- source logs -------------------------------------------------------------
-
-constexpr std::uint32_t kLogFileMagic = 0x474C534D;  // "MSLG"
-constexpr std::uint32_t kLogFileVersion = 1;
-constexpr std::size_t kLogFileHeaderSize = 8;
-// Fixed-width portion of a source-log record payload (everything but the
-// tuple payload bytes).
-constexpr std::size_t kLogFrameFixed =
-    8 /*index*/ + 4 /*out_port*/ + 8 /*id*/ + 4 /*source_hau*/ +
-    8 /*source_seq*/ + 8 /*edge_seq*/ + 8 /*event_time*/ + 8 /*wire_size*/ +
-    1 /*has_payload*/;
-
-/// The MSLG header every log starts with.
-std::array<std::uint8_t, kLogFileHeaderSize> log_file_header();
-
-/// One CRC-verified record payload inside the scanned buffer (valid while
-/// the buffer lives); `index` is read without decoding the rest.
-struct LogFrameView {
-  std::uint64_t index = 0;
-  const std::uint8_t* data = nullptr;
-  std::uint32_t len = 0;
-};
-
-struct LogScan {
-  /// Ended on a corrupt or incomplete frame (a torn tail) at `valid_bytes`.
-  bool torn = false;
-  std::uint64_t valid_bytes = 0;
-  std::vector<LogFrameView> frames;
-};
-
-/// Verify a log's MSLG header, then each frame's CRC (`path` is for error
-/// messages). Empty = a fresh log; shorter than the header = a header torn at
-/// creation; a bad frame, or one too short for a record, is a torn tail; a
-/// whole header that does not verify is kDataLoss.
-Result<LogScan> scan_log_bytes(const std::uint8_t* data, std::size_t size,
-                               const std::string& path);
-
-/// A log's bytes and their scan (whose frames point into `bytes`).
-struct LogView {
-  LogView() = default;
-  LogView(const LogView&) = delete;
-  LogView& operator=(const LogView&) = delete;
-  std::vector<std::uint8_t> bytes;
-  LogScan scan;
-};
-
-/// Read one whole source log and scan it into `view` (a torn tail shows up
-/// in the scan only). Missing = an empty log; a header that does not verify
-/// is kDataLoss; any other failure, including a read shorter than the file,
-/// is kUnavailable: "could not look", never "nothing to replay".
-Status read_source_log(const std::string& path,
-                       const storage::DurableOptions& opts, LogView* view);
-
-/// The log image keeping `scan`'s frames with index >= `bound`, each copied
-/// with the CRC the scan verified.
-std::vector<std::uint8_t> log_suffix_image(const LogScan& scan,
-                                           std::uint64_t bound);
 
 // --- the committed set -------------------------------------------------------
 

@@ -2,38 +2,27 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
-#include <system_error>
 #include <thread>
 
 #include "common/log.h"
-#include "common/serialize.h"
 
 namespace ms::ft {
 
-namespace fs = std::filesystem;
-
 namespace {
 
-/// Serialize one source-log record payload (the inner frame body; the outer
-/// [len][crc] framing is the caller's).
-std::vector<std::uint8_t> encode_log_record(
-    std::uint64_t index, int out_port, const core::Tuple& tuple,
-    const TupleCodec& codec) {
-  BinaryWriter w(kLogFrameFixed + 32);
-  w.write<std::uint64_t>(index);
-  w.write<std::int32_t>(static_cast<std::int32_t>(out_port));
-  w.write<std::uint64_t>(tuple.id);
-  w.write<std::uint32_t>(tuple.source_hau);
-  w.write<std::uint64_t>(tuple.source_seq);
-  w.write<std::uint64_t>(tuple.edge_seq);
-  w.write<std::int64_t>(tuple.event_time.ns());
-  w.write<std::uint64_t>(static_cast<std::uint64_t>(tuple.wire_size));
-  const bool has_payload =
-      tuple.payload != nullptr && codec.encode_payload != nullptr;
-  w.write<std::uint8_t>(has_payload ? 1 : 0);
-  if (has_payload) codec.encode_payload(*tuple.payload, w);
-  return w.take();
+MetricsRegistry& registry(const RtRuntimeConfig& config) {
+  return config.metrics ? *config.metrics : MetricsRegistry::global();
+}
+
+/// The engine's source operators (members are built before the constructor
+/// body runs, so the engine is checked here).
+std::vector<int> source_ops(const rt::RtEngine* engine) {
+  MS_CHECK_MSG(engine != nullptr, "RtRuntime: null engine");
+  std::vector<int> out;
+  for (int i = 0; i < engine->num_operators(); ++i) {
+    if (engine->op_is_source(i)) out.push_back(i);
+  }
+  return out;
 }
 
 }  // namespace
@@ -42,33 +31,19 @@ RtRuntime::RtRuntime(rt::RtEngine* engine, RtRuntimeConfig config)
     : engine_(engine),
       config_(std::move(config)),
       epoch0_(std::chrono::steady_clock::now()),
-      store_(config_.dir, {config_.sync_mode, config_.disk_faults},
+      store_(config_.dir, durable_opts(),
              config_.params.retain_fallback_epochs,
-             config_.mode == RtMode::kBaseline) {
-  MS_CHECK_MSG(engine_ != nullptr, "RtRuntime: null engine");
+             config_.mode == RtMode::kBaseline),
+      logs_(config_.dir, source_ops(engine_), durable_opts(), config_.codec,
+            registry(config_)) {
   MS_CHECK_MSG(!engine_->running(), "RtRuntime: engine already running");
   MS_CHECK_MSG(!config_.dir.empty(), "RtRuntime: durable dir required");
 
-
   const int n = engine_->num_operators();
-  logs_.resize(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    if (!engine_->op_is_source(i)) continue;
-    auto log = std::make_unique<SourceLog>();
-    log->path = source_log_path(config_.dir, i);
-    logs_[static_cast<std::size_t>(i)] = std::move(log);
-  }
-  {
-    MetricsRegistry* m =
-        config_.metrics ? config_.metrics : &MetricsRegistry::global();
-    m_torn_frames_ = m->counter("ft.log.torn_frames");
-    m_append_failures_ = m->counter("ft.log.append_failures");
-    m_truncations_skipped_ = m->counter("ft.log.truncation_skipped");
-    m_torn_unconfirmed_ = m->counter("ft.log.torn_unconfirmed");
-    m_corrupt_manifests_ = m->counter("ft.scan.corrupt_manifests");
-    m_corrupt_artifacts_ = m->counter("ft.recovery.corrupt_artifacts");
-    m_fallbacks_ = m->counter("ft.recovery.fallbacks");
-  }
+  MetricsRegistry& metrics = registry(config_);
+  m_corrupt_manifests_ = metrics.counter("ft.scan.corrupt_manifests");
+  m_corrupt_artifacts_ = metrics.counter("ft.recovery.corrupt_artifacts");
+  m_fallbacks_ = metrics.counter("ft.recovery.fallbacks");
   // A log read error here is logged; recover() re-reads that log and returns
   // the error if it persists.
   (void)scan_existing_state();
@@ -116,19 +91,20 @@ RtRuntime::RtRuntime(rt::RtEngine* engine, RtRuntimeConfig config)
     hb_suppress_until_ =
         std::make_unique<std::atomic<std::int64_t>[]>(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) hb_suppress_until_[i].store(0);
-    MetricsRegistry* m =
-        config_.metrics ? config_.metrics : &MetricsRegistry::global();
-    m_heal_attempts_ = m->counter("ft.selfheal.attempts");
-    m_heal_success_ = m->counter("ft.selfheal.success");
-    m_heal_failed_ = m->counter("ft.selfheal.failed_attempts");
-    m_heal_exhausted_ = m->counter("ft.selfheal.exhausted");
-    m_heal_quarantined_ = m->counter("ft.selfheal.quarantined");
+    m_heal_attempts_ = metrics.counter("ft.selfheal.attempts");
+    m_heal_success_ = metrics.counter("ft.selfheal.success");
+    m_heal_failed_ = metrics.counter("ft.selfheal.failed_attempts");
+    m_heal_exhausted_ = metrics.counter("ft.selfheal.exhausted");
+    m_heal_quarantined_ = metrics.counter("ft.selfheal.quarantined");
   }
 
   engine_->set_snapshot_sink(
       [this](const rt::Snapshot& snap) { on_snapshot(snap); });
+  // Logged before dispatch. Appends continue while crashed_ is set:
+  // everything downstream observed before the "crash" is in the log, which
+  // is exactly the guarantee recovery leans on.
   engine_->set_source_tap([this](int op, int out_port, const core::Tuple& t) {
-    on_source_emit(op, out_port, t);
+    logs_.append(op, out_port, t);
   });
   engine_->set_proto_probe(
       [this](rt::ProtoPoint point, int op, std::uint64_t epoch) {
@@ -156,7 +132,7 @@ Status RtRuntime::start() {
     std::scoped_lock lk(ctl_mu_);
     initiation_stopped_ = false;
   }
-  drop_log_views();  // the engine appends from here on
+  logs_.drop_views();  // the engine appends from here on
   engine_->start();
   arm_initiation();
   if (config_.auto_recover) start_supervisor();
@@ -324,11 +300,8 @@ void RtRuntime::commit_epoch(std::uint64_t epoch) {
   }
   // A fallback to any epoch still committed must find every record past its
   // cut, so each log keeps everything from the lowest boundary among them.
-  for (std::size_t i = 0; i < logs_.size(); ++i) {
-    if (logs_[i]) {
-      truncate_log(static_cast<int>(i),
-                   store_.truncation_floor(static_cast<int>(i)));
-    }
+  for (int i = 0; i < num_units(); ++i) {
+    if (unit_is_source(i)) logs_.truncate(i, store_.truncation_floor(i));
   }
 }
 
@@ -399,42 +372,6 @@ void RtRuntime::on_snapshot(const rt::Snapshot& snap) {
   coordinator_->on_unit_report(report);  // may commit the epoch
 }
 
-void RtRuntime::on_source_emit(int op, int out_port, const core::Tuple& tuple) {
-  // Runs under the source's op_mu, before the tuple is dispatched: the
-  // record is durable (flushed) before any downstream effect exists. This
-  // deliberately continues while crashed_ is set — everything downstream
-  // observed before the "crash" is in the log, which is exactly the
-  // guarantee recovery leans on.
-  SourceLog& log = *logs_[static_cast<std::size_t>(op)];
-  std::scoped_lock lk(log.mu);
-  const std::vector<std::uint8_t> frame =
-      encode_log_record(log.next_index, out_port, tuple, config_.codec);
-  // One buffer per record so a single write() carries the whole
-  // [len][crc32c(payload)][payload] frame — the only tear a crash can produce
-  // is a short final frame, which the scanner drops.
-  BinaryWriter rec(8 + frame.size());
-  rec.write<std::uint32_t>(static_cast<std::uint32_t>(frame.size()));
-  rec.write<std::uint32_t>(storage::crc32c(frame.data(), frame.size()));
-  rec.write_bytes(frame.data(), frame.size());
-  const std::vector<std::uint8_t> bytes = rec.take();
-  if (!log.out.append(bytes.data(), bytes.size(), durable_opts())) {
-    // The tuple still goes downstream but is now permanently absent from
-    // the replay log: a recovery before a checkpoint boundary passes this
-    // index would silently drop it. Count it and pin the index so health()
-    // surfaces the window while the process is still alive.
-    MS_LOG_WARN("ft", "rt source log append failed for op %d (index %llu)",
-                op, static_cast<unsigned long long>(log.next_index));
-    m_append_failures_->add(1);
-    log.failed_since = std::min(log.failed_since, log.next_index);
-    // A partial frame left in place would strand every later frame behind
-    // a tear the next scan stops at. Cut the file back to before this append.
-    if (log.out.is_open() && !log.out.rollback()) {
-      MS_LOG_WARN("ft", "rt source log rollback failed for op %d", op);
-    }
-  }
-  ++log.next_index;
-}
-
 void RtRuntime::on_engine_proto(rt::ProtoPoint point, int op,
                                 std::uint64_t epoch) {
   if (config_.mode == RtMode::kBaseline) {
@@ -469,72 +406,6 @@ void RtRuntime::on_engine_proto(rt::ProtoPoint point, int op,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Source logs
-
-RtRuntime::LogRecord RtRuntime::decode_log_record(
-    const LogFrameView& frame) const {
-  // The scanner already enforced len >= kLogFrameFixed, so the fixed fields
-  // cannot trip BinaryReader's fail-stop.
-  BinaryReader r(frame.data, frame.len);
-  LogRecord rec;
-  rec.index = r.read<std::uint64_t>();
-  rec.out_port = static_cast<int>(r.read<std::int32_t>());
-  rec.tuple.id = r.read<std::uint64_t>();
-  rec.tuple.source_hau = r.read<std::uint32_t>();
-  rec.tuple.source_seq = r.read<std::uint64_t>();
-  rec.tuple.edge_seq = r.read<std::uint64_t>();
-  rec.tuple.event_time = SimTime::nanos(r.read<std::int64_t>());
-  rec.tuple.wire_size = static_cast<Bytes>(r.read<std::uint64_t>());
-  const bool has_payload = r.read<std::uint8_t>() != 0;
-  if (has_payload && config_.codec.decode_payload) {
-    rec.tuple.payload = config_.codec.decode_payload(r);
-  }
-  return rec;
-}
-
-void RtRuntime::truncate_log(int op, std::uint64_t boundary) {
-  SourceLog& log = *logs_[static_cast<std::size_t>(op)];
-  std::scoped_lock lk(log.mu);
-  // `boundary` is the minimum replay boundary across every retained epoch:
-  // once it passes a failed append's index, no recovery candidate needs the
-  // missing record any more and the degradation window is closed.
-  if (log.failed_since < boundary) {
-    log.failed_since = SourceLog::kNoAppendFailure;
-  }
-  if (boundary <= log.begin_index) return;  // nothing behind the boundary
-  LogView view;
-  const Status st = read_source_log(log.path, durable_opts(), &view);
-  // Every append hits the kernel before return, so a whole read of the file
-  // verifies every frame up to next_index - 1. A read that ends early — an
-  // error, a short read, a flipped bit — would commit an image that drops
-  // records the read never saw, records the sink may already have. Keep the
-  // file; the next commit retries the truncation.
-  const auto& frames = view.scan.frames;
-  const bool complete = st.is_ok() && !view.scan.torn && !frames.empty() &&
-                        frames.back().index + 1 == log.next_index;
-  if (!complete) {
-    MS_LOG_WARN("ft", "rt source log truncation skipped for op %d: %s", op,
-                st.is_ok() ? "read ended before the last appended record"
-                           : st.message().c_str());
-    m_truncations_skipped_->add(1);
-    return;
-  }
-  // The rewrite copies the kept frames with the CRCs the read verified.
-  const std::vector<std::uint8_t> image = log_suffix_image(view.scan, boundary);
-  log.out.close();
-  const Status wst = storage::write_raw_atomic(
-      log.path, storage::ArtifactKind::kSourceLog, image.data(), image.size(),
-      durable_opts());
-  if (wst.is_ok()) {
-    log.begin_index = boundary;
-  } else {
-    MS_LOG_WARN("ft", "rt source log truncation failed for op %d: %s", op,
-                wst.message().c_str());
-  }
-  log.out.open(log.path);
-}
-
 Status RtRuntime::scan_existing_state() {
   // Engine stopped, no epochs pending: safe to rebuild the durable view.
   for (const std::uint64_t e : store_.scan()) {
@@ -546,102 +417,11 @@ Status RtRuntime::scan_existing_state() {
 
 Status RtRuntime::scan_logs() {
   const EpochManifest* tip = store_.manifest(store_.tip());
-  Status log_error = Status::ok();
-  for (std::size_t i = 0; i < logs_.size(); ++i) {
-    if (!logs_[i]) continue;
-    SourceLog& log = *logs_[i];
-    std::scoped_lock lk(log.mu);
-    if (!log.view) {
-      // Nothing cached: read the file once and trim a torn tail. A cached
-      // view already did this, and the file has not changed since.
-      if (log.out.is_open()) log.out.close();
-      auto view = std::make_unique<LogView>();
-      Status st = read_source_log(log.path, durable_opts(), view.get());
-      if (st.is_ok() && view->scan.torn) {
-        // Truncating a torn tail drops every byte past it, and a bit flipped
-        // in the read looks just like one flipped on disk. Read again: only a
-        // tear both reads place at the same offset is in the file.
-        auto again = std::make_unique<LogView>();
-        st = read_source_log(log.path, durable_opts(), again.get());
-        if (st.is_ok() && (!again->scan.torn ||
-                           again->scan.valid_bytes != view->scan.valid_bytes)) {
-          MS_LOG_WARN("ft", "rt source log %zu: torn at %llu on one read, "
-                      "%s on the next; keeping the file",
-                      i,
-                      static_cast<unsigned long long>(view->scan.valid_bytes),
-                      again->scan.torn ? "elsewhere" : "whole");
-          m_torn_unconfirmed_->add(1);
-          if (again->scan.torn) {
-            st = Status::unavailable("source log reads disagree: " +
-                                     log.path);
-          } else {
-            view = std::move(again);
-          }
-        }
-      }
-      if (!st.is_ok()) {
-        // A read error (the bytes may be fine) or a header that does not
-        // verify (kDataLoss). Taking cursors off it would reuse record
-        // indices, and appending behind a bad header would bury the records
-        // under bytes no scan accepts. Leave the file as it is and the handle
-        // closed — appends fail loudly into the append-failure accounting —
-        // and let recover() return the error.
-        MS_LOG_WARN("ft", "rt source log %zu unreadable at scan: %s", i,
-                    st.message().c_str());
-        if (log_error.is_ok()) log_error = st;
-        continue;
-      }
-      LogScan& scan = view->scan;
-      if (scan.torn) {
-        // Both reads agree: a crash mid-append or a frame damaged on disk.
-        // Everything past the last verifiable frame is unusable. Truncate the
-        // file so the garbage cannot resurface in the middle of the log after
-        // the next append.
-        MS_LOG_WARN("ft", "rt source log %zu: torn tail, truncating %zu -> "
-                    "%llu bytes",
-                    i, view->bytes.size(),
-                    static_cast<unsigned long long>(scan.valid_bytes));
-        m_torn_frames_->add(1);
-        std::error_code rs_ec;
-        fs::resize_file(log.path, scan.valid_bytes, rs_ec);
-        if (rs_ec) {
-          MS_LOG_WARN("ft", "rt source log %zu: truncation failed: %s", i,
-                      rs_ec.message().c_str());
-        } else {
-          scan.torn = false;  // the view mirrors the file again
-        }
-      }
-      log.out.open(log.path);
-      if (log.out.is_open() && log.out.size() == 0) {
-        const auto hdr = log_file_header();
-        log.out.append(hdr.data(), hdr.size(), durable_opts());
-      }
-      log.view = std::move(view);
-    }
-    const std::vector<LogFrameView>& frames = log.view->scan.frames;
-    if (frames.empty()) {
-      // Either a fresh log or one truncated down to nothing; the committed
-      // boundary is where the next index continues from.
-      std::uint64_t committed_boundary = 0;
-      if (tip != nullptr && i < tip->ops.size()) {
-        committed_boundary = tip->ops[i].boundary;
-      }
-      log.begin_index = committed_boundary;
-      log.next_index = committed_boundary;
-    } else {
-      log.begin_index = frames.front().index;
-      log.next_index = frames.back().index + 1;
-    }
+  std::vector<std::uint64_t> boundaries;
+  if (tip != nullptr) {
+    for (const auto& op : tip->ops) boundaries.push_back(op.boundary);
   }
-  return log_error;
-}
-
-void RtRuntime::drop_log_views() {
-  for (const auto& log : logs_) {
-    if (!log) continue;
-    std::scoped_lock lk(log->mu);
-    log->view.reset();
-  }
+  return logs_.scan(boundaries);
 }
 
 // ---------------------------------------------------------------------------
@@ -764,7 +544,7 @@ Status RtRuntime::recover(RecoveryStats* stats) {
         m_corrupt_artifacts_->add(1);
         store_.remove(e);
       }
-      const Status st = scan_logs();  // logs: the cached views
+      const Status st = scan_logs();  // from the cached views
       if (!st.is_ok()) return st;
     }
   }
@@ -774,8 +554,7 @@ Status RtRuntime::recover(RecoveryStats* stats) {
   // Phase 3: install operator state and source cursors.
   emit_probe(FtPoint::kRecoveryPhase3, -1, seq);
   // Replay records per source, decoded from phase 1's view and reused in
-  // phase 4. Only frames at or past the boundary are decoded: the snapshot
-  // already holds everything below it.
+  // phase 4.
   std::vector<std::vector<LogRecord>> replay(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     const auto idx = static_cast<std::size_t>(i);
@@ -787,33 +566,18 @@ Status RtRuntime::recover(RecoveryStats* stats) {
       if (!st.is_ok()) return st;
     }
     emit_probe(FtPoint::kRecoveryChainDone, i, seq);
-    if (!logs_[idx]) continue;
+    if (!engine_->op_is_source(i)) continue;
+    st = logs_.replay(i, loaded.boundaries[idx], &replay[idx]);
+    if (!st.is_ok()) return st;
     // The restored lineage cursor must clear every preserved tuple so fresh
     // emissions never collide with replayed ids. Records below the boundary
     // were emitted before the cut, so the snapshot's cursors already clear
     // them.
     std::uint64_t next_seq = loaded.next_seqs[idx];
-    std::uint64_t emitted = loaded.boundaries[idx];
-    {
-      SourceLog& log = *logs_[idx];
-      std::scoped_lock lk(log.mu);
-      MS_CHECK_MSG(log.view != nullptr, "RtRuntime: phase 1 left no log view");
-      for (const LogFrameView& frame : log.view->scan.frames) {
-        if (frame.index < loaded.boundaries[idx]) continue;
-        // Indices are assigned consecutively at append, so the replay must
-        // run from the boundary without a hole: a record a failed append
-        // left out went downstream before the crash and cannot be replayed.
-        if (frame.index != emitted) {
-          return Status::data_loss(
-              "RtRuntime: source log " + std::to_string(i) + " is missing "
-              "record " + std::to_string(emitted) + " past the boundary");
-        }
-        LogRecord rec = decode_log_record(frame);
-        next_seq = std::max(next_seq, rec.tuple.source_seq + 1);
-        emitted = rec.index + 1;
-        replay[idx].push_back(std::move(rec));
-      }
+    for (const LogRecord& rec : replay[idx]) {
+      next_seq = std::max(next_seq, rec.tuple.source_seq + 1);
     }
+    const std::uint64_t emitted = loaded.boundaries[idx] + replay[idx].size();
     st = engine_->set_source_progress(i, next_seq, emitted);
     if (!st.is_ok()) return st;
   }
@@ -836,7 +600,7 @@ Status RtRuntime::recover(RecoveryStats* stats) {
     }
   }
   const SimTime t_replay1 = now();
-  drop_log_views();  // the engine appends from here on
+  logs_.drop_views();  // the engine appends from here on
   engine_->start();
   {
     std::scoped_lock lk(ctl_mu_);
@@ -877,21 +641,8 @@ Status RtRuntime::health() const {
     std::scoped_lock lk(heal_mu_);
     if (!health_.is_ok()) return health_;
   }
-  // A failed append left a tuple downstream that no recovery could replay;
-  // degraded until every retained epoch's boundary passes the gap (cleared
-  // at commit-time truncation).
-  for (std::size_t i = 0; i < logs_.size(); ++i) {
-    if (!logs_[i]) continue;
-    std::scoped_lock lk(logs_[i]->mu);
-    if (logs_[i]->failed_since != SourceLog::kNoAppendFailure) {
-      return Status::data_loss(
-          "RtRuntime: source log " + std::to_string(i) +
-          " is missing records from index " +
-          std::to_string(logs_[i]->failed_since) +
-          " (append failed; not yet covered by a committed checkpoint)");
-    }
-  }
-  return Status::ok();
+  // A failed append left a tuple downstream that no recovery could replay.
+  return logs_.health();
 }
 
 void RtRuntime::inject_heartbeat_delay(int op, SimTime delay) {

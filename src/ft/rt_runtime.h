@@ -9,11 +9,13 @@
 //
 // The checkpoint directory — layout, payloads, committed epochs, fallback
 // rungs and GC — belongs to EpochStore (ft/epoch_store.h), which msverify
-// reads through too. Source logs are appended by the engine's SourceTap
-// *before* a tuple is dispatched (durable-before-dispatch) and truncated at
-// commit to the oldest retained epoch's boundary. A file that fails
-// verification is never read as data: recovery falls back to an older epoch
-// or returns kDataLoss, and so does a hole in the replayed record indices.
+// reads through too. The source logs belong to SourceLogSet
+// (ft/source_log.h): the engine's SourceTap appends to them *before* a tuple
+// is dispatched (durable-before-dispatch), each commit truncates them to the
+// oldest retained epoch's boundary, and recovery replays them past the
+// chosen epoch's boundaries. A file that fails verification is never read as
+// data: recovery falls back to an older epoch or returns kDataLoss, and so
+// does a hole in the replayed record indices.
 //
 // Modes mirror the simulator's schemes:
 //   kSrc      tokens trickle, each unit's snapshot is written synchronously
@@ -64,6 +66,7 @@
 #include "ft/probe.h"
 #include "ft/protocol.h"
 #include "ft/runtime.h"
+#include "ft/source_log.h"
 #include "ft/stats.h"
 #include "rt/engine.h"
 #include "storage/durable_file.h"
@@ -71,16 +74,6 @@
 namespace ms::ft {
 
 enum class RtMode { kBaseline, kSrc, kSrcAp, kSrcApAa, kSrcApDelta };
-
-/// How source-log records carry payloads across a restart. The engine keeps
-/// payloads as shared_ptr<const Payload>; only the embedder knows the
-/// concrete types, so it supplies the codec. Absent codec = payloads are
-/// dropped on replay (size-only workloads).
-struct TupleCodec {
-  std::function<void(const core::Payload&, BinaryWriter&)> encode_payload;
-  std::function<std::shared_ptr<const core::Payload>(BinaryReader&)>
-      decode_payload;
-};
 
 struct RtRuntimeConfig {
   RtMode mode = RtMode::kSrcAp;
@@ -205,60 +198,21 @@ class RtRuntime final : public Runtime {
     EpochManifest manifest;
   };
 
-  /// One source's preservation log (appended under its own mutex by the
-  /// engine tap; rewritten at truncation).
-  struct SourceLog {
-    /// failed_since value meaning "no uncovered append failure".
-    static constexpr std::uint64_t kNoAppendFailure = ~std::uint64_t{0};
-
-    std::mutex mu;
-    std::string path;
-    storage::AppendFile out;        // append handle, reopened on truncation
-    std::uint64_t begin_index = 0;  // first record still in the file
-    std::uint64_t next_index = 0;   // index the next append gets
-    /// Lowest record index whose append failed (the tuple went downstream
-    /// but is absent from the replay log). Until every retained epoch's
-    /// boundary passes it, a recovery would silently replay without that
-    /// tuple — health() reports the window. Guarded by mu.
-    std::uint64_t failed_since = kNoAppendFailure;
-    /// The verified scan of the file from the last scan_existing_state, kept
-    /// so recover() replays from the same read instead of reading the log
-    /// again. It exists only while the engine is stopped and nothing has been
-    /// appended or rewritten since the read: start() and recover()'s own
-    /// engine start drop it, and a failed read leaves none. Guarded by mu.
-    std::unique_ptr<LogView> view;
-  };
-
-  /// A log record rehydrated for replay.
-  struct LogRecord {
-    std::uint64_t index = 0;
-    int out_port = 0;
-    core::Tuple tuple;
-  };
-
   void emit_probe(FtPoint point, int unit, std::uint64_t id) {
     for (const auto& p : probes_) p(point, unit, id);
   }
 
   // Engine hook bodies.
   void on_snapshot(const rt::Snapshot& snap);
-  void on_source_emit(int op, int out_port, const core::Tuple& tuple);
   void on_engine_proto(rt::ProtoPoint point, int op, std::uint64_t epoch);
 
   storage::DurableOptions durable_opts() const {
     return {config_.sync_mode, config_.disk_faults};
   }
-  /// Decode one verified frame (the only place a record is decoded).
-  LogRecord decode_log_record(const LogFrameView& frame) const;
-  void truncate_log(int op, std::uint64_t boundary);
   /// Rebuild the committed set, then scan_logs() (engine stopped).
   Status scan_existing_state();
-  /// Read every source log that holds no view yet, trim a confirmed torn
-  /// tail, and set each log's cursors from the tip. Returns the first log
-  /// read error; that log keeps its append handle closed and gets no view.
+  /// SourceLogSet::scan with the committed tip's boundaries.
   Status scan_logs();
-  /// Drop every log's cached view (the engine is about to append).
-  void drop_log_views();
 
   // Mode drivers.
   void arm_initiation();
@@ -297,7 +251,8 @@ class RtRuntime final : public Runtime {
   /// messages from the pre-recovery incarnation and are dropped.
   std::atomic<std::uint64_t> recovery_seq_{0};
 
-  std::vector<std::unique_ptr<SourceLog>> logs_;  // index = op; null if not source
+  /// Every source's preservation log.
+  SourceLogSet logs_;
 
   std::vector<FtProbe> probes_;
   std::atomic<bool> crashed_{false};
@@ -318,10 +273,6 @@ class RtRuntime final : public Runtime {
   int crash_streak_ = 0;             // guarded by heal_mu_
   SimTime last_heal_completed_;      // guarded by heal_mu_; zero = never
   // Durable-state integrity counters.
-  Counter* m_torn_frames_ = nullptr;        // ft.log.torn_frames
-  Counter* m_append_failures_ = nullptr;    // ft.log.append_failures
-  Counter* m_truncations_skipped_ = nullptr;  // ft.log.truncation_skipped
-  Counter* m_torn_unconfirmed_ = nullptr;   // ft.log.torn_unconfirmed
   Counter* m_corrupt_manifests_ = nullptr;  // ft.scan.corrupt_manifests
   Counter* m_corrupt_artifacts_ = nullptr;  // ft.recovery.corrupt_artifacts
   Counter* m_fallbacks_ = nullptr;          // ft.recovery.fallbacks

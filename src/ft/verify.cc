@@ -5,6 +5,7 @@
 #include <system_error>
 
 #include "ft/epoch_store.h"
+#include "ft/source_log.h"
 
 namespace ms::ft {
 
@@ -93,22 +94,23 @@ void scrub_source_log(const std::string& path, ScrubReport* report) {
   ScrubLog run;
   run.path = path;
   run.records = scan.frames.size();
-  for (std::size_t k = 0; k < scan.frames.size(); ++k) {
-    const std::uint64_t index = scan.frames[k].index;
-    if (k == 0) {
-      run.first_index = index;
-    } else if (index != run.last_index + 1) {
-      // Indices are assigned consecutively at append, so anything but the
-      // successor means records between the two are gone.
+  if (!scan.frames.empty()) {
+    run.first_index = scan.frames.front().index;
+    run.last_index = scan.frames.back().index;
+  }
+  for (std::size_t k = 0; k < scan.frames.size();) {
+    const std::size_t end = index_run_end(scan.frames, k, scan.frames[k].index);
+    if (end < scan.frames.size()) {
+      const std::uint64_t prev = scan.frames[end - 1].index;
+      const std::uint64_t index = scan.frames[end].index;
       report->issues.push_back(
-          {path, index > run.last_index
-                     ? "records " + std::to_string(run.last_index + 1) + ".." +
+          {path, index > prev
+                     ? "records " + std::to_string(prev + 1) + ".." +
                            std::to_string(index - 1) + " missing"
                      : "record " + std::to_string(index) +
-                           " out of order after " +
-                           std::to_string(run.last_index)});
+                           " out of order after " + std::to_string(prev)});
     }
-    run.last_index = index;
+    k = end;
   }
   report->logs.push_back(std::move(run));
 }

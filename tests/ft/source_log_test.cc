@@ -1,0 +1,310 @@
+// SourceLogSet on its own: one source log in a temp dir, no engine. Checks
+// the append / scan / truncate / replay round trip byte for byte, the
+// index-run rule (a hole past the boundary is data loss, one below it is
+// not), the torn-tail trim and its two-read confirmation, and the
+// append-failure window that health() reports.
+#include "ft/source_log.h"
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "../testing/test_ops.h"
+#include "failure/disk_fault.h"
+#include "ft/epoch_store.h"
+#include "ft/verify.h"
+
+namespace ms::ft {
+namespace {
+
+namespace fs = std::filesystem;
+using failure::DiskFaultInjector;
+using ms::testing::IntPayload;
+
+constexpr int kOp = 0;
+
+TupleCodec int_codec() {
+  TupleCodec codec;
+  codec.encode_payload = [](const core::Payload& p, BinaryWriter& w) {
+    w.write<std::int64_t>(static_cast<const IntPayload&>(p).value);
+  };
+  codec.decode_payload =
+      [](BinaryReader& r) -> std::shared_ptr<const core::Payload> {
+    return std::make_shared<IntPayload>(r.read<std::int64_t>(), 64);
+  };
+  return codec;
+}
+
+core::Tuple tuple_of(std::int64_t v) {
+  core::Tuple t;
+  t.id = core::Tuple::make_id(0, static_cast<std::uint64_t>(v) + 1);
+  t.source_seq = static_cast<std::uint64_t>(v) + 1;
+  t.event_time = SimTime::nanos(v);
+  t.wire_size = 64;
+  t.payload = std::make_shared<IntPayload>(v, 64);
+  return t;
+}
+
+/// One source log under a fresh directory. open() builds a new SourceLogSet
+/// over it, as a restarted process would.
+struct LogDir {
+  explicit LogDir(const std::string& name)
+      : dir((fs::temp_directory_path() / name).string()),
+        path(source_log_path(dir, kOp)) {
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+  }
+
+  /// A fresh SourceLogSet, scanned with no committed boundary.
+  SourceLogSet& open(storage::FaultInjector* faults = nullptr) {
+    logs = std::make_unique<SourceLogSet>(
+        dir, std::vector<int>{kOp},
+        storage::DurableOptions{storage::SyncMode::kNone, faults}, int_codec(),
+        metrics);
+    scanned = logs->scan({});
+    return *logs;
+  }
+
+  /// open(), then append the values [from, to) as records.
+  SourceLogSet& append(std::int64_t from, std::int64_t to,
+                       storage::FaultInjector* faults = nullptr) {
+    SourceLogSet& set = open(faults);
+    set.drop_views();
+    for (std::int64_t v = from; v < to; ++v) {
+      set.append(kOp, static_cast<int>(v % 2), tuple_of(v));
+    }
+    return set;
+  }
+
+  std::vector<std::uint8_t> bytes() const {
+    std::vector<std::uint8_t> out;
+    EXPECT_TRUE(storage::read_raw(path, storage::ArtifactKind::kSourceLog,
+                                  storage::DurableOptions{}, &out)
+                    .is_ok());
+    return out;
+  }
+
+  std::int64_t count(const std::string& name) {
+    return metrics.counter(name)->value();
+  }
+
+  std::string dir;
+  std::string path;
+  MetricsRegistry metrics;
+  std::unique_ptr<SourceLogSet> logs;
+  Status scanned = Status::ok();
+};
+
+std::vector<std::uint64_t> indices(const LogScan& scan) {
+  std::vector<std::uint64_t> out;
+  for (const LogFrameView& f : scan.frames) out.push_back(f.index);
+  return out;
+}
+
+std::vector<std::uint64_t> indices(const std::vector<LogRecord>& records) {
+  std::vector<std::uint64_t> out;
+  for (const LogRecord& r : records) out.push_back(r.index);
+  return out;
+}
+
+LogScan scan_of(const std::vector<std::uint8_t>& bytes) {
+  auto scan = scan_log_bytes(bytes.data(), bytes.size(), "log");
+  EXPECT_TRUE(scan.is_ok()) << scan.status().to_string();
+  return scan.is_ok() ? std::move(scan).value() : LogScan{};
+}
+
+TEST(SourceLogTest, AppendScanTruncateReplayRoundTrip) {
+  LogDir d("ms_slog_roundtrip");
+  d.append(0, 10);
+  ASSERT_TRUE(d.scanned.is_ok()) << d.scanned.to_string();
+  const std::vector<std::uint8_t> before = d.bytes();
+  const LogScan scan = scan_of(before);
+  EXPECT_FALSE(scan.torn);
+  EXPECT_EQ(indices(scan), (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5, 6, 7,
+                                                       8, 9}));
+
+  // A restart replays every field of the records past the boundary.
+  SourceLogSet& logs = d.open();
+  ASSERT_TRUE(d.scanned.is_ok());
+  std::vector<LogRecord> records;
+  ASSERT_TRUE(logs.replay(kOp, 3, &records).is_ok());
+  ASSERT_EQ(records.size(), 7u);
+  for (std::size_t k = 0; k < records.size(); ++k) {
+    const auto v = static_cast<std::int64_t>(3 + k);
+    const core::Tuple want = tuple_of(v);
+    EXPECT_EQ(records[k].index, static_cast<std::uint64_t>(v));
+    EXPECT_EQ(records[k].out_port, static_cast<int>(v % 2));
+    EXPECT_EQ(records[k].tuple.id, want.id);
+    EXPECT_EQ(records[k].tuple.source_seq, want.source_seq);
+    EXPECT_EQ(records[k].tuple.event_time, want.event_time);
+    EXPECT_EQ(records[k].tuple.wire_size, want.wire_size);
+    const auto* p = records[k].tuple.payload_as<IntPayload>();
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(p->value, v);
+  }
+
+  // Truncation keeps the header and the frames from the floor on, each byte
+  // as the appends wrote it.
+  logs.drop_views();
+  logs.truncate(kOp, 4);
+  EXPECT_EQ(d.count("ft.log.truncation_skipped"), 0);
+  const auto header = log_file_header();
+  std::vector<std::uint8_t> kept(header.begin(), header.end());
+  const auto from = static_cast<std::size_t>(scan.frames[4].data -
+                                             before.data()) - 8;
+  kept.insert(kept.end(), before.begin() + static_cast<std::ptrdiff_t>(from),
+              before.end());
+  EXPECT_EQ(d.bytes(), kept);
+
+  // Appends continue the run behind the rewrite.
+  logs.append(kOp, 0, tuple_of(10));
+  SourceLogSet& again = d.open();
+  ASSERT_TRUE(d.scanned.is_ok());
+  ASSERT_TRUE(again.replay(kOp, 4, &records).is_ok());
+  EXPECT_EQ(indices(records),
+            (std::vector<std::uint64_t>{4, 5, 6, 7, 8, 9, 10}));
+}
+
+TEST(SourceLogTest, HolePastTheBoundaryIsDataLossBelowItIsNot) {
+  LogDir d("ms_slog_hole");
+  DiskFaultInjector faults;
+  DiskFaultInjector::Options sixth;
+  sixth.occurrence = 6;  // the append of record 5
+  faults.arm_write(storage::ArtifactKind::kSourceLog,
+                   storage::WriteFault::kError, 0, sixth);
+  d.append(0, 10, &faults);
+  EXPECT_EQ(faults.injected(), 1);
+  EXPECT_EQ(d.count("ft.log.append_failures"), 1);
+
+  SourceLogSet& logs = d.open();
+  ASSERT_TRUE(d.scanned.is_ok());
+  std::vector<LogRecord> records;
+  Status st = logs.replay(kOp, 0, &records);
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.to_string();
+  EXPECT_NE(st.message().find("missing record 5"), std::string::npos)
+      << st.message();
+  // The first record past the boundary is the hole.
+  EXPECT_EQ(logs.replay(kOp, 5, &records).code(), StatusCode::kDataLoss);
+  // Below the boundary the snapshot holds the lost record.
+  ASSERT_TRUE(logs.replay(kOp, 6, &records).is_ok());
+  EXPECT_EQ(indices(records), (std::vector<std::uint64_t>{6, 7, 8, 9}));
+
+  // The offline scrub applies the same rule to the whole run.
+  const ScrubReport report = scrub_checkpoint_dir(d.dir);
+  ASSERT_EQ(report.issues.size(), 1u);
+  EXPECT_NE(report.issues[0].detail.find("records 5..5 missing"),
+            std::string::npos)
+      << report.issues[0].detail;
+
+  // A committed boundary past the last record moves the cursors past it:
+  // the appends just before that cut failed, and the engine resumes there.
+  ASSERT_TRUE(logs.scan({12}).is_ok());
+  logs.drop_views();
+  logs.append(kOp, 0, tuple_of(12));
+  d.open();
+  EXPECT_EQ(indices(scan_of(d.bytes())).back(), 12u);
+}
+
+TEST(SourceLogTest, TornTailIsTrimmedOnlyWhenTwoReadsAgree) {
+  LogDir d("ms_slog_torn");
+  d.append(0, 5);
+  const std::vector<std::uint8_t> whole = d.bytes();
+
+  // A flip in one read only: the second read is whole and the file stays.
+  DiskFaultInjector faults;
+  faults.arm_read(storage::ArtifactKind::kSourceLog,
+                  storage::ReadFault::kBitFlip, (whole.size() - 3) * 8);
+  SourceLogSet& logs = d.open(&faults);
+  ASSERT_TRUE(d.scanned.is_ok()) << d.scanned.to_string();
+  EXPECT_EQ(faults.injected(), 1);
+  EXPECT_EQ(d.count("ft.log.torn_unconfirmed"), 1);
+  EXPECT_EQ(d.count("ft.log.torn_frames"), 0);
+  EXPECT_EQ(d.bytes(), whole);
+  std::vector<LogRecord> records;
+  ASSERT_TRUE(logs.replay(kOp, 0, &records).is_ok());
+  EXPECT_EQ(records.size(), 5u);
+
+  // A real tear, which both reads see.
+  {
+    std::ofstream out(d.path, std::ios::binary | std::ios::app);
+    out.write("\x30\x00\x00\x00\xde\xad", 6);
+  }
+  const std::vector<std::uint8_t> torn = d.bytes();
+  // A trim that cannot be written leaves the file and the log unreadable.
+  faults.clear();
+  DiskFaultInjector::Options sticky;
+  sticky.sticky = true;
+  faults.arm_write(storage::ArtifactKind::kSourceLog,
+                   storage::WriteFault::kError, 0, sticky);
+  d.open(&faults);
+  EXPECT_EQ(d.scanned.code(), StatusCode::kUnavailable)
+      << d.scanned.to_string();
+  EXPECT_EQ(d.bytes(), torn);
+  EXPECT_EQ(d.count("ft.log.torn_frames"), 0);
+
+  faults.clear();
+  SourceLogSet& trimmed = d.open(&faults);
+  ASSERT_TRUE(d.scanned.is_ok()) << d.scanned.to_string();
+  EXPECT_EQ(d.count("ft.log.torn_frames"), 1);
+  EXPECT_EQ(d.bytes(), whole);
+  ASSERT_TRUE(trimmed.replay(kOp, 0, &records).is_ok());
+  EXPECT_EQ(records.size(), 5u);
+}
+
+TEST(SourceLogTest, FailedAppendIsRolledBackAndOpensTheHealthWindow) {
+  LogDir d("ms_slog_failed");
+  DiskFaultInjector faults;
+  // The first write of a fresh log carries the header and record 0; five
+  // bytes of it land.
+  faults.arm_write(storage::ArtifactKind::kSourceLog,
+                   storage::WriteFault::kTorn, 5);
+  SourceLogSet& logs = d.append(0, 1, &faults);
+  EXPECT_EQ(faults.injected(), 1);
+  EXPECT_EQ(fs::file_size(d.path), 0u) << "the torn write was not cut back";
+  EXPECT_EQ(d.count("ft.log.append_failures"), 1);
+  const Status health = logs.health();
+  EXPECT_EQ(health.code(), StatusCode::kDataLoss);
+  EXPECT_NE(health.message().find("from index 0"), std::string::npos)
+      << health.message();
+
+  // The next append writes the header again, and the run resumes behind the
+  // lost record.
+  for (std::int64_t v = 1; v < 4; ++v) logs.append(kOp, 0, tuple_of(v));
+  const LogScan scan = scan_of(d.bytes());
+  EXPECT_FALSE(scan.torn);
+  EXPECT_EQ(indices(scan), (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(logs.health().code(), StatusCode::kDataLoss);
+}
+
+TEST(SourceLogTest, TruncationFloorPastTheFailureClosesTheWindow) {
+  LogDir d("ms_slog_window");
+  DiskFaultInjector faults;
+  DiskFaultInjector::Options third;
+  third.occurrence = 3;  // the append of record 2
+  faults.arm_write(storage::ArtifactKind::kSourceLog,
+                   storage::WriteFault::kTorn, 5, third);
+  SourceLogSet& logs = d.append(0, 5, &faults);
+  EXPECT_EQ(d.count("ft.log.append_failures"), 1);
+  EXPECT_EQ(logs.health().code(), StatusCode::kDataLoss);
+
+  // A floor at the lost record still needs it: the window stays open, and
+  // the records from the floor on are not whole, so the file stays too.
+  const std::vector<std::uint8_t> before = d.bytes();
+  logs.truncate(kOp, 2);
+  EXPECT_EQ(logs.health().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(d.count("ft.log.truncation_skipped"), 1);
+  EXPECT_EQ(d.bytes(), before);
+
+  // A floor past it closes the window and truncates.
+  logs.truncate(kOp, 3);
+  EXPECT_TRUE(logs.health().is_ok()) << logs.health().to_string();
+  EXPECT_EQ(indices(scan_of(d.bytes())), (std::vector<std::uint64_t>{3, 4}));
+}
+
+}  // namespace
+}  // namespace ms::ft

@@ -25,6 +25,7 @@
 #include "failure/disk_fault.h"
 #include "ft/epoch_store.h"
 #include "ft/rt_runtime.h"
+#include "ft/source_log.h"
 #include "ft/verify.h"
 #include "rt/engine.h"
 #include "storage/durable_file.h"
@@ -551,6 +552,54 @@ TEST(RtCorruptionTest, TornLogTailIsTruncatedCountedAndReplaysExactly) {
   EXPECT_TRUE(scrub_checkpoint_dir(cfg.dir).clean());
 }
 
+// The trim of a confirmed torn tail is a rewrite through the same atomic
+// write as truncation, so the disk-fault hook sees it. A rewrite that fails
+// is handled like a read error: the file stays byte-identical, the log gets
+// no view, and recover() is retryable. Once the fault clears, the trim lands
+// and the replay is exact.
+TEST(RtCorruptionTest, FailedTornTailTrimKeepsTheLogAndIsRetryable) {
+  auto feed = std::make_shared<ExternalFeed>();
+  MetricsRegistry reg;
+  auto cfg = drill_config(fresh_dir("ms_corr_trimfail"), &reg);
+  const std::int64_t total = seed_chain(feed, cfg);
+  const std::string log = cfg.dir + "/source_0.log";
+  {
+    std::ofstream out(log, std::ios::binary | std::ios::app);
+    const char garbage[] = "\xff\xff\xff\xff\xde\xad\xbe";
+    out.write(garbage, sizeof(garbage) - 1);
+  }
+  std::vector<std::uint8_t> before;
+  ASSERT_TRUE(storage::read_raw(log, storage::ArtifactKind::kSourceLog,
+                                storage::DurableOptions{}, &before)
+                  .is_ok());
+
+  DiskFaultInjector faults;
+  cfg.disk_faults = &faults;
+  DiskFaultInjector::Options sticky;
+  sticky.sticky = true;
+  faults.arm_write(storage::ArtifactKind::kSourceLog,
+                   storage::WriteFault::kError, 0, sticky);
+  rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
+  RtRuntime runtime(&engine, cfg);  // the constructor's trim fails
+  const Status st = runtime.recover(nullptr);  // and so does recovery's
+  EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.to_string();
+  std::vector<std::uint8_t> after;
+  ASSERT_TRUE(storage::read_raw(log, storage::ArtifactKind::kSourceLog,
+                                storage::DurableOptions{}, &after)
+                  .is_ok());
+  EXPECT_EQ(after, before) << "a failed trim modified the log";
+  EXPECT_EQ(reg.counter("ft.log.torn_frames")->value(), 0);
+
+  faults.clear();
+  ASSERT_TRUE(runtime.recover(nullptr).is_ok());
+  EXPECT_EQ(reg.counter("ft.log.torn_frames")->value(), 1);
+  wait_quiescent(engine);
+  runtime.stop();
+  expect_sink_exact(engine, total);
+  expect_table_exact(engine, total);
+  EXPECT_TRUE(scrub_checkpoint_dir(cfg.dir).clean());
+}
+
 // The MSLG header is verified like any frame: an empty file is a fresh log,
 // a file shorter than the header is a header torn at creation (torn at 0,
 // and the runtime resets it), and a whole header that does not verify is
@@ -895,6 +944,50 @@ TEST(RtCorruptionTest, FailedLogAppendDegradesHealthUntilCovered) {
   }
   EXPECT_TRUE(runtime.health().is_ok()) << runtime.health().to_string();
   runtime.stop();
+}
+
+// The MSLG header goes out in the same write as a fresh log's first frame,
+// so a failed header write is an ordinary append failure: counted, cut back
+// to the empty file, health() degraded until a checkpoint boundary covers
+// the lost record, and the next append writes the header again. After a
+// crash the log still verifies and the replay is exact.
+TEST(RtCorruptionTest, FailedLogHeaderWriteIsAnAppendFailure) {
+  auto feed = std::make_shared<ExternalFeed>();
+  MetricsRegistry reg;
+  auto cfg = drill_config(fresh_dir("ms_corr_hdrwrite"), &reg);
+  DiskFaultInjector faults;
+  cfg.disk_faults = &faults;
+  faults.arm_write(storage::ArtifactKind::kSourceLog,
+                   storage::WriteFault::kError);  // one-shot: the first write
+  std::int64_t total = 0;
+  {
+    rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
+    RtRuntime runtime(&engine, cfg);
+    ASSERT_TRUE(runtime.start().is_ok());
+    ASSERT_TRUE(wait_drained(engine, 50));
+    EXPECT_EQ(faults.injected(), 1);
+    EXPECT_EQ(reg.counter("ft.log.append_failures")->value(), 1);
+    EXPECT_EQ(runtime.health().code(), StatusCode::kDataLoss);
+    ASSERT_TRUE(take_checkpoint(runtime, 0));
+    EXPECT_TRUE(runtime.health().is_ok()) << runtime.health().to_string();
+    ASSERT_TRUE(wait_drained(engine, engine.sink_tuples() + 50));
+    runtime.simulate_crash();
+    feed->paused.store(true);
+    wait_quiescent(engine);
+    total = feed->cursor.load();
+    runtime.stop();
+  }
+
+  cfg.disk_faults = nullptr;
+  rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
+  RtRuntime runtime(&engine, cfg);
+  const Status st = runtime.recover(nullptr);
+  ASSERT_TRUE(st.is_ok()) << st.to_string();
+  wait_quiescent(engine);
+  runtime.stop();
+  expect_sink_exact(engine, total);
+  expect_table_exact(engine, total);
+  EXPECT_TRUE(scrub_checkpoint_dir(cfg.dir).clean());
 }
 
 // --- truncated baseline unit files -------------------------------------------

@@ -24,6 +24,7 @@
 #include "failure/rt_chaos.h"
 #include "ft/epoch_store.h"
 #include "ft/rt_runtime.h"
+#include "ft/source_log.h"
 #include "rt/engine.h"
 #include "storage/durable_file.h"
 

@@ -18,6 +18,7 @@
 #include "../testing/rt_feed.h"
 #include "../testing/test_ops.h"
 #include "ft/epoch_store.h"
+#include "ft/source_log.h"
 #include "rt/engine.h"
 #include "storage/durable_file.h"
 
