@@ -25,6 +25,45 @@ void AaController::begin(SimTime now) {
   checkpointed_this_period_ = false;
 }
 
+void AaController::start(Runtime* runtime) {
+  MS_CHECK(runtime != nullptr);
+  runtime_ = runtime;
+  begin(runtime_->now());
+  stage_.begin_observation();
+  const SimTime window = profile_window();
+  runtime_->schedule_after(window, [this] {
+    plain_checkpoint();
+    stage_.end_observation();
+  });
+  const int profile_periods = std::max(1, params_.profile_periods);
+  for (int k = 1; k <= profile_periods; ++k) {
+    runtime_->schedule_after(window * static_cast<std::int64_t>(k + 1),
+                             [this] { plain_checkpoint(); });
+  }
+  runtime_->schedule_after(
+      window * static_cast<std::int64_t>(profile_periods + 1), [this] {
+        stage_.end_profiling();
+        finish_profiling(runtime_->now());
+        execution_loop();
+      });
+}
+
+void AaController::plain_checkpoint() {
+  if (params_.checkpoint_during_profiling) hooks_.trigger_checkpoint();
+}
+
+void AaController::execution_loop() {
+  if (stage_.blocked && stage_.blocked()) {
+    runtime_->schedule_after(SimTime::seconds(1), [this] { execution_loop(); });
+    return;
+  }
+  on_period_start(runtime_->now());
+  runtime_->schedule_after(params_.checkpoint_period, [this] {
+    on_period_end(runtime_->now());
+    execution_loop();
+  });
+}
+
 void AaController::report_observation(int hau_id, double min_size,
                                       double avg_size) {
   observed_[hau_id] = {min_size, avg_size};
@@ -43,6 +82,11 @@ void AaController::finish_observation(SimTime now) {
   profiling_started_ = now;
   trace_instant(now, "aa-observation-done");
   MS_LOG_INFO("aa", "observation done: %zu dynamic HAUs", dynamic_.size());
+}
+
+SimTime AaController::profile_window() const {
+  return params_.profile_period > SimTime::zero() ? params_.profile_period
+                                                  : params_.checkpoint_period;
 }
 
 bool AaController::is_dynamic(int hau_id) const {
@@ -120,9 +164,7 @@ void AaController::finish_profiling(SimTime now) {
   }
 
   // Per-period minima of the aggregate over the profiling window.
-  const SimTime period = params_.profile_period > SimTime::zero()
-                             ? params_.profile_period
-                             : params_.checkpoint_period;
+  const SimTime period = profile_window();
   const SimTime t0 = profiling_started_;
   std::vector<double> minima;
   for (SimTime p = t0; p + period <= now; p += period) {

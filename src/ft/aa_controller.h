@@ -2,13 +2,13 @@
 // (paper §III-C2/3).
 //
 // Life cycle:
-//   1. Observation (one checkpoint period): every HAU tracks min/avg of its
+//   1. Observation (one profile window): every HAU tracks min/avg of its
 //      state size locally; at the end each reports the pair and the
 //      controller marks *dynamic* HAUs (min < threshold * avg).
-//   2. Profiling (remaining profile periods): dynamic HAUs report the
+//   2. Profiling (profile_periods more windows): dynamic HAUs report the
 //      turning points of their state size; the controller rebuilds each
 //      HAU's polyline, sums them, takes the minimum of the aggregate in
-//      each period, and derives smax/smin with the relaxation factor
+//      each window, and derives smax/smin with the relaxation factor
 //      alpha >= 20 %.
 //   3. Execution: per period the controller queries dynamic HAUs for
 //      (size, ICR) at the period start and whenever a dynamic HAU reports a
@@ -18,9 +18,12 @@
 //      the checkpoint. A period with no alert-triggered checkpoint ends
 //      with a forced checkpoint.
 //
-// This class is a pure state machine — message transport, timers and the
-// actual checkpoint trigger are injected by MsScheme, which makes the logic
-// directly unit-testable against the paper's Fig. 10/11 walkthrough.
+// This class is a pure state machine — message transport and the actual
+// checkpoint trigger are injected by both runtimes (MsScheme, RtRuntime),
+// which makes the logic directly unit-testable against the paper's
+// Fig. 10/11 walkthrough. start() is the one stage timeline both runtimes
+// share; the per-HAU half (sampling, turning points, half-drops) is
+// AaSampler (ft/aa_sampler.h).
 #pragma once
 
 #include <cstdint>
@@ -31,6 +34,7 @@
 
 #include "common/units.h"
 #include "ft/params.h"
+#include "ft/runtime.h"
 #include "statesize/turning_point.h"
 
 namespace ms {
@@ -45,9 +49,16 @@ class AaController {
 
   explicit AaController(const FtParams& params) : params_(params) {}
 
-  // --- events from MsScheme ---
+  // --- events from the runtimes ---
 
   void begin(SimTime now);
+  /// begin() and then run the stage timeline on `runtime`'s timers. With
+  /// W = profile_period (checkpoint_period when zero) and
+  /// P = max(1, profile_periods), counted from now: observation ends at W,
+  /// profiling at (P+1)W, and execution then runs on_period_start /
+  /// on_period_end every checkpoint_period. With checkpoint_during_profiling
+  /// a plain checkpoint falls at every window boundary W..(P+1)W.
+  void start(Runtime* runtime);
 
   /// Observation result from one HAU (end of observation period).
   void report_observation(int hau_id, double min_size, double avg_size);
@@ -78,6 +89,20 @@ class AaController {
     std::function<void(bool)> set_alert_reporting;
   };
   void set_hooks(Hooks hooks) { hooks_ = std::move(hooks); }
+  /// The per-stage effects of start()'s timeline.
+  struct StageHooks {
+    /// Every HAU opens its observation window.
+    std::function<void()> begin_observation;
+    /// Collect every HAU's (min, avg); the runtime calls
+    /// finish_observation once the reports are in.
+    std::function<void()> end_observation;
+    /// Dynamic HAUs stop reporting profiling turning points.
+    std::function<void()> end_profiling;
+    /// Optional: while true (a recovery in flight) the execution loop
+    /// retries in one second instead of opening a period.
+    std::function<bool()> blocked;
+  };
+  void set_stage_hooks(StageHooks hooks) { stage_ = std::move(hooks); }
 
   /// Emit the controller's decisions (observation/profiling done, alert
   /// mode transitions, trigger firings) as trace instants.
@@ -99,12 +124,18 @@ class AaController {
   void force_execution(std::vector<int> dynamic_haus, double smax, double smin);
 
  private:
+  /// Length of the observation window and of each profiling window.
+  SimTime profile_window() const;
+  void plain_checkpoint();
+  void execution_loop();
   void evaluate_alert_entry(SimTime now);
   void maybe_fire(SimTime now);
   void trace_instant(SimTime now, const char* name);
 
   FtParams params_;
   Hooks hooks_;
+  StageHooks stage_;
+  Runtime* runtime_ = nullptr;  // start()'s timers
   TraceRecorder* trace_ = nullptr;
   Phase phase_ = Phase::kObservation;
 

@@ -101,9 +101,29 @@ MsScheme::MsScheme(core::Application* app, const FtParams& params,
     emit_probe(point, unit, id);
   });
   aa_.set_hooks(AaController::Hooks{
-      .query_dynamic_haus = [this] { aa_query_dynamic(); },
+      .query_dynamic_haus =
+          [this] {
+            aa_to_dynamic(
+                [](MsHauFt& ft, core::Hau& h) { ft.aa_query_state(h); });
+          },
       .trigger_checkpoint = [this] { begin_checkpoint(); },
-      .set_alert_reporting = [this](bool on) { aa_set_alert_reporting(on); },
+      .set_alert_reporting =
+          [this](bool on) {
+            aa_to_dynamic([on](MsHauFt& ft, core::Hau&) {
+              ft.aa_sampler().set_alert(on);
+            });
+          },
+  });
+  aa_.set_stage_hooks(AaController::StageHooks{
+      .begin_observation = [this] { aa_begin_observation(); },
+      .end_observation = [this] { aa_end_observation(); },
+      .end_profiling =
+          [this] {
+            aa_to_dynamic([](MsHauFt& ft, core::Hau&) {
+              ft.aa_sampler().set_profiling(false);
+            });
+          },
+      .blocked = [this] { return recovery_in_progress_; },
   });
   bind_metrics();
 }
@@ -150,7 +170,7 @@ void MsScheme::attach() {
 
 void MsScheme::start() {
   if (application_aware()) {
-    aa_start_pipeline();
+    aa_.start(runtime_.get());
   } else if (params_.periodic) {
     coordinator_->schedule_periodic();
   }
@@ -250,7 +270,6 @@ void MsHauFt::on_start(core::Hau& hau) {
         scheme_->preserve_key(hau.id()), std::move(obj));
   }
   if (scheme_->application_aware()) {
-    aa_sampling_ = true;
     hau.schedule(scheme_->params().state_sample_period,
                  [this, &hau] { aa_sample(hau); });
   }
@@ -268,10 +287,7 @@ void MsHauFt::on_restart(core::Hau& hau) {
   flush_in_flight_ = false;
   flush_timer_armed_ = false;
   has_last_report_ = false;
-  detector_.reset();
-  aa_alert_ = false;
-  aa_profiling_ = false;
-  aa_observing_ = false;
+  aa_sampler_.restart();
   if (scheme_->application_aware()) {
     hau.schedule(scheme_->params().state_sample_period,
                  [this, &hau] { aa_sample(hau); });
@@ -752,147 +768,85 @@ void MsHauFt::resend_inflight(
 // MsHauFt — application-aware sampling
 // ---------------------------------------------------------------------------
 
-void MsHauFt::aa_begin_observation(core::Hau& hau) {
-  (void)hau;
-  aa_observing_ = true;
-  aa_obs_min_ = 0.0;
-  aa_obs_sum_ = 0.0;
-  aa_obs_n_ = 0;
-}
-
 void MsHauFt::aa_end_observation(core::Hau& hau) {
-  aa_observing_ = false;
-  const double min = aa_obs_n_ > 0 ? aa_obs_min_ : 0.0;
-  const double avg =
-      aa_obs_n_ > 0 ? aa_obs_sum_ / static_cast<double>(aa_obs_n_) : 0.0;
+  const AaSampler::Observation obs = aa_sampler_.end_observation();
   const int id = hau.id();
-  scheme_->to_controller(hau, 96, [scheme = scheme_, id, min, avg] {
-    scheme->aa().report_observation(id, min, avg);
+  scheme_->to_controller(hau, 96, [scheme = scheme_, id, obs] {
+    scheme->aa().report_observation(id, obs.min, obs.avg);
     scheme->aa_observation_report_received();
   });
-}
-
-void MsHauFt::aa_set_profiling(core::Hau& hau, bool on) {
-  (void)hau;
-  aa_profiling_ = on;
 }
 
 void MsHauFt::aa_query_state(core::Hau& hau) {
   const int id = hau.id();
   const double size = static_cast<double>(hau.state_size());
-  const double icr = detector_.current_icr();
+  const double icr = aa_sampler_.current_icr();
   scheme_->to_controller(hau, 96, [scheme = scheme_, id, size, icr] {
     scheme->aa().on_query_response(id, scheme->app().simulation().now(), size,
                                    icr);
   });
 }
 
-void MsHauFt::aa_set_alert(core::Hau& hau, bool on) {
-  (void)hau;
-  aa_alert_ = on;
-}
-
 void MsHauFt::aa_sample(core::Hau& hau) {
-  if (!aa_sampling_ || hau.failed()) return;
-  const SimTime now = hau.app().simulation().now();
-  const double size = static_cast<double>(hau.state_size());
-  if (aa_observing_) {
-    aa_obs_min_ = aa_obs_n_ == 0 ? size : std::min(aa_obs_min_, size);
-    aa_obs_sum_ += size;
-    ++aa_obs_n_;
+  if (hau.failed()) return;
+  const AaSampler::Events events = aa_sampler_.add_sample(
+      hau.app().simulation().now(), static_cast<double>(hau.state_size()));
+  const int id = hau.id();
+  if (events.turning_point.has_value()) {
+    const auto point = *events.turning_point;
+    scheme_->to_controller(hau, 96, [scheme = scheme_, id, point] {
+      scheme->aa().report_turning_point(id, point.t, point.size, point.icr);
+    });
   }
-  const auto tp = detector_.add_sample(now, size);
-  if (tp.has_value()) {
-    const int id = hau.id();
-    if (aa_profiling_ || (aa_alert_ && aa_dynamic_)) {
-      const auto point = *tp;
-      scheme_->to_controller(hau, 96, [scheme = scheme_, id, point] {
-        scheme->aa().report_turning_point(id, point.t, point.size, point.icr);
-      });
-    }
-    if (aa_dynamic_ && !aa_alert_) {
-      // Half-drop detection: a minimum below half of the preceding maximum.
-      if (!tp->is_minimum) {
-        aa_last_reported_tp_size_ = tp->size;
-      } else if (aa_last_reported_tp_size_ > 0.0 &&
-                 tp->size < 0.5 * aa_last_reported_tp_size_) {
-        scheme_->to_controller(hau, 64, [scheme = scheme_, id] {
-          scheme->aa().on_half_drop_notification(
-              id, scheme->app().simulation().now());
-        });
-      }
-    }
+  if (events.half_drop) {
+    scheme_->to_controller(hau, 64, [scheme = scheme_, id] {
+      scheme->aa().on_half_drop_notification(id,
+                                             scheme->app().simulation().now());
+    });
   }
   hau.schedule(scheme_->params().state_sample_period,
                [this, &hau] { aa_sample(hau); });
 }
 
 // ---------------------------------------------------------------------------
-// MsScheme — AA pipeline plumbing
+// MsScheme — AA pipeline plumbing (the stage timeline is AaController's)
 // ---------------------------------------------------------------------------
 
-void MsScheme::aa_start_pipeline() {
-  auto& sim = app_->simulation();
-  aa_.begin(sim.now());
+void MsScheme::aa_begin_observation() {
   aa_obs_reports_ = 0;
   aa_obs_expected_ = app_->num_haus();
   aa_obs_closed_ = false;
   for (int i = 0; i < app_->num_haus(); ++i) {
-    core::Hau& hau = app_->hau(i);
     MsHauFt* ft = fts_[static_cast<std::size_t>(i)];
-    to_hau(hau, 64, [ft](core::Hau& h) { ft->aa_begin_observation(h); });
+    to_hau(app_->hau(i), 64,
+           [ft](core::Hau&) { ft->aa_sampler().begin_observation(); });
   }
-  const SimTime period = params_.profile_period > SimTime::zero()
-                             ? params_.profile_period
-                             : params_.checkpoint_period;
+}
 
-  // End of observation: collect (min, avg); checkpoints continue on the
-  // plain periodic schedule until execution takes over. Only HAUs alive at
-  // send time can ever report — counting on all of them would wedge the
-  // pipeline forever after a single failure — and a timeout closes the
-  // phase even if a counted HAU dies between the command and its report.
-  sim.schedule_after(period, [this] {
-    if (params_.checkpoint_during_profiling) begin_checkpoint();
-    int live = 0;
-    for (int i = 0; i < app_->num_haus(); ++i) {
-      core::Hau& hau = app_->hau(i);
-      if (hau.failed()) continue;
-      ++live;
-      MsHauFt* ft = fts_[static_cast<std::size_t>(i)];
-      to_hau(hau, 64, [ft](core::Hau& h) { ft->aa_end_observation(h); });
-    }
-    aa_obs_expected_ = live;
-    if (aa_obs_reports_ >= aa_obs_expected_) {
-      aa_finish_observation();
-      return;
-    }
-    app_->simulation().schedule_after(params_.aa_observation_timeout, [this] {
-      if (aa_obs_closed_) return;
-      MS_LOG_WARN("ft", "AA observation closed by timeout: %d of %d reports",
-                  aa_obs_reports_, aa_obs_expected_);
-      aa_finish_observation();
-    });
+void MsScheme::aa_end_observation() {
+  // Collect (min, avg). Only HAUs alive at send time can ever report —
+  // counting on all of them would wedge the pipeline forever after a single
+  // failure — and a timeout closes the phase even if a counted HAU dies
+  // between the command and its report.
+  int live = 0;
+  for (int i = 0; i < app_->num_haus(); ++i) {
+    core::Hau& hau = app_->hau(i);
+    if (hau.failed()) continue;
+    ++live;
+    MsHauFt* ft = fts_[static_cast<std::size_t>(i)];
+    to_hau(hau, 64, [ft](core::Hau& h) { ft->aa_end_observation(h); });
+  }
+  aa_obs_expected_ = live;
+  if (aa_obs_reports_ >= aa_obs_expected_) {
+    aa_finish_observation();
+    return;
+  }
+  app_->simulation().schedule_after(params_.aa_observation_timeout, [this] {
+    if (aa_obs_closed_) return;
+    MS_LOG_WARN("ft", "AA observation closed by timeout: %d of %d reports",
+                aa_obs_reports_, aa_obs_expected_);
+    aa_finish_observation();
   });
-
-  const int profile_periods = std::max(1, params_.profile_periods);
-  for (int k = 1; k <= profile_periods; ++k) {
-    sim.schedule_after(period * static_cast<std::int64_t>(k + 1), [this] {
-      if (params_.checkpoint_during_profiling) begin_checkpoint();
-    });
-  }
-  sim.schedule_after(period * static_cast<std::int64_t>(profile_periods + 1),
-                     [this] {
-                       for (const int i : aa_.dynamic_haus()) {
-                         core::Hau& hau = app_->hau(i);
-                         if (hau.failed()) continue;
-                         MsHauFt* ft = fts_[static_cast<std::size_t>(i)];
-                         to_hau(hau, 64, [ft](core::Hau& h) {
-                           ft->aa_set_profiling(h, false);
-                         });
-                       }
-                       aa_.finish_profiling(app_->simulation().now());
-                       aa_execution_loop();
-                     });
 }
 
 void MsScheme::aa_observation_report_received() {
@@ -907,43 +861,19 @@ void MsScheme::aa_finish_observation() {
   aa_obs_closed_ = true;
   aa_.finish_observation(app_->simulation().now());
   for (const int i : aa_.dynamic_haus()) {
-    core::Hau& hau = app_->hau(i);
-    if (hau.failed()) continue;
-    MsHauFt* ft = fts_[static_cast<std::size_t>(i)];
-    ft->aa_mark_dynamic();
-    to_hau(hau, 64, [ft](core::Hau& h) { ft->aa_set_profiling(h, true); });
+    if (app_->hau(i).failed()) continue;
+    fts_[static_cast<std::size_t>(i)]->aa_sampler().mark_dynamic();
   }
+  aa_to_dynamic(
+      [](MsHauFt& ft, core::Hau&) { ft.aa_sampler().set_profiling(true); });
 }
 
-void MsScheme::aa_execution_loop() {
-  if (recovery_in_progress_) {
-    // Retry after the recovery settles.
-    app_->simulation().schedule_after(SimTime::seconds(1),
-                                      [this] { aa_execution_loop(); });
-    return;
-  }
-  aa_.on_period_start(app_->simulation().now());
-  app_->simulation().schedule_after(params_.checkpoint_period, [this] {
-    aa_.on_period_end(app_->simulation().now());
-    aa_execution_loop();
-  });
-}
-
-void MsScheme::aa_query_dynamic() {
+void MsScheme::aa_to_dynamic(std::function<void(MsHauFt&, core::Hau&)> fn) {
   for (const int i : aa_.dynamic_haus()) {
     core::Hau& hau = app_->hau(i);
     if (hau.failed()) continue;
     MsHauFt* ft = fts_[static_cast<std::size_t>(i)];
-    to_hau(hau, 64, [ft](core::Hau& h) { ft->aa_query_state(h); });
-  }
-}
-
-void MsScheme::aa_set_alert_reporting(bool on) {
-  for (const int i : aa_.dynamic_haus()) {
-    core::Hau& hau = app_->hau(i);
-    if (hau.failed()) continue;
-    MsHauFt* ft = fts_[static_cast<std::size_t>(i)];
-    to_hau(hau, 64, [ft, on](core::Hau& h) { ft->aa_set_alert(h, on); });
+    to_hau(hau, 64, [ft, fn](core::Hau& h) { fn(*ft, h); });
   }
 }
 

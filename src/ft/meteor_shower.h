@@ -28,6 +28,7 @@
 #include "common/rng.h"
 #include "core/application.h"
 #include "ft/aa_controller.h"
+#include "ft/aa_sampler.h"
 #include "ft/cadence_controller.h"
 #include "ft/failure_detector.h"
 #include "ft/params.h"
@@ -36,7 +37,6 @@
 #include "ft/sim_runtime.h"
 #include "ft/stats.h"
 #include "ft/tracing.h"
-#include "statesize/turning_point.h"
 
 namespace ms::ft {
 
@@ -155,13 +155,13 @@ class MsScheme {
   void start_epoch_fanout(std::uint64_t ckpt_id);
   void commit_epoch_fanout(std::uint64_t ckpt_id);
 
-  // AA plumbing.
-  void aa_start_pipeline();
+  // AA plumbing (AaController hooks).
+  void aa_begin_observation();
+  void aa_end_observation();
   void aa_observation_report_received();
   void aa_finish_observation();
-  void aa_execution_loop();
-  void aa_query_dynamic();
-  void aa_set_alert_reporting(bool on);
+  /// A 64-byte control message running `fn` at every live dynamic HAU.
+  void aa_to_dynamic(std::function<void(MsHauFt&, core::Hau&)> fn);
 
   // Recovery plumbing.
   struct PerHauRecovery {
@@ -295,12 +295,11 @@ class MsHauFt final : public core::HauFt {
   void on_app_checkpoint_complete(core::Hau& hau, std::uint64_t ckpt_id);
 
   // --- AA per-HAU protocol ---
-  void aa_begin_observation(core::Hau& hau);
+  /// Report the observation window's (min, avg) to the controller.
   void aa_end_observation(core::Hau& hau);
-  void aa_set_profiling(core::Hau& hau, bool on);
+  /// Answer a state-size query with (size, ICR).
   void aa_query_state(core::Hau& hau);
-  void aa_set_alert(core::Hau& hau, bool on);
-  void aa_mark_dynamic() { aa_dynamic_ = true; }
+  AaSampler& aa_sampler() { return aa_sampler_; }
 
   /// Preserved source log (tuples in dispatch order, with a start offset
   /// from truncation).
@@ -374,17 +373,7 @@ class MsHauFt final : public core::HauFt {
   HauCheckpointReport last_report_;
   bool has_last_report_ = false;
 
-  // --- AA sampling ---
-  bool aa_sampling_ = false;
-  bool aa_dynamic_ = false;
-  bool aa_profiling_ = false;
-  bool aa_alert_ = false;
-  bool aa_observing_ = false;
-  double aa_obs_min_ = 0.0;
-  double aa_obs_sum_ = 0.0;
-  std::int64_t aa_obs_n_ = 0;
-  double aa_last_reported_tp_size_ = -1.0;
-  statesize::TurningPointDetector detector_;
+  AaSampler aa_sampler_;
 };
 
 }  // namespace ms::ft

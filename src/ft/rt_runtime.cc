@@ -65,18 +65,41 @@ RtRuntime::RtRuntime(rt::RtEngine* engine, RtRuntimeConfig config)
   coordinator_->set_blocked_fn([this] { return initiation_stopped_; });
 
   if (config_.mode == RtMode::kSrcApAa) {
+    // Every AA hook runs under ctl_mu_, which also guards samplers_.
     aa_ = std::make_unique<AaController>(config_.params);
-    AaController::Hooks hooks;
-    // Hooks fire while ctl_mu_ is held; sampling engine state must not
-    // happen under it (op_mu ordering), so the query hops to the timer.
-    hooks.query_dynamic_haus = [this] {
-      engine_->run_after(SimTime::zero(), [this] { aa_query_dynamic(); });
-    };
-    hooks.trigger_checkpoint = [this] { coordinator_->begin_checkpoint(); };
-    hooks.set_alert_reporting = [this](bool on) {
-      alert_reporting_.store(on);
-    };
-    aa_->set_hooks(std::move(hooks));
+    aa_->set_hooks(AaController::Hooks{
+        // op_state_size must not run under ctl_mu_ (op_mu ordering), so the
+        // query hops to the timer thread.
+        .query_dynamic_haus =
+            [this] {
+              engine_->run_after(SimTime::zero(),
+                                 [this] { aa_query_dynamic(); });
+            },
+        .trigger_checkpoint = [this] { coordinator_->begin_checkpoint(); },
+        .set_alert_reporting =
+            [this](bool on) {
+              for (const int op : aa_->dynamic_haus()) {
+                samplers_[op].set_alert(on);
+              }
+            },
+    });
+    aa_->set_stage_hooks(AaController::StageHooks{
+        .begin_observation =
+            [this] {
+              samplers_.assign(
+                  static_cast<std::size_t>(engine_->num_operators()),
+                  AaSampler{});
+              for (AaSampler& s : samplers_) s.begin_observation();
+            },
+        .end_observation = [this] { aa_end_observation(); },
+        .end_profiling =
+            [this] {
+              for (const int op : aa_->dynamic_haus()) {
+                samplers_[op].set_profiling(false);
+              }
+            },
+        .blocked = nullptr,
+    });
   }
 
   if (config_.auto_recover) {
@@ -165,9 +188,15 @@ void RtRuntime::arm_initiation() {
       }
       break;
     }
-    case RtMode::kSrcApAa:
-      start_aa_pipeline();
+    case RtMode::kSrcApAa: {
+      {
+        std::scoped_lock lk(ctl_mu_);
+        aa_->start(this);  // resets the samplers
+      }
+      engine_->run_after(config_.params.state_sample_period,
+                         [this] { aa_sample_tick(); });
       break;
+    }
     case RtMode::kBaseline: {
       const int n = engine_->num_operators();
       for (int i = 0; i < n; ++i) schedule_baseline(i);
@@ -817,177 +846,54 @@ void RtRuntime::schedule_baseline(int op) {
 // ---------------------------------------------------------------------------
 // AA pipeline (kSrcApAa)
 
-void RtRuntime::start_aa_pipeline() {
-  const int n = engine_->num_operators();
-  aa_samples_.assign(static_cast<std::size_t>(n), AaSample{});
-  alert_reporting_.store(false);
-  aa_stage_ = AaStage::kObservation;
-  const SimTime t = now();
-  aa_stage_end_ = t + config_.params.checkpoint_period;
-  aa_next_plain_ = t + config_.params.checkpoint_period;
-  {
-    std::scoped_lock lk(ctl_mu_);
-    aa_->begin(t);
+std::vector<double> RtRuntime::aa_state_sizes() const {
+  std::vector<double> sizes;
+  for (int i = 0; i < engine_->num_operators(); ++i) {
+    sizes.push_back(static_cast<double>(engine_->op_state_size(i)));
   }
-  engine_->run_after(config_.params.state_sample_period,
-                     [this] { aa_sample_tick(); });
+  return sizes;
 }
 
 void RtRuntime::aa_sample_tick() {
   if (!engine_->running()) return;
+  const std::vector<double> sizes = aa_state_sizes();
   {
     std::scoped_lock lk(ctl_mu_);
     if (initiation_stopped_) return;
-  }
-  const SimTime tnow = now();
-  const int n = engine_->num_operators();
-
-  // Sample sizes outside ctl_mu_ (op_state_size takes per-operator mutexes).
-  std::vector<double> sizes(static_cast<std::size_t>(n), 0.0);
-  for (int i = 0; i < n; ++i) {
-    sizes[static_cast<std::size_t>(i)] =
-        static_cast<double>(engine_->op_state_size(i));
-  }
-
-  struct Event {
-    int op;
-    double size;
-    double icr;
-    bool turning_point;
-    bool half_drop;
-  };
-  std::vector<Event> events;
-  for (int i = 0; i < n; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    AaSample& s = aa_samples_[idx];
-    const double size = sizes[idx];
-    double icr = 0.0;
-    bool have_icr = false;
-    if (s.valid) {
-      const double dt = (tnow - s.last_at).to_seconds();
-      if (dt > 0) {
-        icr = (size - s.last_size) / dt;
-        have_icr = true;
+    const SimTime tnow = now();
+    for (int op = 0; op < static_cast<int>(sizes.size()); ++op) {
+      const AaSampler::Events events =
+          samplers_[op].add_sample(tnow, sizes[op]);
+      if (events.turning_point.has_value()) {
+        const auto& tp = *events.turning_point;
+        aa_->report_turning_point(op, tp.t, tp.size, tp.icr);
       }
-    }
-    const bool turning = have_icr && ((s.last_icr > 0 && icr < 0) ||
-                                      (s.last_icr < 0 && icr > 0));
-    const bool half_drop = s.valid && size < 0.5 * s.last_size;
-    events.push_back({i, size, icr, turning, half_drop});
-    if (aa_stage_ == AaStage::kObservation) {
-      if (s.samples == 0 || size < s.min_size) s.min_size = size;
-      s.sum_size += size;
-      ++s.samples;
-    }
-    if (have_icr) s.last_icr = icr;
-    s.last_size = size;
-    s.last_at = tnow;
-    s.valid = true;
-  }
-
-  switch (aa_stage_) {
-    case AaStage::kObservation: {
-      if (tnow >= aa_stage_end_) {
-        std::scoped_lock lk(ctl_mu_);
-        for (int i = 0; i < n; ++i) {
-          const AaSample& s = aa_samples_[static_cast<std::size_t>(i)];
-          const double avg = s.samples ? s.sum_size / s.samples : 0.0;
-          aa_->report_observation(i, s.min_size, avg);
-        }
-        aa_->finish_observation(tnow);
-        aa_stage_ = AaStage::kProfiling;
-        aa_profile_left_ = std::max(1, config_.params.profile_periods);
-        const SimTime window = config_.params.profile_period.ns() > 0
-                                   ? config_.params.profile_period
-                                   : config_.params.checkpoint_period;
-        aa_stage_end_ = tnow + window;
-      }
-      break;
-    }
-    case AaStage::kProfiling: {
-      {
-        std::scoped_lock lk(ctl_mu_);
-        for (const Event& e : events) {
-          if (e.turning_point && aa_->is_dynamic(e.op)) {
-            aa_->report_turning_point(e.op, tnow, e.size, e.icr);
-          }
-        }
-      }
-      if (tnow >= aa_stage_end_) {
-        if (--aa_profile_left_ <= 0) {
-          std::scoped_lock lk(ctl_mu_);
-          aa_->finish_profiling(tnow);
-          aa_stage_ = AaStage::kExecution;
-          aa_->on_period_start(tnow);
-          aa_stage_end_ = tnow + config_.params.checkpoint_period;
-        } else {
-          const SimTime window = config_.params.profile_period.ns() > 0
-                                     ? config_.params.profile_period
-                                     : config_.params.checkpoint_period;
-          aa_stage_end_ = tnow + window;
-        }
-      }
-      break;
-    }
-    case AaStage::kExecution: {
-      if (alert_reporting_.load()) {
-        std::scoped_lock lk(ctl_mu_);
-        for (const Event& e : events) {
-          if (!aa_->is_dynamic(e.op)) continue;
-          if (e.turning_point) {
-            aa_->report_turning_point(e.op, tnow, e.size, e.icr);
-          }
-          if (e.half_drop) aa_->on_half_drop_notification(e.op, tnow);
-        }
-      }
-      if (tnow >= aa_stage_end_) {
-        std::scoped_lock lk(ctl_mu_);
-        aa_->on_period_end(tnow);  // forces a checkpoint if none fired
-        aa_->on_period_start(tnow);
-        aa_stage_end_ = tnow + config_.params.checkpoint_period;
-      }
-      break;
+      if (events.half_drop) aa_->on_half_drop_notification(op, tnow);
     }
   }
-
-  // Plain periodic checkpoints keep firing while the controller is still
-  // learning (checkpoint_during_profiling).
-  if (aa_stage_ != AaStage::kExecution &&
-      config_.params.checkpoint_during_profiling && config_.params.periodic &&
-      tnow >= aa_next_plain_) {
-    std::scoped_lock lk(ctl_mu_);
-    coordinator_->begin_checkpoint();
-    aa_next_plain_ = tnow + config_.params.checkpoint_period;
-  }
-
   engine_->run_after(config_.params.state_sample_period,
                      [this] { aa_sample_tick(); });
 }
 
+void RtRuntime::aa_end_observation() {
+  for (int op = 0; op < static_cast<int>(samplers_.size()); ++op) {
+    const AaSampler::Observation obs = samplers_[op].end_observation();
+    aa_->report_observation(op, obs.min, obs.avg);
+  }
+  aa_->finish_observation(now());
+  for (const int op : aa_->dynamic_haus()) {
+    samplers_[op].mark_dynamic();
+    samplers_[op].set_profiling(true);
+  }
+}
+
 void RtRuntime::aa_query_dynamic() {
   if (!engine_->running()) return;
-  std::vector<int> dynamic;
-  {
-    std::scoped_lock lk(ctl_mu_);
-    dynamic = aa_->dynamic_haus();
-  }
-  const SimTime tnow = now();
-  std::vector<std::pair<double, double>> sampled;  // (size, icr)
-  sampled.reserve(dynamic.size());
-  for (int op : dynamic) {
-    const double size = static_cast<double>(engine_->op_state_size(op));
-    const AaSample& s = aa_samples_[static_cast<std::size_t>(op)];
-    double icr = s.last_icr;
-    if (s.valid) {
-      const double dt = (tnow - s.last_at).to_seconds();
-      if (dt > 0) icr = (size - s.last_size) / dt;
-    }
-    sampled.emplace_back(size, icr);
-  }
+  const std::vector<double> sizes = aa_state_sizes();
   std::scoped_lock lk(ctl_mu_);
-  for (std::size_t i = 0; i < dynamic.size(); ++i) {
-    aa_->on_query_response(dynamic[i], tnow, sampled[i].first,
-                           sampled[i].second);
+  const SimTime tnow = now();
+  for (const int op : aa_->dynamic_haus()) {
+    aa_->on_query_response(op, tnow, sizes[op], samplers_[op].current_icr());
   }
 }
 

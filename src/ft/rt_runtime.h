@@ -22,9 +22,10 @@
 //             before its token moves on (EpochMode::kSync);
 //   kSrcAp    snapshots serialize in memory and a helper writes behind the
 //             dataflow (EpochMode::kAsync);
-//   kSrcApAa  kSrcAp plus application-aware timing: a centralized sampler on
-//             the engine timer thread feeds the same AaController state
-//             machine the simulator uses (observation → profiling →
+//   kSrcApAa  kSrcAp plus application-aware timing with the simulator's
+//             parts: a tick on the engine timer thread feeds one AaSampler
+//             per operator, and the same AaController runs its shared stage
+//             timeline on this runtime's timers (observation → profiling →
 //             execution with alert mode; a period with no alert-fired
 //             checkpoint ends with a forced one);
 //   kSrcApDelta  kSrcAp plus delta checkpointing (chained op_<i>.delta
@@ -39,8 +40,10 @@
 // control mutex (ctl_mu_). Engine callbacks (snapshot sink on worker/helper
 // threads, protocol probes under the per-operator mutex) take ctl_mu_, so
 // code holding ctl_mu_ must never call engine functions that take a
-// per-operator mutex (snapshot_now, op_state_size) — the AA sampler and the
-// baseline driver sample outside the lock and report under it.
+// per-operator mutex (snapshot_now, op_state_size) — the AA tick and the
+// baseline driver sample outside the lock and report under it. The AA
+// samplers, their gates and the stage timeline's callbacks live under
+// ctl_mu_.
 #pragma once
 
 #include <atomic>
@@ -59,6 +62,7 @@
 #include "common/status.h"
 #include "core/tuple.h"
 #include "ft/aa_controller.h"
+#include "ft/aa_sampler.h"
 #include "ft/cadence_controller.h"
 #include "ft/epoch_store.h"
 #include "ft/failure_detector.h"
@@ -217,8 +221,11 @@ class RtRuntime final : public Runtime {
   // Mode drivers.
   void arm_initiation();
   void schedule_baseline(int op);
-  void start_aa_pipeline();
+  /// Every operator's state size. Called outside ctl_mu_: op_state_size
+  /// takes the per-operator mutexes.
+  std::vector<double> aa_state_sizes() const;
   void aa_sample_tick();
+  void aa_end_observation();
   void aa_query_dynamic();
 
   // Self-heal supervisor (config.auto_recover).
@@ -236,6 +243,9 @@ class RtRuntime final : public Runtime {
   mutable std::mutex ctl_mu_;
   std::unique_ptr<CheckpointCoordinator> coordinator_;
   std::unique_ptr<AaController> aa_;
+  /// kSrcApAa: one sampler per operator, reset whenever aa_ starts (every
+  /// start() and recover()). Guarded by ctl_mu_.
+  std::vector<AaSampler> samplers_;
   /// In-flight epochs keyed by *disk* epoch number (coordinator id +
   /// store_.epoch_base()). Guarded by ctl_mu_.
   std::map<std::uint64_t, EpochState> pending_;
@@ -282,27 +292,6 @@ class RtRuntime final : public Runtime {
   Counter* m_heal_failed_ = nullptr;
   Counter* m_heal_exhausted_ = nullptr;
   Counter* m_heal_quarantined_ = nullptr;
-
-  // AA sampler state (timer thread only, except where noted).
-  struct AaSample {
-    double last_size = 0.0;
-    double last_icr = 0.0;
-    SimTime last_at;
-    bool valid = false;
-    // Observation accumulation.
-    double min_size = 0.0;
-    double sum_size = 0.0;
-    int samples = 0;
-  };
-  std::vector<AaSample> aa_samples_;
-  std::atomic<bool> alert_reporting_{false};
-  enum class AaStage { kObservation, kProfiling, kExecution };
-  AaStage aa_stage_ = AaStage::kObservation;  // timer thread only
-  SimTime aa_stage_end_;                      // timer thread only
-  int aa_profile_left_ = 0;                   // timer thread only
-  /// Next plain periodic checkpoint while observing/profiling
-  /// (checkpoint_during_profiling). Timer thread only.
-  SimTime aa_next_plain_;
 
   // Baseline per-unit checkpoint counters (timer thread only).
   std::vector<std::uint64_t> baseline_seq_;

@@ -18,10 +18,7 @@ TurningPointDetector::Dir TurningPointDetector::direction(double from,
 std::optional<TurningPoint> TurningPointDetector::add_sample(SimTime t,
                                                              double size) {
   std::optional<TurningPoint> result;
-  if (n_ == 0) {
-    extremum_t_ = t;
-    extremum_size_ = size;
-  } else {
+  if (n_ > 0) {
     MS_CHECK_MSG(t > last_t_, "samples must advance in time");
     const Dir dir = direction(last_size_, size);
     const double dt = (t - last_t_).to_seconds();

@@ -35,8 +35,6 @@ class TurningPointDetector {
 
   /// Slope of the current monotone segment (size/second), 0 before 2 samples.
   double current_icr() const { return icr_; }
-  /// Latest observed size (0 before any sample).
-  double last_size() const { return last_size_; }
   bool has_samples() const { return n_ > 0; }
 
   void reset();
@@ -50,8 +48,6 @@ class TurningPointDetector {
   SimTime last_t_ = SimTime::zero();
   double last_size_ = 0.0;
   Dir last_dir_ = Dir::kFlat;
-  SimTime extremum_t_ = SimTime::zero();
-  double extremum_size_ = 0.0;
   double icr_ = 0.0;
 };
 

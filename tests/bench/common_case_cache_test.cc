@@ -20,7 +20,10 @@ namespace fs = std::filesystem;
 class CommonCaseCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "ms_cache_test";
+    // One directory per case: ctest runs the cases as parallel processes.
+    dir_ = fs::temp_directory_path() /
+           (std::string("ms_cache_test_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
     // Point the cache at a private directory so tests neither see nor
     // clobber real bench caches.

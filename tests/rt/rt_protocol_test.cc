@@ -17,6 +17,7 @@
 
 #include "../testing/rt_feed.h"
 #include "../testing/test_ops.h"
+#include "core/stdops.h"
 #include "ft/epoch_store.h"
 #include "ft/source_log.h"
 #include "rt/engine.h"
@@ -182,6 +183,101 @@ TEST(RtProtocolTest, MsSrcApAaFullCycle) {
   wait_quiescent(engine);
   runtime.stop();
   expect_sink_exact(engine, 3, total);
+}
+
+/// feed -> relay -> sink, and relay -> agg -> to_int -> counts: a tumbling
+/// aggregate with one key per tuple, so its state is a sawtooth (grows by
+/// one entry per tuple, empties at every window flush). `counts` records
+/// each flushed window's tuple count.
+core::QueryGraph sawtooth_feed_graph(std::shared_ptr<ExternalFeed> feed) {
+  core::QueryGraph g;
+  const int src = g.add_source("src", [feed] {
+    return std::make_unique<ms::testing::FeedSource>(
+        "src", feed, SimTime::micros(200), 4);
+  });
+  const int relay = g.add_operator("relay", [] {
+    return std::make_unique<ms::testing::RelayOperator>("relay");
+  });
+  const int sink = g.add_sink(
+      "sink", [] { return std::make_unique<RecordingSink>("sink"); });
+  const int agg = g.add_operator("agg", [] {
+    return std::make_unique<core::TumblingAggregateOperator>(
+        "agg", SimTime::millis(60),
+        [](const core::Tuple& t) {
+          return static_cast<std::uint64_t>(
+              t.payload_as<ms::testing::IntPayload>()->value);
+        },
+        [](const core::Tuple&) { return 1.0; });
+  });
+  const int to_int = g.add_operator("to_int", [] {
+    return std::make_unique<core::MapOperator>(
+        "to_int", [](const core::Tuple& t, core::OperatorContext&) {
+          const auto* s =
+              t.payload_as<core::TumblingAggregateOperator::Summary>();
+          core::Tuple out;
+          out.wire_size = 64;
+          out.payload = std::make_shared<ms::testing::IntPayload>(s->count);
+          return out;
+        });
+  });
+  const int counts = g.add_sink(
+      "counts", [] { return std::make_unique<RecordingSink>("counts"); });
+  g.connect(src, relay);
+  g.connect(relay, sink);
+  g.connect(relay, agg);
+  g.connect(agg, to_int);
+  g.connect(to_int, counts);
+  return g;
+}
+
+TEST(RtProtocolTest, MsSrcApAaLearnsASawtoothAndRecoversExactlyOnce) {
+  // The AA drill with dynamic state: observation must single out the
+  // aggregate (op 3), profiling must learn a positive alert threshold from
+  // its turning points, and checkpoints must reach the execution phase. A
+  // crash and recovery then leave both sinks exactly-once.
+  auto feed = std::make_shared<ExternalFeed>();
+  RtRuntimeConfig cfg;
+  cfg.mode = RtMode::kSrcApAa;
+  cfg.dir = fresh_dir("ms_rtp_aa_sawtooth");
+  cfg.params.periodic = true;
+  cfg.params.checkpoint_period = SimTime::millis(300);
+  cfg.params.state_sample_period = SimTime::millis(5);
+  cfg.params.profile_periods = 1;
+  cfg.params.profile_period = SimTime::millis(200);
+  cfg.params.checkpoint_during_profiling = true;
+  cfg.codec = int_codec();
+
+  std::int64_t total = 0;
+  {
+    rt::RtEngine engine(sawtooth_feed_graph(feed), rt::RtConfig{});
+    RtRuntime runtime(&engine, cfg);
+    ASSERT_TRUE(runtime.start().is_ok());
+    // Two plain learning-phase checkpoints at most, so the third completed
+    // one comes from the execution phase.
+    ASSERT_TRUE(runtime.wait_checkpoints(3, SimTime::seconds(30)));
+    runtime.simulate_crash();
+    wait_drained(engine, engine.sink_tuples() + 50);
+    feed->paused.store(true);
+    wait_quiescent(engine);
+    total = feed->cursor.load();
+    runtime.stop();
+    // The engine's threads are joined: the controller is safe to read.
+    EXPECT_EQ(runtime.aa()->dynamic_haus(), std::vector<int>{3});
+    EXPECT_GT(runtime.aa()->smax(), 0.0);
+    EXPECT_EQ(runtime.aa()->phase(), AaController::Phase::kExecution);
+  }
+
+  rt::RtEngine engine(sawtooth_feed_graph(feed), rt::RtConfig{});
+  RtRuntime runtime(&engine, cfg);
+  ASSERT_TRUE(runtime.recover(nullptr).is_ok());
+  wait_quiescent(engine);
+  runtime.stop();
+  expect_sink_exact(engine, 2, total);
+  // Every tuple was counted in exactly one flushed window.
+  const auto& counts = static_cast<const RecordingSink&>(engine.op(5));
+  std::int64_t counted = 0;
+  for (const std::int64_t c : counts.values) counted += c;
+  EXPECT_EQ(counted, total);
 }
 
 TEST(RtProtocolTest, BaselineFullCycleFromQuiescentCut) {

@@ -70,6 +70,18 @@ for preset in $PRESETS; do
   if ! "${mssim_bin%mssim}msverify" --dir "$smoke_dir"; then
     results+=("$preset: DELTA SMOKE SCRUB FAILED"); status=1; break
   fi
+  # AA smoke: the application-aware scheme's samplers and stage clock on
+  # real threads (the timer-thread tick, the control mutex, the clock's
+  # callbacks), then the same crash, recovery and scrub.
+  echo "=== [$preset] aa-scheme smoke ==="
+  smoke_dir="$(mktemp -d)"
+  if ! "$mssim_bin" --backend rt --scheme ms-src+ap+aa \
+      --run-for 2 --fail-at 1 --dir "$smoke_dir" >/dev/null; then
+    results+=("$preset: AA SMOKE FAILED"); status=1; break
+  fi
+  if ! "${mssim_bin%mssim}msverify" --dir "$smoke_dir"; then
+    results+=("$preset: AA SMOKE SCRUB FAILED"); status=1; break
+  fi
   results+=("$preset: OK")
 done
 
