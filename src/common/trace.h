@@ -3,11 +3,11 @@
 // TraceRecorder is the process-wide sink for timestamped protocol events:
 // token movement, alignment, fork/serialize/write phases, recovery phases,
 // chaos injections, storage operations. Emitters are the fault-tolerance
-// schemes (via the FtPoint probe spine in ft/probe.h), the chaos harness,
-// shared storage, and the real-threads engine. The recorder is thread-safe
-// (the RtEngine emits from worker and helper threads); in simulation mode
-// everything arrives from the single event-loop thread in deterministic
-// order.
+// runtimes of both backends (via the FtPoint probe spine in ft/probe.h and
+// ft::ProbeTracer), the chaos harness, and shared storage. The recorder is
+// thread-safe (the rt runtime's probes fire from worker, helper and timer
+// threads); in simulation mode everything arrives from the single
+// event-loop thread in deterministic order.
 //
 // Events map onto the Chrome trace_event JSON format ("B"/"E" duration
 // spans on per-HAU tracks, "X" complete events for storage operations, "i"
@@ -47,13 +47,12 @@ struct TraceEvent {
   std::vector<std::pair<std::string, std::int64_t>> args;
 };
 
-/// Well-known tracks. The simulated application is pid 0 with one tid per
-/// HAU (tid = hau_id + 1) plus the controller on tid 0; shared storage is
-/// pid 1; the real-threads engine is pid 2.
+/// Well-known tracks. The application is pid 0 with one tid per HAU
+/// (tid = hau_id + 1; on the real-threads runtime an HAU is one operator)
+/// plus the controller on tid 0; shared storage is pid 1.
 namespace trace_track {
 inline constexpr int kAppPid = 0;
 inline constexpr int kStoragePid = 1;
-inline constexpr int kEnginePid = 2;
 inline constexpr int kControllerTid = 0;
 inline constexpr int hau_tid(int hau_id) { return hau_id + 1; }
 }  // namespace trace_track

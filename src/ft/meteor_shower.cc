@@ -17,34 +17,6 @@ const char* ms_variant_name(MsVariant v) {
   return "?";
 }
 
-const char* ft_point_name(FtPoint p) {
-  switch (p) {
-    case FtPoint::kTokenAlignStart: return "token-align-start";
-    case FtPoint::kTokenSent: return "token-sent";
-    case FtPoint::kTokenReceived: return "token-received";
-    case FtPoint::kAlignDone: return "align-done";
-    case FtPoint::kForkStart: return "fork-start";
-    case FtPoint::kForkDone: return "fork-done";
-    case FtPoint::kSerializeStart: return "serialize-start";
-    case FtPoint::kCheckpointWrite: return "checkpoint-write";
-    case FtPoint::kCheckpointDone: return "checkpoint-done";
-    case FtPoint::kEpochAbandon: return "epoch-abandon";
-    case FtPoint::kRecoveryStart: return "recovery-start";
-    case FtPoint::kRecoveryPhase1: return "recovery-phase1";
-    case FtPoint::kRecoveryPhase2: return "recovery-phase2";
-    case FtPoint::kRecoveryPhase3: return "recovery-phase3";
-    case FtPoint::kRecoveryChainDone: return "recovery-chain-done";
-    case FtPoint::kRecoveryPhase4: return "recovery-phase4";
-    case FtPoint::kRecoveryComplete: return "recovery-complete";
-    case FtPoint::kNodeSuspected: return "node-suspected";
-    case FtPoint::kNodeExonerated: return "node-exonerated";
-    case FtPoint::kFailureVerdict: return "failure-verdict";
-    case FtPoint::kCorruptArtifact: return "corrupt-artifact";
-    case FtPoint::kRecoveryFallback: return "recovery-fallback";
-  }
-  return "?";
-}
-
 namespace {
 storage::RetryPolicy storage_retry(const FtParams& p) {
   storage::RetryPolicy retry;

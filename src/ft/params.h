@@ -28,7 +28,8 @@ struct FtParams {
   /// Delta checkpointing (paper Sec. V: "delta-checkpointing complement[s]
   /// Meteor Shower's application-aware checkpointing and could be applied
   /// jointly"): write only the state changed since the previous checkpoint;
-  /// recovery still reads the full reconstructed state.
+  /// recovery still reads the full reconstructed state. Simulator only: the
+  /// rt runtime writes delta epochs in RtMode::kSrcApDelta alone.
   bool delta_checkpoints = false;
   /// rt delta chains: compact with a full snapshot after this many
   /// consecutive delta epochs...
@@ -46,6 +47,7 @@ struct FtParams {
   /// Continuously retune the checkpoint interval from observed checkpoint
   /// cost vs. the configured failure rate and recovery budget, instead of
   /// firing at the fixed checkpoint_period. Seeds from checkpoint_period.
+  /// Simulator only: the rt runtime retunes in RtMode::kSrcApDelta alone.
   bool adaptive_cadence = false;
   /// Assumed mean time between failures — the failure-rate input to the
   /// Young/Daly optimum sqrt(2 * cost * MTBF).

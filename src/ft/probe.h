@@ -1,13 +1,16 @@
 // Instrumentation points along the checkpoint and recovery pipelines.
 //
-// The schemes announce these as they move through the protocol. Subscribers
-// react at precisely-defined protocol states — "when relay1 starts
-// serializing", "when recovery enters phase 2" — rather than at wall-clock
-// offsets. Probes fire in deterministic simulation order, so any scripted
-// reaction is bit-for-bit reproducible from (seed, script).
+// Both runtimes announce these as they move through the protocol: the
+// simulator's schemes and the real-threads RtRuntime. Subscribers react at
+// precisely-defined protocol states — "when relay1 starts serializing",
+// "when recovery enters phase 2" — rather than at wall-clock offsets. In
+// the simulator probes fire in deterministic simulation order, so any
+// scripted reaction is bit-for-bit reproducible from (seed, script); the rt
+// runtime fires them from its worker, helper, timer and supervisor threads.
 //
-// Two subscribers exist today and share this one spine:
-//   - the chaos fault-injection harness (src/failure/chaos.h), which fires
+// The subscribers share this one spine:
+//   - the chaos fault-injection harnesses (src/failure/chaos.h for the
+//     simulator, src/failure/rt_chaos.h for real threads), which fire
 //     scripted faults when a point is reached;
 //   - the protocol tracer (src/ft/tracing.h), which folds the points into
 //     TraceRecorder spans (token-collection → serialize → disk-I/O per HAU
@@ -50,6 +53,8 @@ enum class FtPoint {
   kRecoveryFallback,  // recovery skipped a corrupt epoch for an older one
 };
 
+/// Stable kebab-case name of a point (defined in ft/tracing.cc, whose
+/// instants carry these names).
 const char* ft_point_name(FtPoint p);
 
 /// (point, hau_id or -1, checkpoint id / recovery sequence number).

@@ -48,13 +48,10 @@ RtRuntime::RtRuntime(rt::RtEngine* engine, RtRuntimeConfig config)
   // the error if it persists.
   (void)scan_existing_state();
   baseline_seq_.assign(static_cast<std::size_t>(n), 0);
-  delta_enabled_ = config_.mode == RtMode::kSrcApDelta ||
-                   (config_.mode != RtMode::kBaseline &&
-                    config_.params.delta_checkpoints);
 
   coordinator_ = std::make_unique<CheckpointCoordinator>(this, config_.params);
   if (config_.metrics) coordinator_->set_metrics(config_.metrics);
-  if (config_.mode == RtMode::kSrcApDelta || config_.params.adaptive_cadence) {
+  if (config_.mode == RtMode::kSrcApDelta) {
     cadence_ = std::make_unique<CadenceController>(config_.params);
     coordinator_->set_cadence(cadence_.get());
   }
@@ -290,7 +287,7 @@ void RtRuntime::start_epoch(std::uint64_t epoch) {
   // Delta unless compaction is due: too many deltas stacked, or the chain
   // has grown past the read-amplification cap relative to its base.
   const bool delta =
-      delta_enabled_ &&
+      config_.mode == RtMode::kSrcApDelta &&
       store_.delta_allowed(config_.params.delta_compact_every,
                            config_.params.delta_compact_ratio);
   emit_probe(FtPoint::kTokenAlignStart, -1, epoch);

@@ -173,7 +173,7 @@ class RtRuntime final : public Runtime {
   CheckpointCoordinator& coordinator() { return *coordinator_; }
   /// Non-null only in kSrcApAa mode.
   AaController* aa() { return aa_.get(); }
-  /// Non-null in kSrcApDelta mode (or when params.adaptive_cadence is set).
+  /// Non-null only in kSrcApDelta mode.
   CadenceController* cadence() { return cadence_.get(); }
   rt::RtEngine& engine() { return *engine_; }
   RtMode mode() const { return config_.mode; }
@@ -252,8 +252,7 @@ class RtRuntime final : public Runtime {
   /// The checkpoint directory and its committed epochs. Guarded by ctl_mu_
   /// (its const file functions excepted).
   EpochStore store_;
-  /// Delta epochs enabled (kSrcApDelta or params.delta_checkpoints).
-  bool delta_enabled_ = false;
+  /// kSrcApDelta only, like delta epochs: the mode is the one switch.
   std::unique_ptr<CadenceController> cadence_;
   bool initiation_stopped_ = false;  // guarded by ctl_mu_
   /// Recovery fence. Bumped at the start of every recover(); epoch state and

@@ -4,6 +4,34 @@
 
 namespace ms::ft {
 
+const char* ft_point_name(FtPoint p) {
+  switch (p) {
+    case FtPoint::kTokenAlignStart: return "token-align-start";
+    case FtPoint::kTokenSent: return "token-sent";
+    case FtPoint::kTokenReceived: return "token-received";
+    case FtPoint::kAlignDone: return "align-done";
+    case FtPoint::kForkStart: return "fork-start";
+    case FtPoint::kForkDone: return "fork-done";
+    case FtPoint::kSerializeStart: return "serialize-start";
+    case FtPoint::kCheckpointWrite: return "checkpoint-write";
+    case FtPoint::kCheckpointDone: return "checkpoint-done";
+    case FtPoint::kEpochAbandon: return "epoch-abandon";
+    case FtPoint::kRecoveryStart: return "recovery-start";
+    case FtPoint::kRecoveryPhase1: return "recovery-phase1";
+    case FtPoint::kRecoveryPhase2: return "recovery-phase2";
+    case FtPoint::kRecoveryPhase3: return "recovery-phase3";
+    case FtPoint::kRecoveryChainDone: return "recovery-chain-done";
+    case FtPoint::kRecoveryPhase4: return "recovery-phase4";
+    case FtPoint::kRecoveryComplete: return "recovery-complete";
+    case FtPoint::kNodeSuspected: return "node-suspected";
+    case FtPoint::kNodeExonerated: return "node-exonerated";
+    case FtPoint::kFailureVerdict: return "failure-verdict";
+    case FtPoint::kCorruptArtifact: return "corrupt-artifact";
+    case FtPoint::kRecoveryFallback: return "recovery-fallback";
+  }
+  return "?";
+}
+
 namespace {
 constexpr const char* kCkptCat = "checkpoint";
 constexpr const char* kRecoveryCat = "recovery";
@@ -16,23 +44,47 @@ int ProbeTracer::tid(int hau) const {
   return hau < 0 ? trace_track::kControllerTid : trace_track::hau_tid(hau);
 }
 
+void ProbeTracer::end_track(SimTime ts, int hau) {
+  trace_->end_all(ts, trace_track::kAppPid, tid(hau));
+  open_phase_.erase(hau);
+}
+
+void ProbeTracer::end_everything(SimTime ts) {
+  trace_->end_everything(ts);
+  open_ckpt_.clear();
+  open_phase_.clear();
+}
+
 void ProbeTracer::on(FtPoint point, int hau, std::uint64_t id) {
+  std::scoped_lock lk(mu_);
   const SimTime ts = now_();
   const int pid = trace_track::kAppPid;
   const int t = tid(hau);
+  // Each recovery phase ends the one still open on its track: a per-HAU
+  // chain (phases 1-3 on the HAU's track) or the controller's sequence
+  // (rt: phases 1-4 under the umbrella; sim MS: phase 4 alone).
+  auto begin_phase = [&](const char* name) {
+    if (open_phase_.erase(hau) > 0) trace_->end(ts, pid, t);
+    trace_->begin(ts, pid, t, name, kRecoveryCat, id);
+    open_phase_.insert(hau);
+  };
   switch (point) {
     case FtPoint::kTokenAlignStart:
+      if (hau < 0) {
+        // Application-wide epoch initiation: a point on the controller
+        // track; the per-unit spans carry the epoch's timing.
+        trace_->instant(ts, pid, t, ft_point_name(point), kCkptCat, id);
+        break;
+      }
       // A fresh epoch supersedes whatever the previous one left open on
       // this track (the controller may have abandoned it silently).
-      trace_->end_all(ts, pid, t);
+      end_track(ts, hau);
       trace_->begin(ts, pid, t, "token-collection", kCkptCat, id);
       open_ckpt_[hau] = id;
       break;
     case FtPoint::kTokenSent:
-      trace_->instant(ts, pid, t, "token-sent", kCkptCat, id);
-      break;
     case FtPoint::kTokenReceived:
-      trace_->instant(ts, pid, t, "token-received", kCkptCat, id);
+      trace_->instant(ts, pid, t, ft_point_name(point), kCkptCat, id);
       break;
     case FtPoint::kAlignDone:
       trace_->end(ts, pid, t);
@@ -53,14 +105,14 @@ void ProbeTracer::on(FtPoint point, int hau, std::uint64_t id) {
       trace_->begin(ts, pid, t, "disk-io", kCkptCat, id);
       break;
     case FtPoint::kCheckpointDone:
-      trace_->end_all(ts, pid, t);
+      end_track(ts, hau);
       open_ckpt_.erase(hau);
       break;
     case FtPoint::kEpochAbandon: {
-      trace_->instant(ts, pid, t, "epoch-abandon", kCkptCat, id);
+      trace_->instant(ts, pid, t, ft_point_name(point), kCkptCat, id);
       for (auto it = open_ckpt_.begin(); it != open_ckpt_.end();) {
         if (it->second == id) {
-          trace_->end_all(ts, pid, tid(it->first));
+          end_track(ts, it->first);
           it = open_ckpt_.erase(it);
         } else {
           ++it;
@@ -71,73 +123,50 @@ void ProbeTracer::on(FtPoint point, int hau, std::uint64_t id) {
     case FtPoint::kRecoveryStart:
       if (hau < 0) {
         // Whole-application recovery aborts any checkpoint epoch in flight.
-        trace_->end_everything(ts);
-        open_ckpt_.clear();
+        end_everything(ts);
       } else {
-        trace_->end_all(ts, pid, t);
+        end_track(ts, hau);
         open_ckpt_.erase(hau);
       }
       trace_->begin(ts, pid, t, "recovery", kRecoveryCat, id);
       break;
     case FtPoint::kRecoveryPhase1:
-      // Nests inside the "recovery" umbrella when both live on one track
-      // (baseline single-HAU recovery); on MS per-HAU tracks the umbrella
-      // sits on the controller track and this opens the first span.
-      trace_->begin(ts, pid, t, "phase1-reload", kRecoveryCat, id);
+      begin_phase("phase1-reload");
       break;
     case FtPoint::kRecoveryPhase2:
-      trace_->end(ts, pid, t);
-      trace_->begin(ts, pid, t, "phase2-read", kRecoveryCat, id);
+      begin_phase("phase2-read");
       break;
     case FtPoint::kRecoveryPhase3:
-      trace_->end(ts, pid, t);  // phase2 (or phase1 when nothing was written)
-      trace_->begin(ts, pid, t, "phase3-rebuild", kRecoveryCat, id);
+      begin_phase("phase3-rebuild");
       break;
     case FtPoint::kRecoveryChainDone:
-      trace_->end_all(ts, pid, t);
+      end_track(ts, hau);
       break;
     case FtPoint::kRecoveryPhase4:
-      // Per-HAU (baseline): phase3 is still open on this track — close it.
-      // Application-wide (MS): the controller track holds only the
-      // umbrella, which must stay open.
-      if (hau >= 0) trace_->end(ts, pid, t);
-      trace_->begin(ts, pid, t, "phase4-reconnect", kRecoveryCat, id);
+      begin_phase("phase4-reconnect");
       break;
     case FtPoint::kRecoveryComplete:
       if (hau < 0) {
         // Dead participants may have left phase spans dangling on their
         // tracks; the application-wide completion closes everything.
-        trace_->end_everything(ts);
-        open_ckpt_.clear();
+        end_everything(ts);
       } else {
-        trace_->end_all(ts, pid, t);
+        end_track(ts, hau);
       }
-      trace_->instant(ts, pid, t, "recovery-complete", kRecoveryCat, id);
+      trace_->instant(ts, pid, t, ft_point_name(point), kRecoveryCat, id);
       break;
     // Detector events are instants on the controller track: suspicion and
     // exoneration/verdict bracket the detection window on the timeline, and
     // a verdict is immediately followed by the kRecoveryStart span above.
+    // Integrity events join them: a corrupt artifact and the fallback it
+    // forces both belong to the recovery narrative.
     case FtPoint::kNodeSuspected:
-      trace_->instant(ts, pid, trace_track::kControllerTid, "node-suspected",
-                      kRecoveryCat, id);
-      break;
     case FtPoint::kNodeExonerated:
-      trace_->instant(ts, pid, trace_track::kControllerTid, "node-exonerated",
-                      kRecoveryCat, id);
-      break;
     case FtPoint::kFailureVerdict:
-      trace_->instant(ts, pid, trace_track::kControllerTid, "failure-verdict",
-                      kRecoveryCat, id);
-      break;
-    // Integrity events are controller-track instants: a corrupt artifact and
-    // the fallback it forces both belong to the recovery narrative.
     case FtPoint::kCorruptArtifact:
-      trace_->instant(ts, pid, trace_track::kControllerTid, "corrupt-artifact",
-                      kRecoveryCat, id);
-      break;
     case FtPoint::kRecoveryFallback:
       trace_->instant(ts, pid, trace_track::kControllerTid,
-                      "recovery-fallback", kRecoveryCat, id);
+                      ft_point_name(point), kRecoveryCat, id);
       break;
   }
 }

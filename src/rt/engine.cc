@@ -304,14 +304,6 @@ RtEngine::RtEngine(const core::QueryGraph& graph, RtConfig config)
   }
   helpers_ = std::make_unique<ThreadPool>(std::max<std::size_t>(
       1, config_.helper_threads));
-  trace_ = config_.trace;
-  if (trace_ != nullptr) {
-    trace_->set_track_name(trace_track::kEnginePid, 0, "rt-engine");
-    for (const auto& w : workers_) {
-      trace_->set_track_name(trace_track::kEnginePid, w->id + 1,
-                             "op" + std::to_string(w->id));
-    }
-  }
   if (config_.metrics != nullptr) {
     MetricsRegistry& m = *config_.metrics;
     m_tuples_ = m.counter("rt.tuples");
@@ -705,7 +697,6 @@ void RtEngine::capture_snapshot(Worker& w, std::uint64_t epoch,
   // per `mode`. The writer adopts a pooled buffer pre-sized by the previous
   // epoch's snapshot, so steady-state serialization performs zero
   // allocations.
-  const SimTime serialize_start = now();
   emit_proto(ProtoPoint::kSerializeStart, w.id, epoch);
   const bool delta = kind == SnapshotKind::kDelta && w.op->supports_delta();
   BinaryWriter writer(snapshot_buffers_.acquire(w.last_snapshot_bytes));
@@ -725,12 +716,6 @@ void RtEngine::capture_snapshot(Worker& w, std::uint64_t epoch,
   w.last_snapshot_bytes = writer.size();
   auto blob = std::make_shared<std::vector<std::uint8_t>>(writer.take());
   emit_proto(ProtoPoint::kSerializeDone, w.id, epoch);
-  if (trace_ != nullptr) {
-    trace_->complete(serialize_start, now() - serialize_start,
-                     trace_track::kEnginePid, w.id + 1, "serialize", "rt-ckpt",
-                     epoch,
-                     {{"bytes", static_cast<std::int64_t>(blob->size())}});
-  }
   if (m_ckpt_bytes_ != nullptr) {
     m_ckpt_bytes_->record(SimTime::nanos(
         static_cast<std::int64_t>(blob->size())));
@@ -752,7 +737,6 @@ void RtEngine::capture_snapshot(Worker& w, std::uint64_t epoch,
   // epoch begin while this one's writes drain, without ever letting two
   // epochs' tokens interleave at an operator.
   if (aligned) align_pending_.fetch_sub(1);
-  const int id = w.id;
   auto finish = [this](std::vector<std::uint8_t>&& storage) {
     snapshot_buffers_.release(std::move(storage));
   };
@@ -764,15 +748,8 @@ void RtEngine::capture_snapshot(Worker& w, std::uint64_t epoch,
     finish(std::move(*blob));
     return;
   }
-  helpers_->submit([this, snap, blob, id, finish]() mutable {
-    const SimTime sink_start = now();
+  helpers_->submit([this, snap, blob, finish]() mutable {
     if (sink_) sink_(snap);
-    const std::size_t written = snap.size;
-    if (trace_ != nullptr) {
-      trace_->complete(sink_start, now() - sink_start, trace_track::kEnginePid,
-                       id + 1, "snapshot-sink", "rt-ckpt", snap.epoch,
-                       {{"bytes", static_cast<std::int64_t>(written)}});
-    }
     finish(std::move(*blob));
   });
 }

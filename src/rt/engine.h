@@ -30,7 +30,10 @@
 //    which drives these primitives exactly like MsScheme drives the
 //    simulator. Snapshot serialization reuses pooled buffers sized by the
 //    previous epoch, so steady-state checkpoints allocate nothing on the
-//    data path.
+//    data path;
+//  - metrics, not tracing: besides the optional MetricsRegistry the engine
+//    records nothing. Its protocol points (ProtoProbe) reach ft::RtRuntime,
+//    whose FtPoint probes feed the same ft::ProbeTracer the simulator uses.
 //
 // Invariants preserved by batching and by the ring transport (see
 // DESIGN.md §5c and §5h):
@@ -73,7 +76,6 @@
 #include "common/spsc_ring.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "common/trace.h"
 #include "core/query_graph.h"
 #include "core/tuple.h"
 
@@ -93,11 +95,6 @@ struct RtConfig {
   std::size_t max_batch = 64;
   std::size_t helper_threads = 2;
   std::uint64_t seed = 0x5eedULL;
-  /// Optional protocol trace sink. Snapshot spans land on the engine's
-  /// trace tracks (trace_track::kEnginePid; tid 0 is the checkpoint driver,
-  /// tid i+1 is operator i). The recorder is mutex-guarded, so worker and
-  /// helper threads emit concurrently.
-  TraceRecorder* trace = nullptr;
   /// Optional live metrics sink: rt.* counters, per-operator queue-depth
   /// gauges (rt.op.<id>.queue_depth, summed from the ring occupancy
   /// counters), and per-operator enqueue-wait histograms
@@ -440,7 +437,6 @@ class RtEngine {
 
   core::QueryGraph graph_;
   RtConfig config_;
-  TraceRecorder* trace_ = nullptr;
   SnapshotSink sink_;
   SourceTap source_tap_;
   ProtoProbe proto_probe_;

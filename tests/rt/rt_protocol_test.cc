@@ -10,16 +10,20 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "../testing/rt_feed.h"
 #include "../testing/test_ops.h"
+#include "common/trace.h"
 #include "core/stdops.h"
 #include "ft/epoch_store.h"
 #include "ft/source_log.h"
+#include "ft/tracing.h"
 #include "rt/engine.h"
 #include "storage/durable_file.h"
 
@@ -315,6 +319,89 @@ TEST(RtProtocolTest, BaselineFullCycleFromQuiescentCut) {
   wait_quiescent(engine);
   runtime.stop();
   expect_sink_exact(engine, 3, kTotal);
+}
+
+TEST(RtProtocolTest, ProbeTracerCapturesCheckpointAndRecoveryPhases) {
+  // The simulator's ProbeTracer on the rt probe spine: probes arrive from
+  // worker, helper and timer threads, and the capture must still balance,
+  // carry per-operator serialize -> disk-io spans, and show recovery as
+  // phases 1-4 in sequence on the controller track.
+  auto feed = std::make_shared<ExternalFeed>();
+  RtRuntimeConfig cfg;
+  cfg.mode = RtMode::kSrcAp;
+  cfg.dir = fresh_dir("ms_rtp_tracer");
+  cfg.params.periodic = true;
+  cfg.params.checkpoint_period = SimTime::millis(40);
+  cfg.codec = int_codec();
+
+  const auto t0 = std::chrono::steady_clock::now();
+  auto clock = [t0] {
+    return SimTime::nanos(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count());
+  };
+  TraceRecorder trace;
+  ProbeTracer tracer(&trace, clock);
+
+  rt::RtEngine engine(feed_chain(feed, 2, SimTime::micros(200), 4),
+                      rt::RtConfig{});
+  RtRuntime runtime(&engine, cfg);
+  runtime.add_probe([&tracer](FtPoint p, int op, std::uint64_t id) {
+    tracer.on(p, op, id);
+  });
+  ASSERT_TRUE(runtime.start().is_ok());
+  ASSERT_TRUE(runtime.wait_checkpoints(2, SimTime::seconds(20)));
+  runtime.simulate_crash();
+  runtime.stop();
+  runtime.clear_crash();
+  ASSERT_TRUE(runtime.recover(nullptr).is_ok());
+  wait_drained(engine, engine.sink_tuples() + 50);
+  runtime.stop();
+  trace.end_everything(clock());
+
+  const std::vector<TraceEvent> events = trace.snapshot();
+  const std::vector<std::string> problems = check_trace(events);
+  EXPECT_TRUE(problems.empty()) << problems.front();
+
+  const std::vector<TraceSpan> spans = pair_spans(events);
+  std::vector<TraceSpan> umbrella;
+  std::vector<TraceSpan> phases;
+  std::map<int, std::set<std::string>> op_spans;
+  for (const TraceSpan& s : spans) {
+    if (s.pid != trace_track::kAppPid) continue;
+    if (s.tid == trace_track::kControllerTid) {
+      EXPECT_NE(s.cat, "checkpoint") << "controller span " << s.name;
+      if (s.name == "recovery") {
+        umbrella.push_back(s);
+      } else if (s.name.starts_with("phase")) {
+        phases.push_back(s);
+      }
+    } else {
+      op_spans[s.tid - 1].insert(s.name);
+    }
+  }
+  ASSERT_EQ(umbrella.size(), 1u);
+  ASSERT_EQ(phases.size(), 4u);
+  std::sort(phases.begin(), phases.end(),
+            [](const TraceSpan& a, const TraceSpan& b) {
+              return a.ts_ns < b.ts_ns;
+            });
+  const char* kPhaseNames[] = {"phase1-reload", "phase2-read",
+                               "phase3-rebuild", "phase4-reconnect"};
+  const TraceSpan& rec = umbrella.front();
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    EXPECT_EQ(phases[i].name, kPhaseNames[i]);
+    EXPECT_GE(phases[i].ts_ns, rec.ts_ns);
+    EXPECT_LE(phases[i].ts_ns + phases[i].dur_ns, rec.ts_ns + rec.dur_ns);
+    if (i > 0) {
+      EXPECT_LE(phases[i - 1].ts_ns + phases[i - 1].dur_ns, phases[i].ts_ns)
+          << phases[i - 1].name << " overlaps " << phases[i].name;
+    }
+  }
+  for (int op = 0; op < engine.num_operators(); ++op) {
+    EXPECT_TRUE(op_spans[op].contains("serialize")) << "op " << op;
+    EXPECT_TRUE(op_spans[op].contains("disk-io")) << "op " << op;
+  }
 }
 
 TEST(RtProtocolTest, ManifestCommitIsAtomic) {

@@ -33,6 +33,7 @@
 #include "core/stdops.h"
 #include "failure/burst.h"
 #include "ft/rt_runtime.h"
+#include "ft/tracing.h"
 #include "harness.h"
 #include "net/network.h"
 #include "rt/engine.h"
@@ -107,7 +108,9 @@ void usage() {
       "  --seed X                     simulation seed\n"
       "  --trace FILE                 write a Chrome trace-event JSON of the\n"
       "                               run's protocol events (chrome://tracing\n"
-      "                               or tools/mstrace can read it)\n"
+      "                               or tools/mstrace can read it); both\n"
+      "                               backends: per-unit checkpoint phases\n"
+      "                               and recovery phases 1-4\n"
       "  --metrics FILE               write the runtime metrics registry as\n"
       "                               flat JSON at exit\n"
       "  --help\n");
@@ -477,7 +480,6 @@ int run_rt_backend(const Options& opt) {
   if (mode == ft::RtMode::kSrcApDelta) {
     // Demo-scale cadence inputs: wall runs last seconds, not hours, so give
     // the controller an MTBF/budget it can act on within the window.
-    cfg.params.adaptive_cadence = true;
     cfg.params.mtbf = SimTime::seconds(60);
     cfg.params.recovery_budget = SimTime::seconds(2);
   }
@@ -485,14 +487,38 @@ int run_rt_backend(const Options& opt) {
   cfg.sync_mode = opt.sync_mode;
   cfg.auto_recover = opt.auto_recover;
 
+  // One tracer on one steady clock for every runtime incarnation: a fresh
+  // RtRuntime restarts its own clock, which would make the capture's
+  // timestamps run backwards across the restart.
   TraceRecorder trace;
+  const auto trace_epoch = std::chrono::steady_clock::now();
+  auto trace_now = [trace_epoch] {
+    return SimTime::nanos(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                              std::chrono::steady_clock::now() - trace_epoch)
+                              .count());
+  };
+  ft::ProbeTracer tracer(&trace, trace_now);
+  auto attach_tracer = [&](ft::RtRuntime& rt) {
+    if (opt.trace_file.empty()) return;
+    rt.add_probe([&tracer](ft::FtPoint p, int op, std::uint64_t id) {
+      tracer.on(p, op, id);
+    });
+  };
   rt::RtConfig ecfg;
   ecfg.seed = opt.seed;
-  if (!opt.trace_file.empty()) ecfg.trace = &trace;
   if (!opt.metrics_file.empty()) ecfg.metrics = &MetricsRegistry::global();
 
   auto engine = std::make_unique<rt::RtEngine>(rt_demo_graph(), ecfg);
   auto runtime = std::make_unique<ft::RtRuntime>(engine.get(), cfg);
+  if (!opt.trace_file.empty()) {
+    trace.set_track_name(trace_track::kAppPid, trace_track::kControllerTid,
+                         "controller");
+    for (int i = 0; i < engine->num_operators(); ++i) {
+      trace.set_track_name(trace_track::kAppPid, trace_track::hau_tid(i),
+                           "op" + std::to_string(i));
+    }
+  }
+  attach_tracer(*runtime);
   std::uint64_t ckpts_completed = 0;
   runtime->add_probe([&ckpts_completed](ft::FtPoint p, int hau, std::uint64_t) {
     // Baseline units checkpoint independently; op 0's completed writes
@@ -552,6 +578,7 @@ int run_rt_backend(const Options& opt) {
     runtime.reset();  // detaches its hooks before the engine goes away
     engine = std::make_unique<rt::RtEngine>(rt_demo_graph(), ecfg);
     runtime = std::make_unique<ft::RtRuntime>(engine.get(), cfg);
+    attach_tracer(*runtime);
     recovered = runtime->recover(&recovery).is_ok();
     if (!recovered) {
       std::fprintf(stderr, "recovery failed\n");
@@ -561,7 +588,6 @@ int run_rt_backend(const Options& opt) {
   } else {
     sleep_wall(opt.run_for_seconds);
   }
-  const SimTime uptime = engine->uptime();
   const std::uint64_t durable = runtime->last_durable_epoch();
   if (mode != ft::RtMode::kBaseline) {
     ckpts_completed = runtime->coordinator().checkpoints().size();
@@ -589,7 +615,7 @@ int run_rt_backend(const Options& opt) {
   }
 
   if (!opt.trace_file.empty()) {
-    trace.end_everything(uptime);
+    trace.end_everything(trace_now());
     std::ofstream out(opt.trace_file);
     if (!out.good()) {
       std::fprintf(stderr, "cannot write %s\n", opt.trace_file.c_str());

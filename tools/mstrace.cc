@@ -1,5 +1,5 @@
 // mstrace — summarize and validate a Chrome trace-event JSON produced by
-// the simulator (mssim --trace) or any TraceRecorder export.
+// mssim --trace (either backend) or any TraceRecorder export.
 //
 // Summary mode groups checkpoint spans by correlation id (the args.id each
 // protocol span carries) and prints, per epoch, the token-collection /
@@ -57,8 +57,6 @@ std::map<std::pair<int, int>, std::string> track_names(
     std::string n;
     if (e.pid == trace_track::kStoragePid) {
       n = "shared-storage";
-    } else if (e.pid == trace_track::kEnginePid) {
-      n = e.tid == 0 ? "rt-engine" : "op" + std::to_string(e.tid - 1);
     } else if (e.tid == trace_track::kControllerTid) {
       n = "controller";
     } else {
@@ -91,7 +89,7 @@ void summarize(const std::vector<TraceEvent>& events) {
       total += s.dur_ns;
       continue;
     }
-    if (s.cat == "checkpoint" || s.cat == "rt-ckpt") {
+    if (s.cat == "checkpoint") {
       epochs[s.id][{s.pid, s.tid}].push_back(PhaseSpan{s.name, s.ts_ns, s.dur_ns});
     } else if (s.cat == "recovery") {
       recoveries[s.id].push_back(&s);

@@ -55,7 +55,8 @@ for preset in $PRESETS; do
   # adaptive cadence) end-to-end on the real-threads backend, including a
   # mid-run crash and base+delta chain recovery, under each preset's
   # instrumentation. The directory the crash and recovery leave behind must
-  # then scrub clean with the same preset's msverify.
+  # then scrub clean with the same preset's msverify, and the run's protocol
+  # trace must pass the same preset's mstrace --check.
   echo "=== [$preset] delta-scheme smoke ==="
   mssim_bin="build/tools/mssim"
   case "$preset" in
@@ -64,23 +65,31 @@ for preset in $PRESETS; do
   esac
   smoke_dir="$(mktemp -d)"
   if ! "$mssim_bin" --backend rt --scheme ms-src+ap+delta \
-      --run-for 2 --fail-at 1 --dir "$smoke_dir" >/dev/null; then
+      --run-for 2 --fail-at 1 --dir "$smoke_dir/ckpt" \
+      --trace "$smoke_dir/trace.json" >/dev/null; then
     results+=("$preset: DELTA SMOKE FAILED"); status=1; break
   fi
-  if ! "${mssim_bin%mssim}msverify" --dir "$smoke_dir"; then
+  if ! "${mssim_bin%mssim}msverify" --dir "$smoke_dir/ckpt"; then
     results+=("$preset: DELTA SMOKE SCRUB FAILED"); status=1; break
+  fi
+  if ! "${mssim_bin%mssim}mstrace" --check "$smoke_dir/trace.json"; then
+    results+=("$preset: DELTA SMOKE TRACE FAILED"); status=1; break
   fi
   # AA smoke: the application-aware scheme's samplers and stage clock on
   # real threads (the timer-thread tick, the control mutex, the clock's
-  # callbacks), then the same crash, recovery and scrub.
+  # callbacks), then the same crash, recovery, scrub and trace check.
   echo "=== [$preset] aa-scheme smoke ==="
   smoke_dir="$(mktemp -d)"
   if ! "$mssim_bin" --backend rt --scheme ms-src+ap+aa \
-      --run-for 2 --fail-at 1 --dir "$smoke_dir" >/dev/null; then
+      --run-for 2 --fail-at 1 --dir "$smoke_dir/ckpt" \
+      --trace "$smoke_dir/trace.json" >/dev/null; then
     results+=("$preset: AA SMOKE FAILED"); status=1; break
   fi
-  if ! "${mssim_bin%mssim}msverify" --dir "$smoke_dir"; then
+  if ! "${mssim_bin%mssim}msverify" --dir "$smoke_dir/ckpt"; then
     results+=("$preset: AA SMOKE SCRUB FAILED"); status=1; break
+  fi
+  if ! "${mssim_bin%mssim}mstrace" --check "$smoke_dir/trace.json"; then
+    results+=("$preset: AA SMOKE TRACE FAILED"); status=1; break
   fi
   results+=("$preset: OK")
 done
