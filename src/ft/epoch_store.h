@@ -145,8 +145,9 @@ class EpochStore {
   /// (returned). Ends with gc(); the chain counts as broken.
   std::vector<std::uint64_t> scan();
 
-  /// Highest epoch directory the last scan saw: coordinator ids restart at
-  /// 1 in every incarnation, and disk epochs are base + id.
+  /// Highest epoch directory the last scan saw. A runtime's coordinator
+  /// numbers its epochs from one past the base of its first scan; it never
+  /// reuses an id, so a later (in-place recovery) scan needs no re-seed.
   std::uint64_t epoch_base() const { return epoch_base_; }
   /// True while the operators' in-memory dirty baselines are not the
   /// committed tip (after a scan or an abandoned epoch): the next epoch must

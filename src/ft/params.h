@@ -89,8 +89,6 @@ struct FtParams {
 
   // --- failure detection ---
   SimTime ping_period = SimTime::seconds(1);
-  /// Missed-response window after which a node is deemed failed.
-  SimTime ping_timeout = SimTime::seconds(3);
   /// Consecutive missed heartbeats before the detector issues a failure
   /// verdict. The first miss only marks the unit *suspect*; a heartbeat
   /// arriving before the threshold exonerates it (counted as a false

@@ -9,9 +9,11 @@
 namespace ms::ft {
 
 CheckpointCoordinator::CheckpointCoordinator(Runtime* runtime,
-                                             const FtParams& params)
+                                             const FtParams& params,
+                                             std::uint64_t first_id)
     : runtime_(runtime),
       params_(params),
+      next_checkpoint_id_(first_id),
       metrics_(&MetricsRegistry::global()) {
   MS_CHECK(runtime != nullptr);
   bind_metrics();

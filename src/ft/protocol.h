@@ -28,7 +28,11 @@ class CadenceController;
 
 class CheckpointCoordinator {
  public:
-  CheckpointCoordinator(Runtime* runtime, const FtParams& params);
+  /// Epoch ids start at `first_id` and are never reused: a runtime that
+  /// resumes a checkpoint directory passes one past its highest epoch, so
+  /// coordinator ids and on-disk epoch numbers are one sequence.
+  CheckpointCoordinator(Runtime* runtime, const FtParams& params,
+                        std::uint64_t first_id = 1);
 
   /// Redirect metric recording (defaults to MetricsRegistry::global()).
   void set_metrics(MetricsRegistry* metrics);
@@ -97,7 +101,7 @@ class CheckpointCoordinator {
   std::function<bool()> blocked_;
   CadenceController* cadence_ = nullptr;
 
-  std::uint64_t next_checkpoint_id_ = 1;
+  std::uint64_t next_checkpoint_id_;
   std::map<std::uint64_t, AppCheckpointStats> in_progress_;
   /// Units that have reported per in-flight epoch: the dedup set behind
   /// idempotent report handling, and the basis for detector-driven wedge

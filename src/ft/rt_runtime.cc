@@ -49,7 +49,11 @@ RtRuntime::RtRuntime(rt::RtEngine* engine, RtRuntimeConfig config)
   (void)scan_existing_state();
   baseline_seq_.assign(static_cast<std::size_t>(n), 0);
 
-  coordinator_ = std::make_unique<CheckpointCoordinator>(this, config_.params);
+  // Number epochs above every directory the scan saw, so coordinator ids are
+  // the on-disk epoch numbers in this incarnation and never collide with an
+  // earlier one's.
+  coordinator_ = std::make_unique<CheckpointCoordinator>(
+      this, config_.params, store_.epoch_base() + 1);
   if (config_.metrics) coordinator_->set_metrics(config_.metrics);
   if (config_.mode == RtMode::kSrcApDelta) {
     cadence_ = std::make_unique<CadenceController>(config_.params);
@@ -276,14 +280,13 @@ void RtRuntime::schedule_after(SimTime delay, std::function<void()> fn) {
 
 void RtRuntime::start_epoch(std::uint64_t epoch) {
   // Called by the coordinator under ctl_mu_.
-  const std::uint64_t disk = store_.epoch_base() + epoch;
   EpochState es;
   es.fence = recovery_seq_.load();
   es.initiated = now();
-  es.manifest.epoch = disk;
+  es.manifest.epoch = epoch;
   es.manifest.ops.resize(static_cast<std::size_t>(engine_->num_operators()));
-  pending_[disk] = std::move(es);
-  if (!crashed_.load()) store_.create_epoch(disk);
+  pending_[epoch] = std::move(es);
+  if (!crashed_.load()) store_.create_epoch(epoch);
   // Delta unless compaction is due: too many deltas stacked, or the chain
   // has grown past the read-amplification cap relative to its base.
   const bool delta =
@@ -295,33 +298,32 @@ void RtRuntime::start_epoch(std::uint64_t epoch) {
                                     ? rt::SnapshotMode::kSync
                                     : rt::SnapshotMode::kAsync;
   const Status st = engine_->begin_epoch(
-      disk, mode, delta ? rt::SnapshotKind::kDelta : rt::SnapshotKind::kFull);
+      epoch, mode, delta ? rt::SnapshotKind::kDelta : rt::SnapshotKind::kFull);
   if (!st.is_ok()) {
     MS_LOG_WARN("ft", "rt epoch %llu failed to start: %s",
-                static_cast<unsigned long long>(disk), st.message().c_str());
+                static_cast<unsigned long long>(epoch), st.message().c_str());
     coordinator_->on_unit_checkpoint_failed(epoch);  // abandons via hook
   }
 }
 
 void RtRuntime::commit_epoch(std::uint64_t epoch) {
   // Called by the coordinator under ctl_mu_ once every unit reported.
-  const std::uint64_t disk = store_.epoch_base() + epoch;
-  auto it = pending_.find(disk);
+  auto it = pending_.find(epoch);
   if (it == pending_.end()) return;
   EpochManifest manifest = std::move(it->second.manifest);
   pending_.erase(it);
   if (crashed_.load()) {  // a dead process commits nothing
-    store_.abandon(disk, /*remove_files=*/false);
+    store_.abandon(epoch, /*remove_files=*/false);
     return;
   }
   const Status st = store_.commit(std::move(manifest));
   if (!st.is_ok()) {
     MS_LOG_WARN("ft", "rt epoch %llu: manifest write failed: %s",
-                static_cast<unsigned long long>(disk), st.message().c_str());
+                static_cast<unsigned long long>(epoch), st.message().c_str());
     // A crash fault (kCrashAfterRename) may have landed the rename before
     // "dying": a dead process deletes nothing, and the next scan decides
     // whether the epoch committed. Only a live failed write cleans up.
-    store_.abandon(disk, /*remove_files=*/!crashed_.load());
+    store_.abandon(epoch, /*remove_files=*/!crashed_.load());
     return;
   }
   // A fallback to any epoch still committed must find every record past its
@@ -333,9 +335,8 @@ void RtRuntime::commit_epoch(std::uint64_t epoch) {
 
 void RtRuntime::abandon_epoch(std::uint64_t epoch) {
   // Called by the coordinator under ctl_mu_ (wedge or unit failure).
-  const std::uint64_t disk = store_.epoch_base() + epoch;
-  pending_.erase(disk);
-  store_.abandon(disk, /*remove_files=*/!crashed_.load());
+  pending_.erase(epoch);
+  store_.abandon(epoch, /*remove_files=*/!crashed_.load());
 }
 
 // ---------------------------------------------------------------------------
@@ -362,8 +363,7 @@ void RtRuntime::on_snapshot(const rt::Snapshot& snap) {
     return;
   }
 
-  const std::uint64_t id = snap.epoch - store_.epoch_base();
-  emit_probe(FtPoint::kCheckpointWrite, snap.op, id);
+  emit_probe(FtPoint::kCheckpointWrite, snap.op, snap.epoch);
   const bool wrote =
       store_.write_blob(snap.epoch, snap.op, snap.delta, snap.data, snap.size)
           .is_ok();
@@ -376,10 +376,10 @@ void RtRuntime::on_snapshot(const rt::Snapshot& snap) {
   if (!wrote) {
     MS_LOG_WARN("ft", "rt epoch %llu: checkpoint write failed for op %d",
                 static_cast<unsigned long long>(snap.epoch), snap.op);
-    coordinator_->on_unit_checkpoint_failed(id);
+    coordinator_->on_unit_checkpoint_failed(snap.epoch);
     return;
   }
-  emit_probe(FtPoint::kCheckpointDone, snap.op, id);
+  emit_probe(FtPoint::kCheckpointDone, snap.op, snap.epoch);
   EpochState& es = it->second;
   // The replay cursors are 0 in a non-source's snapshot.
   es.manifest.ops[static_cast<std::size_t>(snap.op)] = {
@@ -387,7 +387,7 @@ void RtRuntime::on_snapshot(const rt::Snapshot& snap) {
       snap.source_boundary, snap.source_next_seq};
   HauCheckpointReport report;
   report.hau_id = snap.op;
-  report.checkpoint_id = id;
+  report.checkpoint_id = snap.epoch;
   report.initiated = es.initiated;
   const auto a_it = es.aligned_at.find(snap.op);
   report.tokens_collected =
@@ -407,10 +407,9 @@ void RtRuntime::on_engine_proto(rt::ProtoPoint point, int op,
     }
     return;
   }
-  const std::uint64_t id = epoch - store_.epoch_base();
   switch (point) {
     case rt::ProtoPoint::kTokenArrived:
-      emit_probe(FtPoint::kTokenReceived, op, id);
+      emit_probe(FtPoint::kTokenReceived, op, epoch);
       break;
     case rt::ProtoPoint::kAligned: {
       {
@@ -418,16 +417,16 @@ void RtRuntime::on_engine_proto(rt::ProtoPoint point, int op,
         auto it = pending_.find(epoch);
         if (it != pending_.end()) it->second.aligned_at[op] = now();
       }
-      emit_probe(FtPoint::kAlignDone, op, id);
+      emit_probe(FtPoint::kAlignDone, op, epoch);
       break;
     }
     case rt::ProtoPoint::kSerializeStart:
-      emit_probe(FtPoint::kSerializeStart, op, id);
+      emit_probe(FtPoint::kSerializeStart, op, epoch);
       break;
     case rt::ProtoPoint::kSerializeDone:
       // The serialize window closing is the engine analogue of the paper's
       // fork returning: the cut is pinned, the dataflow may proceed.
-      emit_probe(FtPoint::kForkDone, op, id);
+      emit_probe(FtPoint::kForkDone, op, epoch);
       break;
   }
 }

@@ -246,8 +246,8 @@ class RtRuntime final : public Runtime {
   /// kSrcApAa: one sampler per operator, reset whenever aa_ starts (every
   /// start() and recover()). Guarded by ctl_mu_.
   std::vector<AaSampler> samplers_;
-  /// In-flight epochs keyed by *disk* epoch number (coordinator id +
-  /// store_.epoch_base()). Guarded by ctl_mu_.
+  /// In-flight epochs keyed by coordinator id, which is also the on-disk
+  /// epoch number. Guarded by ctl_mu_.
   std::map<std::uint64_t, EpochState> pending_;
   /// The checkpoint directory and its committed epochs. Guarded by ctl_mu_
   /// (its const file functions excepted).

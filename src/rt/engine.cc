@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 
 #include "common/log.h"
 
@@ -48,19 +47,17 @@ void wake(std::atomic<bool>& armed, EventCount& ec) {
 
 }  // namespace
 
-/// OperatorContext bound to a worker thread.
+/// The one OperatorContext of an operator, owned by its Worker.
 ///
-/// Owns the per-out-edge output buffers for batched transport. Buffers are
-/// per-context (not per-worker) because a worker's operator can emit from
-/// two threads: its worker thread (process()) and the timer thread
-/// (schedule() callbacks, source emission). Each context flushes on the
-/// max_batch watermark, explicitly before a token is forwarded, and on
-/// destruction — a timer callback's context dies at callback end (inside
-/// the operator mutex, so a source's tap count at snapshot time exactly
-/// matches what has been flushed ahead of any token), the worker loop's
-/// context flushes after every pass. Contexts are constructed and destroyed
-/// under op_mu: both operations touch the out-edge carrier rings, whose
-/// consumer side is the (op_mu-serialized) producer role.
+/// Owns the per-out-edge output buffers for batched transport. Every emit
+/// path of the operator — process() on its worker thread, schedule()
+/// callbacks on the timer thread, on_open() on the starter — runs under
+/// op_mu and emits into these same buffers, so per-edge FIFO holds across
+/// threads: whichever path flushes, it flushes everything emitted before.
+/// Buffers flush on the max_batch watermark, explicitly before a token is
+/// forwarded, and whenever an emit path returns control to the engine
+/// (still inside op_mu, so a source's tap count at snapshot time exactly
+/// matches what has been flushed ahead of any token).
 class RtEngine::RtContext final : public core::OperatorContext {
  public:
   RtContext(RtEngine* engine, Worker* worker)
@@ -68,41 +65,9 @@ class RtEngine::RtContext final : public core::OperatorContext {
         worker_(worker),
         max_batch_(engine->config_.max_batch),
         tap_(worker->is_source && static_cast<bool>(engine->source_tap_)) {
-    if (engine_->config_.max_batch > 1) {
+    if (max_batch_ > 1) {
       buffers_.resize(worker_->out_edges.size());
-      dirty_.assign(buffers_.size(), 0);
-      for (std::size_t p = 0; p < buffers_.size(); ++p) {
-        // Prefer a carrier the downstream consumer handed back (lock-free
-        // and cache-warm); fall back to the pooled allocator.
-        if (!worker_->out_edges[p].edge->carriers.try_pop(buffers_[p])) {
-          buffers_[p] = engine_->acquire_batch();
-        }
-      }
-    }
-  }
-
-  ~RtContext() override {
-    flush_all();
-    // Hand unused (now empty) buffer storage back to the pool — timer
-    // contexts are created per tick, so dropping capacity here would defeat
-    // the recycling. (The carrier rings cannot take these: their producer
-    // side belongs to the downstream consumer thread.)
-    for (auto& b : buffers_) {
-      if (b.capacity() != 0) engine_->release_batch(std::move(b));
-    }
-    for (auto& b : stash_) engine_->release_batch(std::move(b));
-  }
-
-  /// Take back a drained batch carrier for reuse by this context's own
-  /// flushes. Overflow beyond the stash goes to the mutex-guarded engine
-  /// pool; the per-edge carrier rings (tried first by the caller) keep the
-  /// steady state off both.
-  void recycle(std::vector<core::Tuple>&& v) {
-    v.clear();
-    if (stash_.size() < kMaxStash) {
-      stash_.push_back(std::move(v));
-    } else {
-      engine_->release_batch(std::move(v));
+      for (std::size_t p = 0; p < buffers_.size(); ++p) refill(p);
     }
   }
 
@@ -134,7 +99,7 @@ class RtEngine::RtContext final : public core::OperatorContext {
                          /*urgent=*/false);
       return;
     }
-    auto& buf = buffers_[static_cast<std::size_t>(out_port)];
+    auto& buf = buffers_[static_cast<std::size_t>(out_port)].tuples;
     buf.push_back(std::move(tuple));
     if (buf.size() >= max_batch_) {
       flush_port(static_cast<std::size_t>(out_port));
@@ -153,7 +118,7 @@ class RtEngine::RtContext final : public core::OperatorContext {
     }
     MS_CHECK(out_port >= 0 &&
              out_port < static_cast<int>(worker_->out_edges.size()));
-    auto& buf = buffers_[static_cast<std::size_t>(out_port)];
+    auto& buf = buffers_[static_cast<std::size_t>(out_port)].tuples;
     buf.push_back(tuple);
     if (buf.size() >= max_batch_) {
       flush_port(static_cast<std::size_t>(out_port));
@@ -174,8 +139,8 @@ class RtEngine::RtContext final : public core::OperatorContext {
       // The dirty bit covers mid-pass watermark flushes too: a buffer that
       // flushed at exactly the watermark leaves nothing for flush_port here,
       // but the downstream may still be parked on that sub-threshold data.
-      if (dirty_[p] != 0) {
-        dirty_[p] = 0;
+      if (buffers_[p].dirty) {
+        buffers_[p].dirty = false;
         Worker& t =
             *engine_->workers_[static_cast<std::size_t>(worker_->out_edges[p].target)];
         wake(t.items_armed, t.items_ec);
@@ -190,22 +155,18 @@ class RtEngine::RtContext final : public core::OperatorContext {
 
   void schedule(SimTime delay,
                 std::function<void(core::OperatorContext&)> fn) override {
-    RtEngine* engine = engine_;
-    Worker* worker = worker_;
-    engine->schedule_timer(delay, [engine, worker, fn = std::move(fn)] {
+    engine_->schedule_timer(delay, [worker = worker_, fn = std::move(fn)] {
       // Operator code runs under op_mu so a timer tick never mutates state
       // the worker thread is concurrently serializing into a snapshot, and
       // so the tick's emissions use the out-edge rings' producer role
-      // exclusively. The context is constructed after the lock and
-      // therefore destroyed — flushing its buffers — before the lock
-      // releases: a source snapshot taken under op_mu sees either none or
-      // all of this tick's emissions already flushed, never a buffered
-      // half. Holding op_mu across the flush cannot deadlock: downstream
-      // delivery only needs *downstream* backpressure and the query graph
-      // is a DAG.
+      // exclusively. The flush happens before the lock releases: a source
+      // snapshot taken under op_mu sees either none or all of this tick's
+      // emissions already flushed, never a buffered half. Holding op_mu
+      // across the flush cannot deadlock: downstream delivery only needs
+      // *downstream* backpressure and the query graph is a DAG.
       std::scoped_lock op_lock(worker->op_mu);
-      RtContext ctx(engine, worker);
-      fn(ctx);
+      fn(*worker->ctx);
+      worker->ctx->flush_all();
     });
   }
 
@@ -215,22 +176,23 @@ class RtEngine::RtContext final : public core::OperatorContext {
 
  private:
   void flush_port(std::size_t p) {
-    auto& buf = buffers_[p];
+    auto& buf = buffers_[p].tuples;
     if (buf.empty()) return;
-    dirty_[p] = 1;
+    buffers_[p].dirty = true;
     OutEdge& oe = worker_->out_edges[p];
     const std::size_t n = buf.size();
-    // The whole buffer moves downstream as one ring entry; the replacement
-    // comes from the local stash, the edge's returned-carrier ring, or the
-    // engine pool — already at capacity either way.
+    // The whole buffer moves downstream as one ring entry.
     engine_->push_slot(*oe.edge, Slot(std::move(buf)), n, /*urgent=*/false);
-    if (!stash_.empty()) {
-      buf = std::move(stash_.back());
-      stash_.pop_back();
-    } else if (oe.edge->carriers.try_pop(buf)) {
-      // lock-free hand-me-back from the downstream consumer
-    } else {
-      buf = engine_->acquire_batch();
+    refill(p);
+  }
+
+  /// Give port p's buffer storage: a carrier the downstream consumer handed
+  /// back (lock-free and cache-warm), or a fresh one at batch capacity.
+  void refill(std::size_t p) {
+    auto& buf = buffers_[p].tuples;
+    if (!worker_->out_edges[p].edge->carriers.try_pop(buf)) {
+      buf.clear();  // a moved-from carrier is valid but unspecified
+      buf.reserve(max_batch_);
     }
   }
 
@@ -241,14 +203,15 @@ class RtEngine::RtContext final : public core::OperatorContext {
   // before start(), so caching at construction is sound).
   const std::size_t max_batch_;
   const bool tap_;
-  // One buffer per out-edge; empty when batching is off.
-  std::vector<std::vector<core::Tuple>> buffers_;
-  // Per-port "flushed since the last flush_all" — the deferred-wake debt.
-  std::vector<std::uint8_t> dirty_;
-  // Drained batch carriers awaiting reuse; touched only by this context's
-  // thread.
-  static constexpr std::size_t kMaxStash = 8;
-  std::vector<std::vector<core::Tuple>> stash_;
+  // One output buffer per out-edge; empty when batching is off. Each sits
+  // on its own cache line: every start() allocates all operators' contexts
+  // back to back, and their worker threads write these on every emit.
+  struct alignas(64) PortBuffer {
+    std::vector<core::Tuple> tuples;
+    // Flushed since the last flush_all — the deferred-wake debt.
+    bool dirty = false;
+  };
+  std::vector<PortBuffer> buffers_;
 };
 
 RtEngine::RtEngine(const core::QueryGraph& graph, RtConfig config)
@@ -302,8 +265,7 @@ RtEngine::RtEngine(const core::QueryGraph& graph, RtConfig config)
     }
     w->token_seen.assign(static_cast<std::size_t>(w->num_in_ports), false);
   }
-  helpers_ = std::make_unique<ThreadPool>(std::max<std::size_t>(
-      1, config_.helper_threads));
+  helpers_ = std::make_unique<ThreadPool>(kHelperThreads);
   if (config_.metrics != nullptr) {
     MetricsRegistry& m = *config_.metrics;
     m_tuples_ = m.counter("rt.tuples");
@@ -343,6 +305,9 @@ void RtEngine::start() {
     w->busy.store(true, std::memory_order_relaxed);
   }
   align_pending_.store(0);
+  // One context per operator for the whole run, built before any thread
+  // exists (and after the source tap is installed, which it caches).
+  for (auto& w : workers_) w->ctx = std::make_unique<RtContext>(this, w.get());
   running_.store(true);
   stopping_.store(false);
   timer_thread_ = std::thread([this] { timer_loop(); });
@@ -350,20 +315,19 @@ void RtEngine::start() {
     w->thread = std::thread([this, worker = w.get()] { worker_loop(*worker); });
   }
   // Open operators (sources arm their timers) after workers exist so early
-  // emissions have somewhere to go. Context inside the lock: its destructor
-  // flush must complete before the mutex releases (same rule as timer
-  // callbacks).
+  // emissions have somewhere to go. The flush completes before the mutex
+  // releases (same rule as timer callbacks).
   for (auto& w : workers_) {
     std::scoped_lock op_lock(w->op_mu);
-    RtContext ctx(this, w.get());
-    w->op->on_open(ctx);
+    w->op->on_open(*w->ctx);
+    w->ctx->flush_all();
   }
 }
 
 void RtEngine::stop() {
   if (!running_.load()) return;
   // Phase 1: stop timers so sources quiesce. Joining the timer thread also
-  // waits out any in-flight callback, whose context flushes on destruction —
+  // waits out any in-flight callback, which flushes before it returns —
   // after this point no new tuples enter the graph.
   {
     std::scoped_lock lock(timer_mu_);
@@ -434,7 +398,7 @@ void RtEngine::push_slot(InEdge& e, Slot&& slot, std::size_t units,
   // the syscall. A crossing missed through a stale `popped` cannot strand
   // the consumer in batched mode: every batched push comes from a
   // flush_port, whose dirty bit forces a notify at the producer's next
-  // flush_all (operator return / context teardown) — and a producer about
+  // flush_all (at the end of every emit path) — and a producer about
   // to park on backpressure notifies first in wait_for_space().
   if (urgent || wake_threshold_ == 1 ||
       (pushed - popped < wake_threshold_ &&
@@ -462,8 +426,9 @@ void RtEngine::wait_for_space(InEdge& e, Worker& c, std::uint64_t pushed) {
     cpu_relax();
   }
   for (;;) {
-    c.space_armed.store(true, std::memory_order_seq_cst);
+    // Register, then arm (see worker_loop's park for why not the reverse).
     const EventCount::Key key = c.space_ec.prepare_wait();
+    c.space_armed.store(true, std::memory_order_seq_cst);
     if (may_proceed()) {
       c.space_ec.cancel_wait();
       break;
@@ -475,28 +440,6 @@ void RtEngine::wait_for_space(InEdge& e, Worker& c, std::uint64_t pushed) {
                         std::chrono::steady_clock::now() - t0)
                         .count();
     c.enqueue_wait->record(SimTime::nanos(ns));
-  }
-}
-
-std::vector<core::Tuple> RtEngine::acquire_batch() {
-  {
-    std::scoped_lock lock(batch_pool_mu_);
-    if (!batch_pool_.empty()) {
-      std::vector<core::Tuple> v = std::move(batch_pool_.back());
-      batch_pool_.pop_back();
-      return v;
-    }
-  }
-  std::vector<core::Tuple> v;
-  v.reserve(config_.max_batch);
-  return v;
-}
-
-void RtEngine::release_batch(std::vector<core::Tuple>&& v) {
-  v.clear();  // destroy any leftover tuples before taking the pool lock
-  std::scoped_lock lock(batch_pool_mu_);
-  if (batch_pool_.size() < kMaxPooledBatches) {
-    batch_pool_.push_back(std::move(v));
   }
 }
 
@@ -547,11 +490,12 @@ void RtEngine::bump_counters(Worker& w, std::int64_t done) {
   }
 }
 
-void RtEngine::process_slot(Worker& w, RtContext& ctx, InEdge* e, Slot& slot,
+void RtEngine::process_slot(Worker& w, InEdge* e, Slot& slot,
                             std::int64_t& done) {
   // Caller holds w.op_mu (burst-granular): exclusion against timer-thread
   // callbacks covers process(), token alignment, and the snapshot
   // serialize.
+  RtContext& ctx = *w.ctx;
   if (auto* batch = std::get_if<std::vector<core::Tuple>>(&slot)) {
     for (const auto& tuple : *batch) {
       w.op->process(e->in_port, tuple, ctx);
@@ -559,11 +503,9 @@ void RtEngine::process_slot(Worker& w, RtContext& ctx, InEdge* e, Slot& slot,
     done += static_cast<std::int64_t>(batch->size());
     batch->clear();
     // Hand the drained carrier straight back to this edge's producer
-    // (lock-free, cache-warm); the context stash and engine pool only see
-    // the overflow.
-    if (!e->carriers.try_push(std::move(*batch))) {
-      ctx.recycle(std::move(*batch));
-    }
+    // (lock-free, cache-warm). On overflow it stays in the ring slot and is
+    // freed when pop_front() retires the entry.
+    (void)e->carriers.try_push(std::move(*batch));
     return;
   }
   if (const auto* token = std::get_if<core::Token>(&slot)) {
@@ -595,13 +537,6 @@ void RtEngine::process_slot(Worker& w, RtContext& ctx, InEdge* e, Slot& slot,
 }
 
 void RtEngine::worker_loop(Worker& w) {
-  // The context is constructed (and finally destroyed) under op_mu: both
-  // touch the out-edge carrier rings, shared with timer-thread contexts.
-  std::optional<RtContext> ctx;
-  {
-    std::scoped_lock op_lock(w.op_mu);
-    ctx.emplace(this, &w);
-  }
   // Recovery preload: entries pushed while the engine was stopped are
   // strictly older than anything a live producer can send — process them
   // before touching the rings (per-edge FIFO across restarts).
@@ -613,7 +548,7 @@ void RtEngine::worker_loop(Worker& w) {
     std::int64_t done = 0;
     {
       std::scoped_lock op_lock(w.op_mu);
-      for (Slot& s : pre) process_slot(w, *ctx, &e, s, done);
+      for (Slot& s : pre) process_slot(w, &e, s, done);
     }
     e.preload_pending.store(0, std::memory_order_release);
     bump_counters(w, done);
@@ -637,7 +572,7 @@ void RtEngine::worker_loop(Worker& w) {
         do {
           popped += slot_units(*s);
           e.tuples_popped.store(popped, std::memory_order_release);
-          process_slot(w, *ctx, &e, *s, done);
+          process_slot(w, &e, *s, done);
           e.ring.pop_front();
           ++burst;
         } while (burst < kMaxDrainPerEdge && (s = e.ring.front()) != nullptr);
@@ -652,7 +587,7 @@ void RtEngine::worker_loop(Worker& w) {
       // honest). Under op_mu: this thread shares the out-edge producer
       // role with the timer thread.
       std::scoped_lock op_lock(w.op_mu);
-      ctx->flush_all();
+      w.ctx->flush_all();
     }
     if (w.queue_depth != nullptr) {
       w.queue_depth->set(static_cast<double>(queue_depth_now(w)));
@@ -672,17 +607,21 @@ void RtEngine::worker_loop(Worker& w) {
     // Idle: publish quiescence — busy=false only after everything popped
     // has been processed *and* flushed — then park with the standard
     // eventcount re-check so a concurrent push is never lost.
+    // Register with the eventcount *before* arming the flag: a waker that
+    // wins the flag then always finds this thread registered and bumps the
+    // epoch. Armed first, a waker with nothing new could take the flag in
+    // between and find no waiter, and a push landing after the re-check
+    // below would then see the flag taken and wake nobody — the thread
+    // would sleep on a non-empty ring with every later wake suppressed.
     w.busy.store(false, std::memory_order_release);
     wake(w.space_armed, w.space_ec);
-    w.items_armed.store(true, std::memory_order_seq_cst);
     const EventCount::Key key = w.items_ec.prepare_wait();
+    w.items_armed.store(true, std::memory_order_seq_cst);
     if (!edges_idle(w)) {
       w.items_ec.cancel_wait();
     } else if (!running_.load(std::memory_order_acquire)) {
       w.items_ec.cancel_wait();
-      std::scoped_lock op_lock(w.op_mu);
-      ctx.reset();  // final (empty) flush + carrier return under the lock
-      return;       // stopped and drained
+      return;  // stopped and drained
     } else {
       w.items_ec.wait(key);
     }

@@ -12,13 +12,14 @@
 //    edge holds queue_capacity tuples (a batch is never split, so
 //    occupancy may overshoot by up to max_batch — the same
 //    queue_capacity + max_batch bound as the mutexed transport had);
-//  - batched transport: emits accumulate in per-out-edge buffers and move
-//    downstream as one ring entry (on the max_batch watermark, on operator
-//    return, and before any token is forwarded); idle workers park on an
-//    eventcount and producers defer the wake until half a queue of tuples
-//    is pending (tokens and per-tuple delivery wake immediately). Batch
-//    carriers recycle through a per-edge return ring, so the steady-state
-//    hot path takes no mutex and touches no shared allocator;
+//  - batched transport: each operator has one context, shared by all of its
+//    emit paths under op_mu; emits accumulate in its per-out-edge buffers
+//    and move downstream as one ring entry (on the max_batch watermark, on
+//    operator return, and before any token is forwarded); idle workers
+//    park on an eventcount and producers defer the wake until half a queue
+//    of tuples is pending (tokens and per-tuple delivery wake immediately).
+//    Batch carriers recycle through a per-edge return ring, so the
+//    steady-state hot path takes no mutex and touches no shared allocator;
 //  - a timer thread drives OperatorContext::schedule (source emission,
 //    windows);
 //  - checkpoint *mechanisms*, not checkpoint *policy*: the engine aligns
@@ -38,21 +39,24 @@
 // Invariants preserved by batching and by the ring transport (see
 // DESIGN.md §5c and §5h):
 //  - per-edge FIFO: tuples emitted on one out-edge arrive downstream in
-//    emit order, for every max_batch setting (an SPSC ring is FIFO by
-//    construction; recovery preload is processed before any live entry);
+//    emit order, for every max_batch setting and whether process() or a
+//    timer callback emitted them (both append to the operator's one set of
+//    buffers; an SPSC ring is FIFO by construction; recovery preload is
+//    processed before any live entry);
 //  - token flush barrier: all output produced before a token is forwarded
 //    is flushed ahead of the token, so a checkpoint taken mid-batch
 //    captures exactly the pre-token tuples on every edge;
 //  - source-boundary exactness: source emissions are tapped and counted
 //    under the same per-operator mutex (op_mu) that guards snapshot
-//    serialization (timer-context flushes happen inside that mutex too),
+//    serialization (timer callbacks flush inside that mutex too),
 //    so the boundary recorded in a source's Snapshot equals the number of
 //    tapped tuples that are upstream of the token on every out-edge — the
 //    replay cursor recovery needs. op_mu survives the lock-free transport
 //    precisely for this snapshot-vs-mutator exclusion; it is never part of
 //    queue signaling;
-//  - max_batch = 1 reproduces the seed's per-tuple delivery (the escape
-//    hatch the sim-vs-engine equivalence tests pin).
+//  - max_batch = 1 reproduces per-tuple delivery: one ring entry per
+//    tuple, no buffers — the reference engine_batch_test compares batched
+//    runs against.
 //
 // The engine is deliberately small: it reuses the exact Operator subclasses
 // the simulator runs, so every application in src/apps also runs on real
@@ -93,7 +97,6 @@ struct RtConfig {
   /// micro-benchmarks (see DESIGN.md §5c); 1 disables batching and
   /// reproduces per-tuple delivery exactly.
   std::size_t max_batch = 64;
-  std::size_t helper_threads = 2;
   std::uint64_t seed = 0x5eedULL;
   /// Optional live metrics sink: rt.* counters, per-operator queue-depth
   /// gauges (rt.op.<id>.queue_depth, summed from the ring occupancy
@@ -282,9 +285,10 @@ class RtEngine {
     /// producers first, so try_push can never find the ring full.
     SpscRing<Slot> ring;
 
-    /// Drained batch carriers handed back to the producer — the lock-free
-    /// replacement for the engine-wide batch pool on the hot path. Producer
-    /// and consumer roles are exactly reversed relative to `ring`.
+    /// Drained batch carriers handed back to the producer — the only batch
+    /// recycler: a carrier that does not fit is freed, and a producer that
+    /// finds it empty allocates a fresh one. Producer and consumer roles
+    /// are exactly reversed relative to `ring`.
     SpscRing<std::vector<core::Tuple>> carriers;
 
     /// Ring occupancy in tuples (a token counts as 1) — the unit
@@ -314,8 +318,7 @@ class RtEngine {
   /// tuple, then return the carrier via e->carriers), a token (alignment /
   /// flush barrier / snapshot), or a single tuple. `done` accumulates
   /// processed tuple counts for the per-pass counter updates.
-  void process_slot(Worker& w, RtContext& ctx, InEdge* e, Slot& slot,
-                    std::int64_t& done);
+  void process_slot(Worker& w, InEdge* e, Slot& slot, std::int64_t& done);
   /// Enqueue one slot on `e`, blocking while the edge holds at least
   /// queue_capacity tuples (an entry is never split, so occupancy may
   /// overshoot by up to max_batch — bound: queue_capacity + max_batch).
@@ -362,6 +365,10 @@ class RtEngine {
     /// begin_epoch() pushes tokens into.
     std::vector<std::unique_ptr<InEdge>> in_edges;
     InEdge* control_edge = nullptr;
+    /// The operator's one context, rebuilt by every start(). Every emit
+    /// path uses it under op_mu, so its out-edge buffers keep per-edge FIFO
+    /// across the worker, timer and starter threads.
+    std::unique_ptr<RtContext> ctx;
 
     /// Serializes *operator execution* — process()/serialize_state() on the
     /// worker thread versus schedule() callbacks (source emission, windows)
@@ -372,15 +379,16 @@ class RtEngine {
     /// pure snapshot-vs-mutator exclusion: transport never signals through
     /// it. Holding it across downstream delivery cannot deadlock because
     /// the query graph is a DAG. It also serializes the *producer* role on
-    /// this worker's out-edge rings across the worker and timer threads.
+    /// this worker's out-edge rings, and every use of `ctx`, across the
+    /// worker and timer threads.
     std::mutex op_mu;
 
     /// Parking: the consumer sleeps on items_ec when its rings are empty;
     /// producers blocked on this worker's backpressure sleep on space_ec.
     EventCount items_ec;
     EventCount space_ec;
-    /// Wake coalescing: a parker arms its flag immediately before the
-    /// eventcount prepare/re-check/wait sequence; wakers notify only when
+    /// Wake coalescing: a parker arms its flag between the eventcount's
+    /// prepare_wait and its predicate re-check; wakers notify only when
     /// their exchange(false) wins the flag. A woken-but-not-yet-scheduled
     /// thread (the common state on a loaded host) therefore costs its
     /// peers one futex syscall total, not one per push — the lock-free
@@ -429,12 +437,6 @@ class RtEngine {
   /// Per-pass counter updates (processed, sink tuples, metrics).
   void bump_counters(Worker& w, std::int64_t done);
 
-  /// Batch-vector recycling fallback. The per-edge carrier rings recycle
-  /// the steady-state flow lock-free; this mutex-guarded pool only backs
-  /// warm-up, context teardown, and carrier-ring overflow.
-  std::vector<core::Tuple> acquire_batch();
-  void release_batch(std::vector<core::Tuple>&& v);
-
   core::QueryGraph graph_;
   RtConfig config_;
   SnapshotSink sink_;
@@ -455,11 +457,8 @@ class RtEngine {
   std::unique_ptr<ThreadPool> helpers_;
   BufferPool snapshot_buffers_;
 
-  /// Freelist behind acquire_batch/release_batch; bounded so a transient
-  /// ring pile-up cannot pin memory forever.
-  std::mutex batch_pool_mu_;
-  std::vector<std::vector<core::Tuple>> batch_pool_;
-  static constexpr std::size_t kMaxPooledBatches = 256;
+  /// Threads delivering kAsync snapshots to the sink.
+  static constexpr std::size_t kHelperThreads = 2;
 
   /// Ring entries drained per in-edge per sweep before moving to the next
   /// edge — round-robin fairness for multi-input operators.

@@ -1,6 +1,7 @@
 // Batched-transport invariants of the real-threads engine: per-edge FIFO at
-// every max_batch setting, exact token alignment for epochs taken mid-batch,
-// and batched-vs-unbatched equivalence on a fixed workload.
+// every max_batch setting and across timer and process() emits, exact token
+// alignment for epochs taken mid-batch, and batched-vs-unbatched
+// equivalence on a fixed workload.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -202,6 +203,76 @@ TEST(RtEngineBatchTest, BatchLargerThanQueueCapacityDrainsCleanly) {
   for (std::size_t i = 0; i < sink.values.size(); ++i) {
     ASSERT_EQ(sink.values[i], static_cast<std::int64_t>(i));
   }
+}
+
+/// Emits one increasing counter from two paths: process() (one value per
+/// input tuple) and its own 20 µs timer. The engine runs both under the
+/// operator's op_mu, so next_ needs no lock of its own.
+class TimerMixer final : public core::Operator {
+ public:
+  TimerMixer() : core::Operator("mixer") {}
+
+  void on_open(core::OperatorContext& ctx) override { arm(ctx); }
+  void process(int, const core::Tuple&, core::OperatorContext& ctx) override {
+    emit_next(ctx);
+  }
+
+ private:
+  void arm(core::OperatorContext& ctx) {
+    ctx.schedule(SimTime::micros(20), [this](core::OperatorContext& c) {
+      emit_next(c);
+      arm(c);
+    });
+  }
+  void emit_next(core::OperatorContext& ctx) {
+    core::Tuple t;
+    t.payload = std::make_shared<IntPayload>(next_++);
+    ctx.emit(0, std::move(t));
+  }
+
+  std::int64_t next_ = 0;
+};
+
+// Per-edge FIFO holds across emit paths: values an operator emits from a
+// timer callback and from process() reach the downstream in emit order,
+// because both paths append to the operator's one set of output buffers.
+TEST(RtEngineBatchTest, TimerAndProcessEmitsKeepEmitOrder) {
+  static constexpr std::int64_t kTotal = 200000;
+  core::QueryGraph g;
+  const int src = g.add_source("src", [] {
+    return std::make_unique<core::BurstSourceOperator>(
+        "src", SimTime::micros(50), 7,
+        [](std::int64_t seq) {
+          core::Tuple t;
+          t.payload = std::make_shared<IntPayload>(seq);
+          return t;
+        },
+        kTotal);
+  });
+  const int mixer =
+      g.add_operator("mixer", [] { return std::make_unique<TimerMixer>(); });
+  const int sink =
+      g.add_sink("sink", [] { return std::make_unique<RecordingSink>("sink"); });
+  g.connect(src, mixer);
+  g.connect(mixer, sink);
+
+  RtEngine engine(g, RtConfig{});
+  engine.start();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (engine.tuples_processed(mixer) < kTotal &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  engine.stop();
+
+  const auto& values = static_cast<const RecordingSink&>(engine.op(sink)).values;
+  ASSERT_GE(values.size(), static_cast<std::size_t>(kTotal));
+  std::size_t inversions = 0;
+  for (std::size_t i = 1; i < values.size(); ++i) {
+    if (values[i] <= values[i - 1]) ++inversions;
+  }
+  EXPECT_EQ(inversions, 0u) << "out of " << values.size() << " tuples";
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -536,6 +537,59 @@ TEST(RtProtocolTest, SourceLogTruncatesAtCommit) {
   const LogScan& post_scan = post_scanned.value();
   ASSERT_FALSE(post_scan.frames.empty());
   EXPECT_EQ(post_scan.frames.front().index, bound);
+}
+
+TEST(RtProtocolTest, RestartedRuntimeNumbersEpochsAboveTheDirectory) {
+  // One epoch number from coordinator to disk: a runtime resuming a
+  // directory numbers its epochs above every epoch_<E> already there, and
+  // its probes carry the same numbers as the directories it writes.
+  auto feed = std::make_shared<ExternalFeed>();
+  RtRuntimeConfig cfg;
+  cfg.mode = RtMode::kSrcAp;
+  cfg.dir = fresh_dir("ms_rtp_renumber");
+  cfg.params.periodic = false;
+  cfg.codec = int_codec();
+
+  std::uint64_t first_tip = 0;
+  {
+    rt::RtEngine engine(feed_chain(feed, 1, SimTime::micros(200), 4),
+                        rt::RtConfig{});
+    RtRuntime runtime(&engine, cfg);
+    ASSERT_TRUE(runtime.start().is_ok());
+    for (std::uint64_t n = 1; n <= 2; ++n) {
+      wait_drained(engine, engine.sink_tuples() + 50);
+      ASSERT_TRUE(runtime.begin_checkpoint().is_ok());
+      ASSERT_TRUE(runtime.wait_checkpoints(n, SimTime::seconds(10)));
+    }
+    first_tip = runtime.last_durable_epoch();
+    ASSERT_GT(first_tip, 0u);
+    runtime.stop();
+  }
+
+  rt::RtEngine engine(feed_chain(feed, 1, SimTime::micros(200), 4),
+                      rt::RtConfig{});
+  RtRuntime runtime(&engine, cfg);
+  std::mutex mu;
+  std::set<std::uint64_t> done_ids;
+  runtime.add_probe([&](FtPoint point, int, std::uint64_t id) {
+    if (point != FtPoint::kCheckpointDone) return;
+    std::scoped_lock lk(mu);
+    done_ids.insert(id);
+  });
+  ASSERT_TRUE(runtime.recover(nullptr).is_ok());
+  wait_drained(engine, engine.sink_tuples() + 50);
+  ASSERT_TRUE(runtime.begin_checkpoint().is_ok());
+  ASSERT_TRUE(runtime.wait_checkpoints(1, SimTime::seconds(10)));
+  feed->paused.store(true);
+  wait_quiescent(engine);
+  runtime.stop();
+
+  const std::uint64_t tip = runtime.last_durable_epoch();
+  EXPECT_GT(tip, first_tip);
+  EXPECT_TRUE(fs::exists(fs::path(cfg.dir) / ("epoch_" + std::to_string(tip)) /
+                         "MANIFEST"));
+  std::scoped_lock lk(mu);
+  EXPECT_EQ(done_ids, std::set<std::uint64_t>{tip});
 }
 
 TEST(RtProtocolTest, RuntimeGuardsReturnStatus) {

@@ -34,6 +34,16 @@ for preset in $PRESETS; do
   if ! ctest --preset "$preset" -j "$JOBS" --timeout "$TEST_TIMEOUT" "$@"; then
     results+=("$preset: TESTS FAILED"); status=1; break
   fi
+  # Transport repeat pass: the batched-transport drills and the engine bench
+  # smoke, repeated serially. A lost wakeup or a reordered flush shows up as
+  # a hang (caught by the timeout) or a FIFO failure, and only
+  # intermittently, so one pass under the sanitizers is not enough.
+  echo "=== [$preset] transport repeat ==="
+  if ! ctest --preset "$preset" \
+      -R '^RtEngineBatchTest\.|bench_smoke_engine_throughput' \
+      --repeat until-fail:20 --timeout 60; then
+    results+=("$preset: TRANSPORT REPEAT FAILED"); status=1; break
+  fi
   # The self-healing drills get a dedicated serial pass on top of the full
   # suite: crash-recovery timing is wall-clock-sensitive, so run them without
   # sibling load to catch latent flakiness the parallel run can mask.
