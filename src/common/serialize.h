@@ -44,6 +44,16 @@ class BinaryWriter {
     buf_.insert(buf_.end(), p, p + sizeof(T));
   }
 
+  /// Overwrite sizeof(T) bytes already written at `pos` (a length or CRC
+  /// field reserved before the bytes it describes).
+  template <typename T>
+    requires std::is_trivially_copyable_v<T> && (!std::is_pointer_v<T>)
+  void write_at(std::size_t pos, const T& v) {
+    MS_CHECK_MSG(pos <= buf_.size() && sizeof(T) <= buf_.size() - pos,
+                 "BinaryWriter: write_at past the end");
+    std::memcpy(buf_.data() + pos, &v, sizeof(T));
+  }
+
   void write_bytes(const void* data, std::size_t n) {
     const auto* p = static_cast<const std::uint8_t*>(data);
     ensure(n);

@@ -127,8 +127,9 @@ RtRuntime::RtRuntime(rt::RtEngine* engine, RtRuntimeConfig config)
   // Logged before dispatch. Appends continue while crashed_ is set:
   // everything downstream observed before the "crash" is in the log, which
   // is exactly the guarantee recovery leans on.
-  engine_->set_source_tap([this](int op, int out_port, const core::Tuple& t) {
-    logs_.append(op, out_port, t);
+  engine_->set_source_tap([this](int op, int out_port,
+                                 const core::Tuple* tuples, std::size_t n) {
+    logs_.append(op, out_port, tuples, n);
   });
   engine_->set_proto_probe(
       [this](rt::ProtoPoint point, int op, std::uint64_t epoch) {

@@ -10,12 +10,12 @@
 // The checkpoint directory — layout, payloads, committed epochs, fallback
 // rungs and GC — belongs to EpochStore (ft/epoch_store.h), which msverify
 // reads through too. The source logs belong to SourceLogSet
-// (ft/source_log.h): the engine's SourceTap appends to them *before* a tuple
-// is dispatched (durable-before-dispatch), each commit truncates them to the
-// oldest retained epoch's boundary, and recovery replays them past the
-// chosen epoch's boundaries. A file that fails verification is never read as
-// data: recovery falls back to an older epoch or returns kDataLoss, and so
-// does a hole in the replayed record indices.
+// (ft/source_log.h): the engine's SourceTap appends each out-edge batch to
+// them *before* it is dispatched (durable-before-dispatch), each commit
+// truncates them to the oldest retained epoch's boundary, and recovery
+// replays them past the chosen epoch's boundaries. A file that fails
+// verification is never read as data: recovery falls back to an older epoch
+// or returns kDataLoss, and so does a hole in the replayed record indices.
 //
 // Modes mirror the simulator's schemes:
 //   kSrc      tokens trickle, each unit's snapshot is written synchronously

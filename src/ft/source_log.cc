@@ -1,6 +1,7 @@
 #include "ft/source_log.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <system_error>
@@ -170,7 +171,10 @@ SourceLogSet::SourceLogSet(const std::string& dir,
       m_torn_frames_(metrics.counter("ft.log.torn_frames")),
       m_append_failures_(metrics.counter("ft.log.append_failures")),
       m_truncations_skipped_(metrics.counter("ft.log.truncation_skipped")),
-      m_torn_unconfirmed_(metrics.counter("ft.log.torn_unconfirmed")) {
+      m_torn_unconfirmed_(metrics.counter("ft.log.torn_unconfirmed")),
+      m_append_ns_(metrics.histogram("ft.log.append_ns")),
+      m_batch_tuples_(metrics.histogram("ft.log.batch_tuples")),
+      m_bytes_(metrics.counter("ft.log.bytes")) {
   for (const int op : sources) {
     const auto idx = static_cast<std::size_t>(op);
     if (logs_.size() <= idx) logs_.resize(idx + 1);
@@ -179,39 +183,52 @@ SourceLogSet::SourceLogSet(const std::string& dir,
   }
 }
 
-void SourceLogSet::append(int op, int out_port, const core::Tuple& tuple) {
+void SourceLogSet::append(int op, int out_port, const core::Tuple* tuples,
+                          std::size_t n) {
+  if (n == 0) return;
   Log& log = *logs_[static_cast<std::size_t>(op)];
   std::scoped_lock lk(log.mu);
-  // One buffer, one write(): [header][len][crc32c(record)][record], the
-  // header only into an empty file.
-  const bool empty = log.out.size() == 0;
-  const std::size_t off = empty ? kLogFileHeaderSize : 0;
-  BinaryWriter w(off + 8 + kLogFrameFixed + 32);
-  if (empty) {
+  const auto t0 = std::chrono::steady_clock::now();
+  // One buffer, one write(): [header] then [len][crc32c(record)][record] per
+  // tuple, the header only into an empty file.
+  BinaryWriter w(std::move(log.batch));
+  if (log.out.size() == 0) {
     const auto hdr = log_file_header();
     w.write_bytes(hdr.data(), hdr.size());
   }
-  w.write<std::uint64_t>(0);  // [len][crc], patched below
-  encode_log_record(w, log.next_index, out_port, tuple, codec_);
-  std::vector<std::uint8_t> bytes = w.take();
-  const auto len = static_cast<std::uint32_t>(bytes.size() - off - 8);
-  const std::uint32_t crc = storage::crc32c(bytes.data() + off + 8, len);
-  std::memcpy(bytes.data() + off, &len, 4);
-  std::memcpy(bytes.data() + off + 4, &crc, 4);
-  if (!log.out.append(bytes.data(), bytes.size(), opts_)) {
-    // The tuple still goes downstream but no recovery could replay it until
-    // a checkpoint boundary passes this index: health() shows the window.
-    MS_LOG_WARN("ft", "source log append failed for op %d (index %llu)", op,
-                static_cast<unsigned long long>(log.next_index));
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t at = w.size();
+    w.write<std::uint64_t>(0);  // [len][crc], patched below
+    encode_log_record(w, log.next_index + k, out_port, tuples[k], codec_);
+    const auto len = static_cast<std::uint32_t>(w.size() - at - 8);
+    w.write_at<std::uint32_t>(at, len);
+    w.write_at<std::uint32_t>(
+        at + 4, storage::crc32c(w.data().data() + at + 8, len));
+  }
+  log.batch = w.take();
+  if (log.out.append(log.batch.data(), log.batch.size(), opts_)) {
+    m_bytes_->add(static_cast<std::int64_t>(log.batch.size()));
+  } else {
+    // The batch still goes downstream but no recovery could replay it until
+    // a checkpoint boundary passes its indices: health() shows the window.
+    MS_LOG_WARN("ft",
+                "source log append failed for op %d (indices %llu..%llu)", op,
+                static_cast<unsigned long long>(log.next_index),
+                static_cast<unsigned long long>(log.next_index + n - 1));
     m_append_failures_->add(1);
     log.failed_since = std::min(log.failed_since, log.next_index);
-    // Cut a partial frame (or header) back, or every later frame would sit
-    // behind a tear the next scan stops at.
+    // Cut the partial batch (or header) back, or every later frame would
+    // sit behind a tear the next scan stops at.
     if (log.out.is_open() && !log.out.rollback()) {
       MS_LOG_WARN("ft", "source log rollback failed for op %d", op);
     }
   }
-  ++log.next_index;
+  log.next_index += n;
+  m_append_ns_->record(SimTime::nanos(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count()));
+  m_batch_tuples_->record(SimTime::nanos(static_cast<std::int64_t>(n)));
 }
 
 Status SourceLogSet::scan(const std::vector<std::uint64_t>& boundaries) {

@@ -8,10 +8,14 @@
 // tuple; a record is kLogFrameFixed bytes of fields (the index first), then
 // the codec's payload. The only tear a crash can leave is a short last frame.
 //
-// Two writers. The append: one write() per record, carrying the header too
-// when the file is empty, so a failed header write is an ordinary append
-// failure — cut back, counted (ft.log.append_failures), and open in health()
-// until a truncation floor passes its index. The rewrite: the verified
+// Two writers. The append: a group commit per batch the engine flushes —
+// every record of the batch framed into one reused buffer and issued as one
+// write() (one fdatasync under SyncMode::kAlways), carrying the header too
+// when the file is empty. A failed batch — header included — is one append
+// failure: cut back whole, counted once (ft.log.append_failures), and open
+// in health() from its first index until a truncation floor passes it.
+// Each batch records ft.log.append_ns (encode, CRC and write),
+// ft.log.batch_tuples and ft.log.bytes. The rewrite: the verified
 // frames' image through storage::write_raw_atomic (fault injection applies),
 // keeping the frames from the truncation floor on, or every frame before a
 // torn tail two reads confirm. A failed read, a header that does not verify
@@ -124,9 +128,13 @@ class SourceLogSet {
                storage::DurableOptions opts, TupleCodec codec,
                MetricsRegistry& metrics);
 
-  /// The engine's source tap: log `tuple` as source `op`'s next record,
-  /// before the tuple is dispatched.
-  void append(int op, int out_port, const core::Tuple& tuple);
+  /// The engine's source tap: log `tuples[0..n)` as source `op`'s next `n`
+  /// records, consecutive indices, in one write before the batch is
+  /// dispatched.
+  void append(int op, int out_port, const core::Tuple* tuples, std::size_t n);
+  void append(int op, int out_port, const core::Tuple& tuple) {
+    append(op, out_port, &tuple, 1);
+  }
 
   /// With nothing appending: read (and trim) every log without a cached
   /// view, cache the view for replay(), and continue each log's record
@@ -165,6 +173,8 @@ class SourceLogSet {
     std::uint64_t next_index = 0;   // index the next append gets
     /// Lowest index whose append failed (its tuple went downstream).
     std::uint64_t failed_since = kNoAppendFailure;
+    /// The append's encode buffer, kept between batches for its capacity.
+    std::vector<std::uint8_t> batch;
     /// The last scan()'s verified read, while nothing has changed the file.
     std::unique_ptr<LogView> view;
   };
@@ -182,6 +192,9 @@ class SourceLogSet {
   Counter* m_append_failures_;      // ft.log.append_failures
   Counter* m_truncations_skipped_;  // ft.log.truncation_skipped
   Counter* m_torn_unconfirmed_;     // ft.log.torn_unconfirmed
+  HistogramMetric* m_append_ns_;     // ft.log.append_ns, per batch
+  HistogramMetric* m_batch_tuples_;  // ft.log.batch_tuples, per batch
+  Counter* m_bytes_;                 // ft.log.bytes appended
 };
 
 }  // namespace ms::ft

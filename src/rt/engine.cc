@@ -56,8 +56,9 @@ void wake(std::atomic<bool>& armed, EventCount& ec) {
 /// threads: whichever path flushes, it flushes everything emitted before.
 /// Buffers flush on the max_batch watermark, explicitly before a token is
 /// forwarded, and whenever an emit path returns control to the engine
-/// (still inside op_mu, so a source's tap count at snapshot time exactly
-/// matches what has been flushed ahead of any token).
+/// (still inside op_mu). A source's tap sees each buffer as one batch just
+/// before it is published, so its tap count at snapshot time is exactly
+/// what has been flushed ahead of any token.
 class RtEngine::RtContext final : public core::OperatorContext {
  public:
   RtContext(RtEngine* engine, Worker* worker)
@@ -84,16 +85,8 @@ class RtEngine::RtContext final : public core::OperatorContext {
       tuple.source_seq = ++worker_->next_seq;
       tuple.id = core::Tuple::make_id(tuple.source_hau, tuple.source_seq);
     }
-    // Source preservation tap: observe the stamped tuple *before* any
-    // downstream effect exists (the log write is the tap's job; its
-    // durability before dispatch is the protocol's replay guarantee). The
-    // tap and the `tapped` counter ride under op_mu — every emit path holds
-    // it — so a snapshot's source_boundary is exact.
-    if (tap_) {
-      engine_->source_tap_(worker_->id, out_port, tuple);
-      ++worker_->tapped;
-    }
     if (buffers_.empty()) {  // max_batch == 1: the seed's per-tuple path
+      tap_batch(out_port, &tuple, 1);
       OutEdge& oe = worker_->out_edges[static_cast<std::size_t>(out_port)];
       engine_->push_slot(*oe.edge, Slot(std::move(tuple)), 1,
                          /*urgent=*/false);
@@ -108,10 +101,10 @@ class RtEngine::RtContext final : public core::OperatorContext {
 
   /// Copy-emit fast path: a fully stamped lvalue tuple headed for a batch
   /// buffer is copied exactly once, straight into the buffer. Anything that
-  /// needs stamping, tapping, or the per-tuple Slot path takes the generic
+  /// needs stamping or the per-tuple Slot path takes the generic
   /// copy-then-forward route.
   void emit(int out_port, const core::Tuple& tuple) override {
-    if (tap_ || buffers_.empty() || tuple.event_time == SimTime::zero() ||
+    if (buffers_.empty() || tuple.event_time == SimTime::zero() ||
         tuple.id == 0) {
       emit(out_port, core::Tuple(tuple));
       return;
@@ -181,9 +174,22 @@ class RtEngine::RtContext final : public core::OperatorContext {
     buffers_[p].dirty = true;
     OutEdge& oe = worker_->out_edges[p];
     const std::size_t n = buf.size();
+    tap_batch(static_cast<int>(p), buf.data(), n);
     // The whole buffer moves downstream as one ring entry.
     engine_->push_slot(*oe.edge, Slot(std::move(buf)), n, /*urgent=*/false);
     refill(p);
+  }
+
+  /// Source preservation tap: hand the stamped tuples about to be published
+  /// on `port` to the tap *before* any downstream effect exists (the log
+  /// write is the tap's job; its durability before dispatch is the
+  /// protocol's replay guarantee) — one call per flushed batch. The tap and
+  /// the `tapped` counter ride under op_mu — every emit path holds it and
+  /// flushes before releasing it — so a snapshot's source_boundary is exact.
+  void tap_batch(int port, const core::Tuple* tuples, std::size_t n) {
+    if (!tap_) return;
+    engine_->source_tap_(worker_->id, port, tuples, n);
+    worker_->tapped += n;
   }
 
   /// Give port p's buffer storage: a carrier the downstream consumer handed

@@ -46,14 +46,15 @@
 //  - token flush barrier: all output produced before a token is forwarded
 //    is flushed ahead of the token, so a checkpoint taken mid-batch
 //    captures exactly the pre-token tuples on every edge;
-//  - source-boundary exactness: source emissions are tapped and counted
-//    under the same per-operator mutex (op_mu) that guards snapshot
-//    serialization (timer callbacks flush inside that mutex too),
-//    so the boundary recorded in a source's Snapshot equals the number of
-//    tapped tuples that are upstream of the token on every out-edge — the
-//    replay cursor recovery needs. op_mu survives the lock-free transport
-//    precisely for this snapshot-vs-mutator exclusion; it is never part of
-//    queue signaling;
+//  - source-boundary exactness: a source's out-edge buffers are tapped and
+//    counted as whole batches, each just before it is published, under the
+//    same per-operator mutex (op_mu) that guards snapshot serialization;
+//    every emit path flushes before it releases op_mu (timer callbacks
+//    included), so the boundary recorded in a source's Snapshot equals the
+//    number of tapped tuples that are upstream of the token on every
+//    out-edge — the replay cursor recovery needs. op_mu survives the
+//    lock-free transport precisely for this snapshot-vs-mutator exclusion;
+//    it is never part of queue signaling;
 //  - max_batch = 1 reproduces per-tuple delivery: one ring entry per
 //    tuple, no buffers — the reference engine_batch_test compares batched
 //    runs against.
@@ -149,11 +150,14 @@ struct Snapshot {
 /// or helper threads; must be installed before start().
 using SnapshotSink = std::function<void(const Snapshot&)>;
 
-/// Observes every tuple a source operator emits, before it is dispatched
-/// downstream — the hook source-log preservation hangs off ("durable before
-/// dispatch"). Runs under the source's per-operator mutex, on whichever
-/// thread is emitting.
-using SourceTap = std::function<void(int op, int out_port, const core::Tuple&)>;
+/// Observes every batch a source operator publishes on `out_port`, before
+/// it is dispatched downstream — the hook source-log preservation hangs off
+/// ("durable before dispatch"). One call per flushed out-edge buffer (1 to
+/// max_batch tuples, in emit order; a batch of one under max_batch == 1).
+/// Runs under the source's per-operator mutex, on whichever thread is
+/// flushing; `tuples` is valid only for the call.
+using SourceTap = std::function<void(int op, int out_port,
+                                     const core::Tuple* tuples, std::size_t n)>;
 
 /// Protocol instrumentation points on the engine's checkpoint mechanisms.
 enum class ProtoPoint { kTokenArrived, kAligned, kSerializeStart, kSerializeDone };
@@ -178,7 +182,7 @@ class RtEngine {
 
   // --- checkpoint/recovery primitives (policy-free; see ft/rt_runtime.*) ---
 
-  /// Install the snapshot receiver / source-emission tap / protocol probe.
+  /// Install the snapshot receiver / per-batch source tap / protocol probe.
   /// All three must be set (or left unset) before start().
   void set_snapshot_sink(SnapshotSink sink) { sink_ = std::move(sink); }
   void set_source_tap(SourceTap tap) { source_tap_ = std::move(tap); }
@@ -408,8 +412,9 @@ class RtEngine {
     std::thread thread;
     std::unique_ptr<Rng> rng;
     std::uint64_t next_seq = 0;   // lineage stamping; guarded by op_mu
-    /// Tuples handed to the source tap so far — the running boundary the
-    /// snapshot captures. Guarded by op_mu, like next_seq.
+    /// Tuples handed to the source tap so far (the sum of its batch sizes)
+    /// — the running boundary the snapshot captures. Guarded by op_mu, like
+    /// next_seq.
     std::uint64_t tapped = 0;
 
     // Checkpoint alignment.

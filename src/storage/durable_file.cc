@@ -222,14 +222,20 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t n) {
   return true;
 }
 
+/// fdatasync `fd`, or report the failure `fault` injects.
+bool sync_fd(int fd, WriteFault fault) {
+  return ::fdatasync(fd) == 0 && fault != WriteFault::kSyncError;
+}
+
 /// Write the first min(`limit`, `n`) of `n` bytes at `data` to `path`,
-/// O_TRUNC. `do_sync` fdatasyncs before close.
+/// O_TRUNC. `do_sync` fdatasyncs before close (`fault` as in sync_fd).
 bool write_file(const std::string& path, const std::uint8_t* data,
-                std::size_t n, std::size_t limit, bool do_sync) {
+                std::size_t n, std::size_t limit, bool do_sync,
+                WriteFault fault = WriteFault::kNone) {
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return false;
   bool ok = write_all(fd, data, std::min(limit, n));
-  if (ok && do_sync) ok = ::fdatasync(fd) == 0;
+  if (ok && do_sync) ok = sync_fd(fd, fault);
   ::close(fd);
   return ok;
 }
@@ -263,11 +269,12 @@ Status write_artifact(const std::string& path, ArtifactKind kind,
       write_file(path, framed.data(), framed.size(), framed.size(), do_sync);
       if (opts.faults) opts.faults->on_crash_point(path);
       return Status::unavailable("injected crash during write: " + path);
+    case WriteFault::kSyncError:
     case WriteFault::kNone:
       break;
   }
-  if (!write_file(path, framed.data(), framed.size(), framed.size(),
-                  do_sync)) {
+  if (!write_file(path, framed.data(), framed.size(), framed.size(), do_sync,
+                  fault.fault)) {
     return Status::unavailable("write failed: " + path);
   }
   return Status::ok();
@@ -291,7 +298,7 @@ Status commit_atomic(const std::string& path, ArtifactKind kind,
   const std::size_t limit = fault.fault == WriteFault::kTorn
                                 ? static_cast<std::size_t>(fault.offset)
                                 : n;
-  if (!write_file(tmp, data, n, limit, do_sync)) {
+  if (!write_file(tmp, data, n, limit, do_sync, fault.fault)) {
     return Status::unavailable("write failed: " + tmp);
   }
   if (fault.fault == WriteFault::kCrashBeforeRename) {
@@ -423,9 +430,11 @@ bool AppendFile::append(const void* data, std::size_t n,
   if (fault.fault == WriteFault::kTorn) {
     limit = std::min(n, static_cast<std::size_t>(fault.offset));
   }
-  const bool wrote =
-      write_all(fd_, static_cast<const std::uint8_t*>(data), limit);
-  if (wrote && opts.sync == SyncMode::kAlways) ::fdatasync(fd_);
+  bool wrote = write_all(fd_, static_cast<const std::uint8_t*>(data), limit);
+  // Not durable is not appended: the caller rolls the bytes back.
+  if (wrote && opts.sync == SyncMode::kAlways) {
+    wrote = sync_fd(fd_, fault.fault);
+  }
   if (fault.fault == WriteFault::kTorn) return false;  // tail is torn
   if (fault.fault == WriteFault::kCrashBeforeRename ||
       fault.fault == WriteFault::kCrashAfterRename) {

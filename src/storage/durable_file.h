@@ -84,6 +84,9 @@ enum class WriteFault : std::uint8_t {
   /// Process dies right after the rename, before the directory sync: the
   /// commit landed but the writer never observed it.
   kCrashAfterRename,
+  /// Every byte lands, but the sync that would make it durable reports
+  /// failure (EIO from fdatasync). Only writes that sync see it.
+  kSyncError,
 };
 
 enum class ReadFault : std::uint8_t {
@@ -184,8 +187,9 @@ class AppendFile {
   bool is_open() const { return fd_ >= 0; }
   void close();
   /// Append `n` bytes; false on failure (injected or real). Under
-  /// SyncMode::kAlways in `opts` the append is fdatasynced before returning.
-  /// A failed append may leave part of its bytes in the file.
+  /// SyncMode::kAlways in `opts` the append is fdatasynced before returning,
+  /// and a failed sync fails the append. A failed append may leave part or
+  /// all of its bytes in the file.
   bool append(const void* data, std::size_t n, const DurableOptions& opts);
   /// File size at open plus every successful append since.
   std::uint64_t size() const { return size_; }

@@ -1,8 +1,9 @@
 // SourceLogSet on its own: one source log in a temp dir, no engine. Checks
 // the append / scan / truncate / replay round trip byte for byte, the
 // index-run rule (a hole past the boundary is data loss, one below it is
-// not), the torn-tail trim and its two-read confirmation, and the
-// append-failure window that health() reports.
+// not), the torn-tail trim and its two-read confirmation, the
+// append-failure window that health() reports, and the batch append: one
+// write per batch, rolled back whole when it fails, with per-batch metrics.
 #include "ft/source_log.h"
 
 #include <gtest/gtest.h>
@@ -63,9 +64,8 @@ struct LogDir {
   /// A fresh SourceLogSet, scanned with no committed boundary.
   SourceLogSet& open(storage::FaultInjector* faults = nullptr) {
     logs = std::make_unique<SourceLogSet>(
-        dir, std::vector<int>{kOp},
-        storage::DurableOptions{storage::SyncMode::kNone, faults}, int_codec(),
-        metrics);
+        dir, std::vector<int>{kOp}, storage::DurableOptions{sync, faults},
+        int_codec(), metrics);
     scanned = logs->scan({});
     return *logs;
   }
@@ -95,10 +95,23 @@ struct LogDir {
 
   std::string dir;
   std::string path;
+  storage::SyncMode sync = storage::SyncMode::kNone;
   MetricsRegistry metrics;
   std::unique_ptr<SourceLogSet> logs;
   Status scanned = Status::ok();
 };
+
+/// The tuples of values [from, to), as one batch.
+std::vector<core::Tuple> batch_of(std::int64_t from, std::int64_t to) {
+  std::vector<core::Tuple> out;
+  for (std::int64_t v = from; v < to; ++v) out.push_back(tuple_of(v));
+  return out;
+}
+
+void append_batch(SourceLogSet& logs, std::int64_t from, std::int64_t to) {
+  const std::vector<core::Tuple> batch = batch_of(from, to);
+  logs.append(kOp, 0, batch.data(), batch.size());
+}
 
 std::vector<std::uint64_t> indices(const LogScan& scan) {
   std::vector<std::uint64_t> out;
@@ -304,6 +317,86 @@ TEST(SourceLogTest, TruncationFloorPastTheFailureClosesTheWindow) {
   logs.truncate(kOp, 3);
   EXPECT_TRUE(logs.health().is_ok()) << logs.health().to_string();
   EXPECT_EQ(indices(scan_of(d.bytes())), (std::vector<std::uint64_t>{3, 4}));
+}
+
+// A batch is one write: a tear inside its third frame cuts the whole batch
+// back, counts one failure, and leaves an eight-record gap that the next
+// batch continues past and the scrub reports exactly.
+TEST(SourceLogTest, TornBatchRollsBackWhole) {
+  LogDir d("ms_slog_tornbatch");
+  DiskFaultInjector faults;
+  SourceLogSet& logs = d.append(0, 4, &faults);  // records 0..3, one each
+  const auto before = fs::file_size(d.path);
+  const auto frame = (before - kLogFileHeaderSize) / 4;  // equal-size frames
+  faults.arm_write(storage::ArtifactKind::kSourceLog,
+                   storage::WriteFault::kTorn, 2 * frame + frame / 2);
+  append_batch(logs, 4, 12);
+  EXPECT_EQ(faults.injected(), 1);
+  EXPECT_EQ(fs::file_size(d.path), before) << "the batch was not cut back";
+  EXPECT_EQ(d.count("ft.log.append_failures"), 1);
+  const Status health = logs.health();
+  EXPECT_EQ(health.code(), StatusCode::kDataLoss);
+  EXPECT_NE(health.message().find("from index 4"), std::string::npos)
+      << health.message();
+
+  append_batch(logs, 12, 20);
+  EXPECT_EQ(indices(scan_of(d.bytes())),
+            (std::vector<std::uint64_t>{0, 1, 2, 3, 12, 13, 14, 15, 16, 17,
+                                        18, 19}));
+  const ScrubReport report = scrub_checkpoint_dir(d.dir);
+  ASSERT_EQ(report.issues.size(), 1u);
+  EXPECT_NE(report.issues[0].detail.find("records 4..11 missing"),
+            std::string::npos)
+      << report.issues[0].detail;
+}
+
+// Under SyncMode::kAlways a batch is durable only once fdatasync succeeds: a
+// sync that fails after every byte landed is an append failure like a
+// failed write — cut back, counted once, and open in health().
+TEST(SourceLogTest, FailedSyncIsAnAppendFailure) {
+  LogDir d("ms_slog_syncfail");
+  d.sync = storage::SyncMode::kAlways;
+  DiskFaultInjector faults;
+  SourceLogSet& logs = d.open(&faults);
+  logs.drop_views();
+  append_batch(logs, 0, 3);
+  const auto before = fs::file_size(d.path);
+  faults.arm_write(storage::ArtifactKind::kSourceLog,
+                   storage::WriteFault::kSyncError);
+  append_batch(logs, 3, 8);
+  EXPECT_EQ(faults.injected(), 1);
+  EXPECT_EQ(d.count("ft.log.append_failures"), 1);
+  EXPECT_EQ(fs::file_size(d.path), before) << "the batch was not cut back";
+  const Status health = logs.health();
+  EXPECT_EQ(health.code(), StatusCode::kDataLoss);
+  EXPECT_NE(health.message().find("from index 3"), std::string::npos)
+      << health.message();
+
+  append_batch(logs, 8, 10);
+  EXPECT_EQ(indices(scan_of(d.bytes())),
+            (std::vector<std::uint64_t>{0, 1, 2, 8, 9}));
+  EXPECT_EQ(d.count("ft.log.append_failures"), 1);
+}
+
+// One clock pair and one sample per batch, not per tuple; the byte counter
+// adds the appended bytes, header included.
+TEST(SourceLogTest, BatchMetricsRecordEachBatchOnce) {
+  LogDir d("ms_slog_metrics");
+  SourceLogSet& logs = d.open();
+  logs.drop_views();
+  append_batch(logs, 0, 8);
+  append_batch(logs, 8, 12);
+  append_batch(logs, 12, 24);
+  const LatencyHistogram batches =
+      d.metrics.histogram("ft.log.batch_tuples")->snapshot();
+  EXPECT_EQ(batches.count(), 3);
+  EXPECT_EQ(batches.mean().ns() * batches.count(), 24);  // 8 + 4 + 12
+  EXPECT_EQ(batches.min().ns(), 4);
+  EXPECT_EQ(batches.max().ns(), 12);
+  EXPECT_EQ(d.metrics.histogram("ft.log.append_ns")->snapshot().count(), 3);
+  EXPECT_EQ(d.count("ft.log.bytes"),
+            static_cast<std::int64_t>(fs::file_size(d.path)));
+  EXPECT_EQ(indices(scan_of(d.bytes())).size(), 24u);
 }
 
 }  // namespace

@@ -2,18 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "../testing/test_ops.h"
+#include "core/stdops.h"
 
 namespace ms::rt {
 namespace {
 
 using ms::testing::chain_graph;
+using ms::testing::IntPayload;
 using ms::testing::RecordingSink;
 
 /// Collects every delivered Snapshot (data copied out: the blob is only
@@ -78,7 +82,7 @@ TEST(RtEngineTest, EpochDeliversEveryOperatorSnapshot) {
   engine.set_snapshot_sink(collector.sink());
   // The snapshot boundary counts tapped (logged) emissions; install a tap so
   // the source's cut is meaningful.
-  engine.set_source_tap([](int, int, const core::Tuple&) {});
+  engine.set_source_tap([](int, int, const core::Tuple*, std::size_t) {});
   engine.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   ASSERT_TRUE(engine.begin_epoch(1, SnapshotMode::kAsync).is_ok());
@@ -215,6 +219,119 @@ TEST(RtEngineTest, SecondEpochWhileAligningIsUnavailable) {
   wait_epoch_done(engine);
   engine.stop();
   EXPECT_EQ(delivered.load(), 3);
+}
+
+/// What the source tap saw, and what each sink port received, under one
+/// mutex: the tap runs on the timer thread, each sink on its worker.
+struct TapLedger {
+  std::mutex mu;
+  std::vector<std::size_t> batch_sizes;              // n of every tap call
+  std::map<int, std::vector<std::uint64_t>> tapped;  // port -> tuple ids
+  std::map<int, std::size_t> received;               // port -> count
+  int out_of_order = 0;  // sink tuples not the next tapped id on the port
+  std::uint64_t tapped_total = 0;
+  std::uint64_t tapped_at_cut = 0;
+  std::uint64_t boundary = 0;
+};
+
+/// Checks, as each tuple arrives, that it is the port's next tapped id.
+class LedgerSink final : public core::Operator {
+ public:
+  LedgerSink(std::shared_ptr<TapLedger> ledger, int port)
+      : core::Operator("sink" + std::to_string(port)),
+        ledger_(std::move(ledger)),
+        port_(port) {}
+  void process(int, const core::Tuple& t, core::OperatorContext&) override {
+    std::scoped_lock lk(ledger_->mu);
+    const std::vector<std::uint64_t>& ids = ledger_->tapped[port_];
+    std::size_t& k = ledger_->received[port_];
+    if (k >= ids.size() || ids[k] != t.id) ++ledger_->out_of_order;
+    ++k;
+  }
+
+ private:
+  std::shared_ptr<TapLedger> ledger_;
+  int port_;
+};
+
+// The tap sees each out-edge buffer once, as a whole batch, before it is
+// published: every call holds 1..max_batch tuples, their sum at a kSync cut
+// (the sink runs under the source's op_mu) is the snapshot's boundary, and
+// every tuple a sink receives is the next one tapped on its port.
+TEST(RtEngineTest, SourceTapSeesWholeBatchesBeforeDispatch) {
+  static constexpr std::int64_t kTotal = 60000;
+  constexpr std::size_t kMaxBatch = 64;
+  auto ledger = std::make_shared<TapLedger>();
+  core::QueryGraph g;
+  // 300 per tick round-robin over two ports: 150 per port, so each tick
+  // flushes two full batches on the watermark and a partial one at return.
+  const int src = g.add_source("src", [] {
+    return std::make_unique<core::BurstSourceOperator>(
+        "src", SimTime::micros(200), 300,
+        [](std::int64_t seq) {
+          core::Tuple t;
+          t.payload = std::make_shared<IntPayload>(seq);
+          return t;
+        },
+        kTotal);
+  });
+  for (int port = 0; port < 2; ++port) {
+    const int sink = g.add_sink("sink" + std::to_string(port), [ledger, port] {
+      return std::make_unique<LedgerSink>(ledger, port);
+    });
+    g.connect(src, sink);  // out port `port`
+  }
+  RtConfig cfg;
+  cfg.max_batch = kMaxBatch;
+  RtEngine engine(g, cfg);
+  engine.set_source_tap([ledger](int, int port, const core::Tuple* tuples,
+                                 std::size_t n) {
+    std::scoped_lock lk(ledger->mu);
+    ledger->batch_sizes.push_back(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      ledger->tapped[port].push_back(tuples[k].id);
+    }
+    ledger->tapped_total += n;
+  });
+  engine.set_snapshot_sink([ledger, src](const Snapshot& snap) {
+    if (snap.op != src) return;
+    std::scoped_lock lk(ledger->mu);
+    ledger->tapped_at_cut = ledger->tapped_total;
+    ledger->boundary = snap.source_boundary;
+  });
+  engine.start();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (engine.sink_tuples() < kTotal / 10 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(engine.begin_epoch(1, SnapshotMode::kSync).is_ok());
+  ASSERT_TRUE(wait_epoch_done(engine));
+  while (engine.sink_tuples() < kTotal &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  engine.stop();
+
+  std::scoped_lock lk(ledger->mu);
+  ASSERT_EQ(engine.sink_tuples(), kTotal);
+  ASSERT_FALSE(ledger->batch_sizes.empty());
+  for (const std::size_t n : ledger->batch_sizes) {
+    EXPECT_GE(n, 1u);
+    EXPECT_LE(n, kMaxBatch);
+  }
+  EXPECT_EQ(*std::max_element(ledger->batch_sizes.begin(),
+                              ledger->batch_sizes.end()),
+            kMaxBatch);
+  EXPECT_EQ(ledger->tapped_total, static_cast<std::uint64_t>(kTotal));
+  EXPECT_GT(ledger->boundary, 0u);
+  EXPECT_EQ(ledger->tapped_at_cut, ledger->boundary);
+  EXPECT_EQ(ledger->out_of_order, 0);
+  for (int port = 0; port < 2; ++port) {
+    EXPECT_EQ(ledger->received[port], ledger->tapped[port].size())
+        << "port " << port;
+  }
 }
 
 TEST(RtEngineTest, StopIsIdempotent) {

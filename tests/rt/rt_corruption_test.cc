@@ -122,13 +122,18 @@ class PassThrough final : public core::Operator {
   }
 };
 
+/// Values the source emits per tick. Each tick is flushed as one batch, so
+/// a failed source-log append loses exactly one tick's records.
+constexpr std::int64_t kFeedBurst = 4;
+
 /// src -> sum -> sink, or src -> sum -> pass -> sink with `pass_through`
 /// (the stateless op is added last, so it is op 3).
 core::QueryGraph sum_chain(std::shared_ptr<ExternalFeed> feed,
                            bool pass_through = false) {
   core::QueryGraph g;
   const int src = g.add_source("src", [feed] {
-    return std::make_unique<FeedSource>("src", feed, SimTime::micros(200), 4);
+    return std::make_unique<FeedSource>("src", feed, SimTime::micros(200),
+                                        kFeedBurst);
   });
   const int sum =
       g.add_operator("sum", [] { return std::make_unique<DeltaSum>("sum"); });
@@ -774,9 +779,10 @@ TEST(RtCorruptionTest, FrameFlipAtConstructionIsNotTruncated) {
 
 // An append that fails partway is cut back to the file's size before it, so
 // later whole frames do not sit behind a tear that the next scan would stop at
-// and truncate. The lost record is a one-record gap in the index run, and
-// health() reports the window while the process lives; after a restart,
-// recover() finds the hole past the boundary and returns kDataLoss.
+// and truncate. The append is one write per flushed batch, so the lost
+// records are the whole tick's burst, a kFeedBurst-record gap in the index
+// run; health() reports the window while the process lives, and after a
+// restart recover() finds the hole past the boundary and returns kDataLoss.
 TEST(RtCorruptionTest, TornAppendIsTrimmedBackBeforeLaterAppends) {
   auto feed = std::make_shared<ExternalFeed>();
   MetricsRegistry reg;
@@ -807,7 +813,8 @@ TEST(RtCorruptionTest, TornAppendIsTrimmedBackBeforeLaterAppends) {
 
   const ScrubReport report = scrub_checkpoint_dir(cfg.dir);
   ASSERT_EQ(report.issues.size(), 1u);
-  const std::string gap = std::to_string(k) + ".." + std::to_string(k);
+  const std::string gap = "records " + std::to_string(k) + ".." +
+                          std::to_string(k + kFeedBurst - 1) + " missing";
   EXPECT_NE(report.issues[0].detail.find(gap), std::string::npos)
       << report.issues[0].detail;
   EXPECT_EQ(report.issues[0].detail.find("torn"), std::string::npos)
@@ -822,8 +829,9 @@ TEST(RtCorruptionTest, TornAppendIsTrimmedBackBeforeLaterAppends) {
   rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
   RtRuntime runtime(&engine, cfg);  // the restart scan
   EXPECT_EQ(reg.counter("ft.log.torn_frames")->value(), 0);
-  // Record k went downstream before the crash but is not in the log, and no
-  // checkpoint boundary covers it: replaying around the hole would lose it.
+  // That batch went downstream before the crash but is not in the log, and
+  // no checkpoint boundary covers it: replaying around the hole would lose
+  // it.
   const Status st = runtime.recover(nullptr);
   EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.to_string();
   std::vector<std::uint8_t> after;

@@ -271,6 +271,23 @@ TEST(DiskFaultTest, WriteErrorIsRetryable) {
                   .is_ok());
 }
 
+// Every byte lands but the sync fails: the bytes are not durable, so the
+// atomic write never reaches its rename.
+TEST(DiskFaultTest, SyncErrorFailsTheCommit) {
+  const std::string dir = fresh_dir("ms_fault_syncerr");
+  const std::string path = dir + "/MANIFEST";
+  DiskFaultInjector faults;
+  faults.arm_write(ArtifactKind::kManifest, WriteFault::kSyncError);
+  const DurableOptions opts{SyncMode::kCommit, &faults};
+  const auto data = payload(32);
+  EXPECT_EQ(write_artifact_atomic(path, ArtifactKind::kManifest, data.data(),
+                                  data.size(), opts)
+                .code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(faults.injected(), 1);
+  EXPECT_FALSE(fs::exists(path)) << "committed without a durable write";
+}
+
 TEST(DiskFaultTest, CrashBeforeRenameLeavesNoCommittedFile) {
   const std::string dir = fresh_dir("ms_fault_prerename");
   const std::string path = dir + "/MANIFEST";

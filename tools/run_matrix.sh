@@ -6,8 +6,10 @@
 #   tools/run_matrix.sh -L rt_protocol  # extra args pass through to ctest
 #   PRESETS="default tsan" tools/run_matrix.sh
 #
-# Exits non-zero on the first preset whose configure, build, or test step
-# fails, and prints a per-preset summary at the end.
+# After the default preset it also runs the end-to-end benchmark's
+# selfcheck (python3 e2ebench/run.py --selfcheck). Exits non-zero on the
+# first preset whose configure, build, test or smoke step fails, and prints
+# a per-preset summary at the end.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -100,6 +102,16 @@ for preset in $PRESETS; do
   fi
   if ! "${mssim_bin%mssim}mstrace" --check "$smoke_dir/trace.json"; then
     results+=("$preset: AA SMOKE TRACE FAILED"); status=1; break
+  fi
+  # End-to-end benchmark oracle smoke, once, after the default preset:
+  # 2-second runs of every BENCHMARK.json workload, untraced and traced, must
+  # pass the exactly-once oracle with no failed operation and emit every
+  # declared metric. It builds its own release binary under .bench_build/.
+  if [[ "$preset" == "default" ]]; then
+    echo "=== [$preset] e2e selfcheck ==="
+    if ! python3 e2ebench/run.py --selfcheck; then
+      results+=("$preset: E2E SELFCHECK FAILED"); status=1; break
+    fi
   fi
   results+=("$preset: OK")
 done
