@@ -15,10 +15,6 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr char kEpochPrefix[] = "epoch_";
-// seq, is_source, boundary, next_seq, state size.
-constexpr std::size_t kBaselineHeader = 8 + 1 + 8 + 8 + 8;
-
-std::string baseline_dir(const std::string& dir) { return dir + "/baseline"; }
 
 /// Paths of the files in `dir` named <prefix>...<ext>, sorted.
 std::vector<std::string> list_files(const std::string& dir,
@@ -58,10 +54,6 @@ std::string source_log_path(const std::string& dir, int op) {
   return dir + "/source_" + std::to_string(op) + ".log";
 }
 
-std::string baseline_unit_path(const std::string& dir, int op) {
-  return baseline_dir(dir) + "/op_" + std::to_string(op) + ".ckpt";
-}
-
 std::vector<std::uint64_t> list_epoch_dirs(
     const std::string& dir, std::vector<std::string>* unparseable) {
   std::vector<std::uint64_t> out;
@@ -85,10 +77,6 @@ std::vector<std::uint64_t> list_epoch_dirs(
 
 std::vector<std::string> list_source_logs(const std::string& dir) {
   return list_files(dir, "source_", ".log");
-}
-
-std::vector<std::string> list_baseline_units(const std::string& dir) {
-  return list_files(baseline_dir(dir), "op_", ".ckpt");
 }
 
 // --- MANIFEST ----------------------------------------------------------------
@@ -182,45 +170,16 @@ Status read_blob(const std::string& dir, std::uint64_t epoch, int op,
   return st;
 }
 
-// --- baseline unit files -----------------------------------------------------
-
-Result<BaselineUnit> read_baseline_unit(const std::string& path,
-                                        const storage::DurableOptions& opts) {
-  std::vector<std::uint8_t> payload;
-  const Status st = storage::read_artifact(
-      path, storage::ArtifactKind::kBaseline, opts, &payload);
-  if (!st.is_ok()) return st;
-  if (payload.size() < kBaselineHeader) {  // no writer produces this
-    return Status::data_loss("baseline header truncated: " + path);
-  }
-  BinaryReader r(payload);
-  BaselineUnit unit;
-  unit.seq = r.read<std::uint64_t>();
-  unit.is_source = r.read<std::uint8_t>() != 0;
-  unit.boundary = r.read<std::uint64_t>();
-  unit.next_seq = r.read<std::uint64_t>();
-  const auto size = r.read<std::uint64_t>();
-  if (size != payload.size() - kBaselineHeader) {
-    return Status::data_loss(
-        "baseline size mismatch: header records " + std::to_string(size) +
-        " bytes, file carries " +
-        std::to_string(payload.size() - kBaselineHeader) + ": " + path);
-  }
-  unit.state.assign(payload.begin() + kBaselineHeader, payload.end());
-  return unit;
-}
-
 // --- the committed set -------------------------------------------------------
 
 EpochStore::EpochStore(std::string dir, storage::DurableOptions opts,
-                       int retain_fallback_epochs, bool baseline)
+                       int retain_fallback_epochs)
     : dir_(std::move(dir)),
       opts_(opts),
       retain_fallback_epochs_(std::max(0, retain_fallback_epochs)) {
   fs::create_directories(dir_);
-  if (baseline) fs::create_directories(baseline_dir(dir_));
-  // The baseline/ dirent lives in dir_, and atomic writes only fsync their
-  // immediate parent.
+  // Make the directory's own entries durable before anything is committed
+  // under it: later writes fsync only their immediate parent.
   if (opts_.sync != storage::SyncMode::kNone) storage::fsync_dir(dir_);
 }
 
@@ -275,22 +234,6 @@ Status EpochStore::write_blob(std::uint64_t epoch, int op, bool delta,
       delta ? storage::ArtifactKind::kDelta
             : storage::ArtifactKind::kCheckpoint,
       data, n, opts_);
-}
-
-Status EpochStore::write_baseline_unit(int op, const BaselineUnit& unit,
-                                       const void* state,
-                                       std::size_t n) const {
-  BinaryWriter w(kBaselineHeader + n);
-  w.write<std::uint64_t>(unit.seq);
-  w.write<std::uint8_t>(unit.is_source ? 1 : 0);
-  w.write<std::uint64_t>(unit.boundary);
-  w.write<std::uint64_t>(unit.next_seq);
-  w.write<std::uint64_t>(n);
-  w.write_bytes(state, n);
-  const std::vector<std::uint8_t> bytes = w.take();
-  return storage::write_artifact_atomic(baseline_unit_path(dir_, op),
-                                        storage::ArtifactKind::kBaseline,
-                                        bytes.data(), bytes.size(), opts_);
 }
 
 Status EpochStore::commit(EpochManifest m) {

@@ -15,7 +15,6 @@
 //                           the chain predecessor. No MANIFEST, no epoch.
 //   source_<i>.log          a source's preservation log: its format and its
 //                           lifecycle belong to SourceLogSet (ft/source_log.h)
-//   baseline/op_<i>.ckpt    kBaseline only: one unit's own checkpoint
 //
 // EpochStore's only state is one map from committed epoch to its decoded
 // manifest (or "unreadable": the manifest exists but a transient error hid
@@ -47,15 +46,13 @@ std::string manifest_path(const std::string& dir, std::uint64_t epoch);
 std::string blob_path(const std::string& dir, std::uint64_t epoch, int op,
                       bool delta);
 std::string source_log_path(const std::string& dir, int op);
-std::string baseline_unit_path(const std::string& dir, int op);
 
 /// Every epoch_<E> directory under `dir`, ascending; names with the prefix
 /// but no number go to `unparseable`.
 std::vector<std::uint64_t> list_epoch_dirs(
     const std::string& dir, std::vector<std::string>* unparseable = nullptr);
-/// Every source log / baseline unit file under `dir`, in path order.
+/// Every source log under `dir`, in path order.
 std::vector<std::string> list_source_logs(const std::string& dir);
-std::vector<std::string> list_baseline_units(const std::string& dir);
 
 // --- MANIFEST ----------------------------------------------------------------
 
@@ -99,21 +96,6 @@ Status read_blob(const std::string& dir, std::uint64_t epoch, int op,
                  const storage::DurableOptions& opts,
                  std::vector<std::uint8_t>* bytes);
 
-// --- baseline unit files -----------------------------------------------------
-
-struct BaselineUnit {  // a fixed header, then the state bytes
-  std::uint64_t seq = 0;  // per-unit checkpoint counter
-  bool is_source = false;
-  std::uint64_t boundary = 0;
-  std::uint64_t next_seq = 0;
-  std::vector<std::uint8_t> state;
-};
-
-/// Read, verify and decode a unit file. kNotFound = never checkpointed; a
-/// header that is short or disagrees with the bytes is kDataLoss.
-Result<BaselineUnit> read_baseline_unit(const std::string& path,
-                                        const storage::DurableOptions& opts);
-
 // --- the committed set -------------------------------------------------------
 
 /// One committed epoch with its chain resolved: per-op state bytes, the
@@ -136,9 +118,9 @@ struct LoadedEpoch {
 /// owner serializes every call but the const ones, which touch no state.
 class EpochStore {
  public:
-  /// Creates `dir` (and baseline/ when `baseline`) with durable dirents.
+  /// Creates `dir` with a durable dirent.
   EpochStore(std::string dir, storage::DurableOptions opts,
-             int retain_fallback_epochs, bool baseline = false);
+             int retain_fallback_epochs);
 
   /// Rebuild the committed set from disk, reading each manifest once and
   /// deleting directories without one or with one that fails verification
@@ -159,10 +141,6 @@ class EpochStore {
   /// Write one op's blob in place: the MANIFEST rename gates its visibility.
   Status write_blob(std::uint64_t epoch, int op, bool delta, const void* data,
                     std::size_t n) const;
-  /// Atomically write op `op`'s unit file: `unit`'s header fields (not its
-  /// state), then the `n` bytes at `state`.
-  Status write_baseline_unit(int op, const BaselineUnit& unit,
-                             const void* state, std::size_t n) const;
   /// Write `m`'s MANIFEST, the commit point, chained on the tip iff an op
   /// record is a delta. On success the epoch joins the committed set, a full
   /// epoch repairs the chain, and gc() runs.

@@ -32,8 +32,7 @@ RtRuntime::RtRuntime(rt::RtEngine* engine, RtRuntimeConfig config)
       config_(std::move(config)),
       epoch0_(std::chrono::steady_clock::now()),
       store_(config_.dir, durable_opts(),
-             config_.params.retain_fallback_epochs,
-             config_.mode == RtMode::kBaseline),
+             config_.params.retain_fallback_epochs),
       logs_(config_.dir, source_ops(engine_), durable_opts(), config_.codec,
             registry(config_)) {
   MS_CHECK_MSG(!engine_->running(), "RtRuntime: engine already running");
@@ -47,7 +46,6 @@ RtRuntime::RtRuntime(rt::RtEngine* engine, RtRuntimeConfig config)
   // A log read error here is logged; recover() re-reads that log and returns
   // the error if it persists.
   (void)scan_existing_state();
-  baseline_seq_.assign(static_cast<std::size_t>(n), 0);
 
   // Number epochs above every directory the scan saw, so coordinator ids are
   // the on-disk epoch numbers in this incarnation and never collide with an
@@ -199,21 +197,12 @@ void RtRuntime::arm_initiation() {
                          [this] { aa_sample_tick(); });
       break;
     }
-    case RtMode::kBaseline: {
-      const int n = engine_->num_operators();
-      for (int i = 0; i < n; ++i) schedule_baseline(i);
-      break;
-    }
   }
 }
 
 Status RtRuntime::begin_checkpoint() {
   if (!engine_->running()) {
     return Status::failed_precondition("RtRuntime: engine not running");
-  }
-  if (config_.mode == RtMode::kBaseline) {
-    return Status::failed_precondition(
-        "RtRuntime: baseline has no application checkpoints");
   }
   std::scoped_lock lk(ctl_mu_);
   coordinator_->begin_checkpoint();
@@ -349,21 +338,6 @@ void RtRuntime::on_snapshot(const rt::Snapshot& snap) {
   if (crashed_.load()) return;
   const SimTime serialized_at = now();
 
-  if (config_.mode == RtMode::kBaseline) {
-    const BaselineUnit unit{snap.epoch, engine_->op_is_source(snap.op),
-                            snap.source_boundary, snap.source_next_seq, {}};
-    emit_probe(FtPoint::kCheckpointWrite, snap.op, snap.epoch);
-    const Status st =
-        store_.write_baseline_unit(snap.op, unit, snap.data, snap.size);
-    if (!st.is_ok()) {
-      MS_LOG_WARN("ft", "rt baseline checkpoint write failed for op %d: %s",
-                  snap.op, st.message().c_str());
-      return;
-    }
-    emit_probe(FtPoint::kCheckpointDone, snap.op, snap.epoch);
-    return;
-  }
-
   emit_probe(FtPoint::kCheckpointWrite, snap.op, snap.epoch);
   const bool wrote =
       store_.write_blob(snap.epoch, snap.op, snap.delta, snap.data, snap.size)
@@ -401,13 +375,6 @@ void RtRuntime::on_snapshot(const rt::Snapshot& snap) {
 
 void RtRuntime::on_engine_proto(rt::ProtoPoint point, int op,
                                 std::uint64_t epoch) {
-  if (config_.mode == RtMode::kBaseline) {
-    // snapshot_now() epochs are per-unit counters, not coordinator ids.
-    if (point == rt::ProtoPoint::kSerializeStart) {
-      emit_probe(FtPoint::kSerializeStart, op, epoch);
-    }
-    return;
-  }
   switch (point) {
     case rt::ProtoPoint::kTokenArrived:
       emit_probe(FtPoint::kTokenReceived, op, epoch);
@@ -490,7 +457,6 @@ Status RtRuntime::recover(RecoveryStats* stats) {
   if (crashed_.load()) return Status::unavailable("crashed during recovery");
 
   const int n = engine_->num_operators();
-  const bool baseline = config_.mode == RtMode::kBaseline;
   std::uint64_t epoch = 0;
   LoadedEpoch loaded(static_cast<std::size_t>(n));
 
@@ -501,78 +467,56 @@ Status RtRuntime::recover(RecoveryStats* stats) {
   // the bytes may be fine, nothing may be destroyed or skipped over.
   emit_probe(FtPoint::kRecoveryPhase2, -1, seq);
   const SimTime t_read0 = now();
-  if (baseline) {
-    for (int i = 0; i < n; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      const std::string path = baseline_unit_path(config_.dir, i);
-      auto unit = read_baseline_unit(path, durable_opts());
-      if (unit.status().code() == StatusCode::kNotFound) {
-        continue;  // never checkpointed: restarts from empty
-      }
-      if (!unit.is_ok()) {
-        if (unit.status().code() == StatusCode::kDataLoss) {
-          m_corrupt_artifacts_->add(1);
-          emit_probe(FtPoint::kCorruptArtifact, i, 0);
-        }
-        return unit.status();  // baseline has no chain to fall back along
-      }
-      loaded.boundaries[idx] = unit.value().boundary;
-      loaded.next_seqs[idx] = unit.value().next_seq;
-      loaded.state[idx] = std::move(unit.value().state);
-      loaded.bytes_read += loaded.state[idx].size();
+  std::vector<std::uint64_t> candidates;
+  {
+    std::scoped_lock lk(ctl_mu_);
+    candidates = store_.ladder();
+  }
+  Status last_err = Status::ok();
+  for (const std::uint64_t cand : candidates) {
+    LoadedEpoch attempt;
+    const Status st = store_.load(cand, n, &attempt);
+    if (st.is_ok()) {
+      epoch = cand;
+      loaded = std::move(attempt);
+      break;
     }
-  } else {
-    std::vector<std::uint64_t> candidates;
-    {
-      std::scoped_lock lk(ctl_mu_);
-      candidates = store_.ladder();
+    if (st.code() == StatusCode::kUnavailable) return st;  // transient
+    if (attempt.corrupt_op >= 0) {
+      m_corrupt_artifacts_->add(1);
+      emit_probe(FtPoint::kCorruptArtifact, attempt.corrupt_op,
+                 attempt.corrupt_epoch);
     }
-    Status last_err = Status::ok();
-    for (const std::uint64_t cand : candidates) {
-      LoadedEpoch attempt;
-      const Status st = store_.load(cand, n, &attempt);
-      if (st.is_ok()) {
-        epoch = cand;
-        loaded = std::move(attempt);
-        break;
-      }
-      if (st.code() == StatusCode::kUnavailable) return st;  // transient
-      if (attempt.corrupt_op >= 0) {
-        m_corrupt_artifacts_->add(1);
-        emit_probe(FtPoint::kCorruptArtifact, attempt.corrupt_op,
-                   attempt.corrupt_epoch);
-      }
-      MS_LOG_WARN("ft", "rt recovery: epoch %llu failed verification (%s); "
-                  "falling back",
-                  static_cast<unsigned long long>(cand),
-                  st.message().c_str());
-      m_fallbacks_->add(1);
-      emit_probe(FtPoint::kRecoveryFallback, -1, cand);
-      last_err = st;
+    MS_LOG_WARN("ft", "rt recovery: epoch %llu failed verification (%s); "
+                "falling back",
+                static_cast<unsigned long long>(cand),
+                st.message().c_str());
+    m_fallbacks_->add(1);
+    emit_probe(FtPoint::kRecoveryFallback, -1, cand);
+    last_err = st;
+  }
+  if (epoch == 0 && !candidates.empty()) {
+    // Nothing on disk passed verification. Leave every byte in place for
+    // forensics (msverify points at the exact corrupt files) and hand the
+    // caller a typed verdict — never silently recover wrong state.
+    return Status::data_loss(
+        "RtRuntime: no committed epoch passed verification (" +
+        std::to_string(candidates.size()) +
+        " candidates tried); last error: " + last_err.message());
+  }
+  if (!candidates.empty() && epoch != candidates.front()) {
+    // Fallback landed below the tip: every newer committed epoch is now
+    // proven (directly or transitively) unusable. Remove them so the next
+    // scan cannot resurrect a tip recovery just rejected, then set the log
+    // cursors from the surviving tip.
+    std::scoped_lock lk(ctl_mu_);
+    for (const std::uint64_t e : candidates) {
+      if (e <= epoch) break;  // descending order
+      m_corrupt_artifacts_->add(1);
+      store_.remove(e);
     }
-    if (epoch == 0 && !candidates.empty()) {
-      // Nothing on disk passed verification. Leave every byte in place for
-      // forensics (msverify points at the exact corrupt files) and hand the
-      // caller a typed verdict — never silently recover wrong state.
-      return Status::data_loss(
-          "RtRuntime: no committed epoch passed verification (" +
-          std::to_string(candidates.size()) +
-          " candidates tried); last error: " + last_err.message());
-    }
-    if (!candidates.empty() && epoch != candidates.front()) {
-      // Fallback landed below the tip: every newer committed epoch is now
-      // proven (directly or transitively) unusable. Remove them so the next
-      // scan cannot resurrect a tip recovery just rejected, then set the log
-      // cursors from the surviving tip.
-      std::scoped_lock lk(ctl_mu_);
-      for (const std::uint64_t e : candidates) {
-        if (e <= epoch) break;  // descending order
-        m_corrupt_artifacts_->add(1);
-        store_.remove(e);
-      }
-      const Status st = scan_logs();  // from the cached views
-      if (!st.is_ok()) return st;
-    }
+    const Status st = scan_logs();  // from the cached views
+    if (!st.is_ok()) return st;
   }
   const SimTime t_read1 = now();
   if (crashed_.load()) return Status::unavailable("crashed during recovery");
@@ -637,7 +581,7 @@ Status RtRuntime::recover(RecoveryStats* stats) {
   emit_probe(FtPoint::kRecoveryComplete, -1, seq);
   MS_LOG_INFO("ft", "rt recovery %llu complete: epoch %llu, %llu tuples replayed",
               static_cast<unsigned long long>(seq),
-              static_cast<unsigned long long>(baseline ? 0 : epoch),
+              static_cast<unsigned long long>(epoch),
               static_cast<unsigned long long>(replayed));
   if (stats) {
     stats->started = t0;
@@ -811,33 +755,6 @@ void RtRuntime::attempt_self_heal() {
         std::to_string(max_attempts) + " attempts; manual recover() required");
   }
   MS_LOG_WARN("ft", "rt self-heal: giving up after %d attempts", max_attempts);
-}
-
-// ---------------------------------------------------------------------------
-// Baseline driver
-
-void RtRuntime::schedule_baseline(int op) {
-  // Deterministic phase stagger stands in for the sim baseline's random
-  // initial phase: units must not checkpoint in lockstep.
-  const int n = engine_->num_operators();
-  const SimTime period = config_.params.checkpoint_period;
-  const SimTime first = baseline_seq_[static_cast<std::size_t>(op)] == 0
-                            ? period * std::int64_t{op + 1} / (n + 1)
-                            : period;
-  engine_->run_after(first, [this, op] {
-    if (!engine_->running()) return;
-    {
-      std::scoped_lock lk(ctl_mu_);
-      if (initiation_stopped_) return;
-    }
-    const std::uint64_t id = ++baseline_seq_[static_cast<std::size_t>(op)];
-    const Status st = engine_->snapshot_now(op, id);  // sink runs inline
-    if (!st.is_ok()) {
-      MS_LOG_WARN("ft", "rt baseline snapshot failed for op %d: %s", op,
-                  st.message().c_str());
-    }
-    schedule_baseline(op);
-  });
 }
 
 // ---------------------------------------------------------------------------

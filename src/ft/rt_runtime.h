@@ -32,18 +32,17 @@
 //             records, full-snapshot compaction) and a CadenceController
 //             retuning the periodic interval from observed checkpoint cost
 //             vs. the configured MTBF / recovery budget — the fifth scheme,
-//             beyond the paper;
-//   kBaseline no tokens: every unit checkpoints independently at its own
-//             cadence via snapshot_now().
+//             beyond the paper.
+// Every mode is exactly-once. The paper's independent-checkpoint baseline
+// runs on the simulator only (ft/baseline.h).
 //
 // Threading: the coordinator and all epoch bookkeeping live under one
 // control mutex (ctl_mu_). Engine callbacks (snapshot sink on worker/helper
 // threads, protocol probes under the per-operator mutex) take ctl_mu_, so
 // code holding ctl_mu_ must never call engine functions that take a
-// per-operator mutex (snapshot_now, op_state_size) — the AA tick and the
-// baseline driver sample outside the lock and report under it. The AA
-// samplers, their gates and the stage timeline's callbacks live under
-// ctl_mu_.
+// per-operator mutex (op_state_size) — the AA tick samples outside the lock
+// and reports under it. The AA samplers, their gates and the stage
+// timeline's callbacks live under ctl_mu_.
 #pragma once
 
 #include <atomic>
@@ -77,7 +76,7 @@
 
 namespace ms::ft {
 
-enum class RtMode { kBaseline, kSrc, kSrcAp, kSrcApAa, kSrcApDelta };
+enum class RtMode { kSrc, kSrcAp, kSrcApAa, kSrcApDelta };
 
 struct RtRuntimeConfig {
   RtMode mode = RtMode::kSrcAp;
@@ -95,7 +94,11 @@ struct RtRuntimeConfig {
   bool auto_recover = false;
   /// How much is forced to media around durable writes (durable_file.h).
   /// kCommit — the paper-faithful discipline — fdatasyncs artifacts and
-  /// fsyncs the parent directory around every rename commit point.
+  /// fsyncs the parent directory around every rename commit point, but a
+  /// source-log append is a write() with no fdatasync: only a log rewrite
+  /// syncs the log. Its exactly-once covers process crashes. After a power
+  /// loss, records appended since the log's last sync may vanish, and
+  /// recovery then replays less and returns OK. kAlways covers power loss.
   storage::SyncMode sync_mode = storage::SyncMode::kCommit;
   /// Optional disk-fault hook consulted by every durable read/write
   /// (chaos drills; see failure/disk_fault.h). Not owned.
@@ -114,14 +117,14 @@ class RtRuntime final : public Runtime {
   RtRuntime& operator=(const RtRuntime&) = delete;
 
   /// Start the engine and the mode's initiation machinery (periodic
-  /// schedule, AA pipeline, or baseline cadences).
+  /// schedule or AA pipeline).
   Status start();
 
   /// Stop initiating checkpoints and stop the engine (drains in-flight
   /// epochs' snapshot deliveries first).
   void stop();
 
-  /// Trigger one application checkpoint now (MS modes).
+  /// Trigger one application checkpoint now.
   Status begin_checkpoint();
 
   /// Block until `n` application checkpoints have completed since this
@@ -134,9 +137,7 @@ class RtRuntime final : public Runtime {
   /// Whole-application restart-and-replay recovery: load the last complete
   /// epoch (phases 1-3), start the engine and re-deliver preserved source
   /// tuples past the epoch boundary (phase 4). Requires the engine stopped.
-  /// kBaseline restores the per-unit files instead (correct only from a
-  /// quiescent cut — the weakness the MS modes remove). On success `stats`
-  /// (if non-null) receives the phase breakdown.
+  /// On success `stats` (if non-null) receives the phase breakdown.
   Status recover(RecoveryStats* stats = nullptr);
 
   /// Protocol instrumentation spine (same FtPoint vocabulary as the sim
@@ -220,7 +221,6 @@ class RtRuntime final : public Runtime {
 
   // Mode drivers.
   void arm_initiation();
-  void schedule_baseline(int op);
   /// Every operator's state size. Called outside ctl_mu_: op_state_size
   /// takes the per-operator mutexes.
   std::vector<double> aa_state_sizes() const;
@@ -291,9 +291,6 @@ class RtRuntime final : public Runtime {
   Counter* m_heal_failed_ = nullptr;
   Counter* m_heal_exhausted_ = nullptr;
   Counter* m_heal_quarantined_ = nullptr;
-
-  // Baseline per-unit checkpoint counters (timer thread only).
-  std::vector<std::uint64_t> baseline_seq_;
 };
 
 }  // namespace ms::ft

@@ -61,6 +61,13 @@ std::size_t first_at_or_past(const std::vector<LogFrameView>& frames,
   return static_cast<std::size_t>(it - frames.begin());
 }
 
+/// Wall time since `t0`, for a histogram sample.
+SimTime since(std::chrono::steady_clock::time_point t0) {
+  return SimTime::nanos(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count());
+}
+
 }  // namespace
 
 // --- format ------------------------------------------------------------------
@@ -174,6 +181,7 @@ SourceLogSet::SourceLogSet(const std::string& dir,
       m_torn_unconfirmed_(metrics.counter("ft.log.torn_unconfirmed")),
       m_append_ns_(metrics.histogram("ft.log.append_ns")),
       m_batch_tuples_(metrics.histogram("ft.log.batch_tuples")),
+      m_truncate_ns_(metrics.histogram("ft.log.truncate_ns")),
       m_bytes_(metrics.counter("ft.log.bytes")) {
   for (const int op : sources) {
     const auto idx = static_cast<std::size_t>(op);
@@ -224,10 +232,7 @@ void SourceLogSet::append(int op, int out_port, const core::Tuple* tuples,
     }
   }
   log.next_index += n;
-  m_append_ns_->record(SimTime::nanos(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count()));
+  m_append_ns_->record(since(t0));
   m_batch_tuples_->record(SimTime::nanos(static_cast<std::int64_t>(n)));
 }
 
@@ -315,6 +320,7 @@ void SourceLogSet::truncate(int op, std::uint64_t floor) {
   // Past the floor no recovery candidate needs the missing record.
   if (log.failed_since < floor) log.failed_since = Log::kNoAppendFailure;
   if (floor <= log.begin_index) return;  // nothing behind the floor
+  const auto t0 = std::chrono::steady_clock::now();
   LogView view;
   const Status st = read_source_log(log.path, opts_, &view);
   // A whole read holds every record from the floor to next_index - 1. One
@@ -330,6 +336,7 @@ void SourceLogSet::truncate(int op, std::uint64_t floor) {
                 st.is_ok() ? "a record past the floor is not in the read"
                            : st.message().c_str());
     m_truncations_skipped_->add(1);
+    m_truncate_ns_->record(since(t0));
     return;
   }
   const Status wst = rewrite(log, view.scan, floor);
@@ -340,6 +347,7 @@ void SourceLogSet::truncate(int op, std::uint64_t floor) {
                 wst.message().c_str());
   }
   log.out.open(log.path);
+  m_truncate_ns_->record(since(t0));
 }
 
 Status SourceLogSet::replay(int op, std::uint64_t boundary,

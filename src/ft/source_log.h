@@ -145,7 +145,8 @@ class SourceLogSet {
   /// Commit-time truncation to `floor`, the committed epochs' lowest
   /// boundary: closes the append-failure window the floor passes, then keeps
   /// the records from `floor` on, only from a read holding every one of them
-  /// (else ft.log.truncation_skipped, and the next commit retries).
+  /// (else ft.log.truncation_skipped, and the next commit retries). Every
+  /// call that reads the log records its wall time in ft.log.truncate_ns.
   void truncate(int op, std::uint64_t floor);
 
   /// Decode source `op`'s records from `boundary` on out of the cached view.
@@ -194,6 +195,7 @@ class SourceLogSet {
   Counter* m_torn_unconfirmed_;     // ft.log.torn_unconfirmed
   HistogramMetric* m_append_ns_;     // ft.log.append_ns, per batch
   HistogramMetric* m_batch_tuples_;  // ft.log.batch_tuples, per batch
+  HistogramMetric* m_truncate_ns_;   // ft.log.truncate_ns, per log read
   Counter* m_bytes_;                 // ft.log.bytes appended
 };
 

@@ -132,11 +132,6 @@ ScrubReport scrub_checkpoint_dir(const std::string& dir) {
   for (const std::string& path : list_source_logs(dir)) {
     scrub_source_log(path, &report);
   }
-  for (const std::string& path : list_baseline_units(dir)) {
-    const auto unit = read_baseline_unit(path, kReadOnly);
-    tally(path, unit.status(), unit.is_ok() ? unit.value().state.size() : 0,
-          &report);
-  }
   return report;
 }
 

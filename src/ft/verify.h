@@ -1,14 +1,13 @@
-// Offline integrity scrub of an rt checkpoint directory — the library
-// behind tools/msverify. Walks every durable artifact the runtime writes
-// (epoch manifests, checkpoint/delta blobs, source logs, baseline unit
-// files), verifies frames and cross-checks blob sizes against their
-// manifest, reports each source log's record-index run (a gap in it is a
-// lost record), and reports per-file verdicts without modifying anything on
-// disk. It reads through the same ft/epoch_store.h and ft/source_log.h
-// functions recovery uses, so the two apply one rule set (one index-run rule
-// included); the scrub exists so an operator can
-// ask "which exact file is damaged?" before (or instead of) letting
-// recovery fall back.
+// Offline integrity scrub of an rt checkpoint directory — the library behind
+// tools/msverify. Walks every durable artifact the runtime writes (epoch
+// manifests, checkpoint/delta blobs, source logs), verifies frames and
+// cross-checks blob sizes against their manifest, reports each source log's
+// record-index run (a gap in it is a lost record), and reports per-file
+// verdicts without modifying anything on disk. It reads through the same
+// ft/epoch_store.h and ft/source_log.h functions recovery uses, so the two
+// apply one rule set (one index-run rule included); the scrub exists so an
+// operator can ask "which exact file is damaged?" before (or instead of)
+// letting recovery fall back.
 #pragma once
 
 #include <cstdint>

@@ -636,8 +636,7 @@ void RtEngine::worker_loop(Worker& w) {
 }
 
 void RtEngine::capture_snapshot(Worker& w, std::uint64_t epoch,
-                                SnapshotMode mode, SnapshotKind kind,
-                                bool aligned) {
+                                SnapshotMode mode, SnapshotKind kind) {
   // Serialize on the calling thread (op_mu is held by the caller), deliver
   // per `mode`. The writer adopts a pooled buffer pre-sized by the previous
   // epoch's snapshot, so steady-state serialization performs zero
@@ -652,12 +651,8 @@ void RtEngine::capture_snapshot(Worker& w, std::uint64_t epoch,
   }
   // Pin the dirty baseline at this cut while op_mu still excludes mutators:
   // everything serialized above is now "clean"; mutations after this instant
-  // belong to the next epoch's delta. Only coordinator-aligned epochs may
-  // advance the baseline — an unaligned snapshot_now() capture is outside
-  // the committed delta chain, and moving the cut here would make the next
-  // committed delta silently omit the mutations between the chain tip and
-  // this capture.
-  if (aligned) w.op->mark_checkpointed();
+  // belong to the next epoch's delta.
+  w.op->mark_checkpointed();
   w.last_snapshot_bytes = writer.size();
   auto blob = std::make_shared<std::vector<std::uint8_t>>(writer.take());
   emit_proto(ProtoPoint::kSerializeDone, w.id, epoch);
@@ -681,7 +676,7 @@ void RtEngine::capture_snapshot(Worker& w, std::uint64_t epoch,
   // alignment slot here (rather than after the sink write) lets the next
   // epoch begin while this one's writes drain, without ever letting two
   // epochs' tokens interleave at an operator.
-  if (aligned) align_pending_.fetch_sub(1);
+  align_pending_.fetch_sub(1);
   auto finish = [this](std::vector<std::uint8_t>&& storage) {
     snapshot_buffers_.release(std::move(storage));
   };
@@ -705,7 +700,7 @@ void RtEngine::snapshot_and_forward_token(Worker& w, const core::Token& token) {
   if (mode == SnapshotMode::kSync) {
     // Write first, then let the token (and therefore any downstream effect
     // of post-checkpoint processing) move on.
-    capture_snapshot(w, token.checkpoint_id, mode, kind, /*aligned=*/true);
+    capture_snapshot(w, token.checkpoint_id, mode, kind);
     for (const OutEdge& oe : w.out_edges) {
       push_slot(*oe.edge, Slot(token), 1, /*urgent=*/true);
     }
@@ -716,7 +711,7 @@ void RtEngine::snapshot_and_forward_token(Worker& w, const core::Token& token) {
   for (const OutEdge& oe : w.out_edges) {
     push_slot(*oe.edge, Slot(token), 1, /*urgent=*/true);
   }
-  capture_snapshot(w, token.checkpoint_id, mode, kind, /*aligned=*/true);
+  capture_snapshot(w, token.checkpoint_id, mode, kind);
 }
 
 Status RtEngine::begin_epoch(std::uint64_t epoch, SnapshotMode mode,
@@ -745,24 +740,6 @@ Status RtEngine::begin_epoch(std::uint64_t epoch, SnapshotMode mode,
       push_slot(*w->control_edge, Slot(token), 1, /*urgent=*/true);
     }
   }
-  return Status::ok();
-}
-
-Status RtEngine::snapshot_now(int op, std::uint64_t epoch) {
-  if (!running_.load()) {
-    return Status::failed_precondition("snapshot_now: engine not running");
-  }
-  if (!sink_) {
-    return Status::failed_precondition(
-        "snapshot_now: no snapshot sink installed");
-  }
-  if (op < 0 || op >= num_operators()) {
-    return Status::invalid_argument("snapshot_now: no such operator");
-  }
-  Worker& w = *workers_[static_cast<std::size_t>(op)];
-  std::scoped_lock op_lock(w.op_mu);
-  capture_snapshot(w, epoch, SnapshotMode::kSync, SnapshotKind::kFull,
-                   /*aligned=*/false);
   return Status::ok();
 }
 

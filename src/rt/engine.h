@@ -125,9 +125,9 @@ enum class SnapshotMode { kSync, kAsync };
 ///    Snapshot records which happened).
 enum class SnapshotKind { kFull, kDelta };
 
-/// One operator's state captured at a token-aligned cut (or by
-/// snapshot_now()). `data` is borrowed: valid only for the duration of the
-/// SnapshotSink call — copy or write it out before returning.
+/// One operator's state captured at a token-aligned cut. `data` is
+/// borrowed: valid only for the duration of the SnapshotSink call — copy or
+/// write it out before returning.
 struct Snapshot {
   int op = 0;
   std::uint64_t epoch = 0;
@@ -200,14 +200,6 @@ class RtEngine {
   /// True while any operator of the last begin_epoch() has not yet delivered
   /// its snapshot.
   bool epoch_in_flight() const { return align_pending_.load() != 0; }
-
-  /// Snapshot one operator immediately on the calling thread (no tokens, no
-  /// cut alignment) — the independent-checkpoint primitive the baseline
-  /// scheme uses. Requires running and an installed sink. Always a full
-  /// capture, and it does NOT advance the operator's delta baseline
-  /// (mark_checkpointed), so it is safe to interleave with coordinator-
-  /// driven delta epochs.
-  Status snapshot_now(int op, std::uint64_t epoch);
 
   /// Replace an operator's state from serialized bytes (clear_state, then
   /// deserialize unless `bytes` is empty). Requires the engine stopped.
@@ -339,10 +331,10 @@ class RtEngine {
   void wait_for_space(InEdge& e, Worker& consumer, std::uint64_t pushed);
   void snapshot_and_forward_token(Worker& w, const core::Token& token);
   /// Serialize `w`'s operator under its already-held op_mu and hand the
-  /// bytes to the sink (kSync/snapshot_now: on this thread; kAsync: on a
-  /// helper). Decrements align_pending_ when `aligned`.
+  /// bytes to the sink (kSync: on this thread; kAsync: on a helper).
+  /// Advances the delta baseline and decrements align_pending_.
   void capture_snapshot(Worker& w, std::uint64_t epoch, SnapshotMode mode,
-                        SnapshotKind kind, bool aligned);
+                        SnapshotKind kind);
   void emit_proto(ProtoPoint point, int op, std::uint64_t epoch) {
     if (proto_probe_) proto_probe_(point, op, epoch);
   }

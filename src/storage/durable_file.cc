@@ -105,7 +105,6 @@ const char* artifact_kind_name(ArtifactKind kind) {
     case ArtifactKind::kDelta: return "delta";
     case ArtifactKind::kManifest: return "manifest";
     case ArtifactKind::kSourceLog: return "source-log";
-    case ArtifactKind::kBaseline: return "baseline";
   }
   return "unknown";
 }

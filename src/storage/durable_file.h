@@ -1,10 +1,10 @@
 // Framed durable artifacts: every blob the runtime persists — checkpoints,
-// deltas, manifests, source-log records, baseline unit files — is wrapped in
-// a fixed 24-byte header carrying magic, version, artifact kind, payload
-// length and a CRC32C over the payload (plus a CRC over the header itself),
-// so recovery can tell "these are the bytes that were written" from "the
-// disk lied". CRC32C (Castagnoli) uses the SSE4.2 crc32 instruction when the
-// CPU has it and a table-based fallback otherwise.
+// deltas, manifests, source-log records — is wrapped in a fixed 24-byte
+// header carrying magic, version, artifact kind, payload length and a CRC32C
+// over the payload (plus a CRC over the header itself), so recovery can
+// tell "these are the bytes that were written" from "the disk lied". CRC32C
+// (Castagnoli) uses the SSE4.2 crc32 instruction when the CPU has it and a
+// table-based fallback otherwise.
 //
 // Durability is layered on top with an explicit fsync discipline: the commit
 // point of every atomic write is the rename, and SyncMode decides how much
@@ -44,7 +44,7 @@ enum class ArtifactKind : std::uint8_t {
   kDelta = 2,       // epoch_<E>/op_<i>.delta
   kManifest = 3,    // epoch_<E>/MANIFEST
   kSourceLog = 4,   // source_<i>.log (per-record frames, see AppendFile)
-  kBaseline = 5,    // baseline/op_<i>.ckpt
+  // 5 is retired (a removed per-unit checkpoint file): never reuse it.
 };
 
 const char* artifact_kind_name(ArtifactKind kind);
@@ -123,6 +123,12 @@ class FaultInjector {
 
 // --- durable I/O -----------------------------------------------------------
 
+/// kCommit syncs at rename commit points only: a log append is a write()
+/// with no fdatasync, and a log is synced only when it is rewritten (a
+/// truncation, or a torn tail cut at scan). Its exactly-once therefore
+/// covers process crashes. After a power loss, records appended since the
+/// log's last sync may vanish, and recovery then replays less and returns
+/// OK. kAlways is the mode that covers power loss.
 enum class SyncMode : std::uint8_t {
   kNone,    // page cache only (fast; tests and benches)
   kCommit,  // fdatasync files + fsync parent dir around rename commit points

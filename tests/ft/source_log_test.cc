@@ -3,7 +3,8 @@
 // index-run rule (a hole past the boundary is data loss, one below it is
 // not), the torn-tail trim and its two-read confirmation, the
 // append-failure window that health() reports, and the batch append: one
-// write per batch, rolled back whole when it fails, with per-batch metrics.
+// write per batch, rolled back whole when it fails, with per-batch metrics
+// and one truncation-time sample per truncation that reads the log.
 #include "ft/source_log.h"
 
 #include <gtest/gtest.h>
@@ -312,6 +313,8 @@ TEST(SourceLogTest, TruncationFloorPastTheFailureClosesTheWindow) {
   EXPECT_EQ(logs.health().code(), StatusCode::kDataLoss);
   EXPECT_EQ(d.count("ft.log.truncation_skipped"), 1);
   EXPECT_EQ(d.bytes(), before);
+  // The skipped call read the log, so its time is recorded too.
+  EXPECT_EQ(d.metrics.histogram("ft.log.truncate_ns")->snapshot().count(), 1);
 
   // A floor past it closes the window and truncates.
   logs.truncate(kOp, 3);
@@ -397,6 +400,23 @@ TEST(SourceLogTest, BatchMetricsRecordEachBatchOnce) {
   EXPECT_EQ(d.count("ft.log.bytes"),
             static_cast<std::int64_t>(fs::file_size(d.path)));
   EXPECT_EQ(indices(scan_of(d.bytes())).size(), 24u);
+}
+
+// One ft.log.truncate_ns sample per truncation that reads the log; a floor
+// that does not move reads nothing and records nothing.
+TEST(SourceLogTest, TruncateNsRecordsOneSamplePerLogRead) {
+  LogDir d("ms_slog_truncate_ns");
+  SourceLogSet& logs = d.append(0, 12);
+  HistogramMetric* truncate_ns = d.metrics.histogram("ft.log.truncate_ns");
+  for (const std::uint64_t floor : {3, 6, 9}) logs.truncate(kOp, floor);
+  EXPECT_EQ(truncate_ns->snapshot().count(), 3);
+  EXPECT_EQ(d.count("ft.log.truncation_skipped"), 0);
+  EXPECT_EQ(indices(scan_of(d.bytes())), (std::vector<std::uint64_t>{9, 10,
+                                                                     11}));
+
+  logs.truncate(kOp, 9);
+  logs.truncate(kOp, 4);
+  EXPECT_EQ(truncate_ns->snapshot().count(), 3);
 }
 
 }  // namespace

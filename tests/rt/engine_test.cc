@@ -176,7 +176,6 @@ TEST(RtEngineTest, EpochPreconditionsReturnStatus) {
   // Not running yet.
   EXPECT_EQ(engine.begin_epoch(1, SnapshotMode::kAsync).code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(engine.snapshot_now(0, 1).code(), StatusCode::kFailedPrecondition);
   // replay_downstream is valid on a stopped engine (recovery pre-loads the
   // preserved suffix before start()), but still validates its target.
   EXPECT_EQ(engine.replay_downstream(99, 0, core::Tuple{}).code(),

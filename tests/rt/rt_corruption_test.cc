@@ -36,7 +36,6 @@ namespace {
 namespace fs = std::filesystem;
 using ms::failure::DiskFaultInjector;
 using ms::failure::flip_bit_in_file;
-using ms::failure::truncate_file_to;
 using ms::testing::ExternalFeed;
 using ms::testing::FeedSource;
 using ms::testing::int_codec;
@@ -996,38 +995,6 @@ TEST(RtCorruptionTest, FailedLogHeaderWriteIsAnAppendFailure) {
   expect_sink_exact(engine, total);
   expect_table_exact(engine, total);
   EXPECT_TRUE(scrub_checkpoint_dir(cfg.dir).clean());
-}
-
-// --- truncated baseline unit files -------------------------------------------
-
-// A baseline checkpoint truncated at rest to 3 bytes holds no frame header
-// at all; it must read as kDataLoss, not silently restore the operator from
-// empty state.
-TEST(RtCorruptionTest, BaselineCheckpointTruncatedAtRestIsDataLoss) {
-  auto feed = std::make_shared<ExternalFeed>();
-  MetricsRegistry reg;
-  auto cfg = drill_config(fresh_dir("ms_corr_basetrunc"), &reg);
-  cfg.mode = RtMode::kBaseline;
-  cfg.params.checkpoint_period = SimTime::millis(20);
-  {
-    rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
-    RtRuntime runtime(&engine, cfg);
-    ASSERT_TRUE(runtime.start().is_ok());
-    ASSERT_TRUE(wait_drained(engine, 100));
-    ASSERT_TRUE(wait_for([&cfg] {
-      return fs::exists(cfg.dir + "/baseline/op_1.ckpt");
-    }));
-    feed->paused.store(true);
-    runtime.stop();
-  }
-  ASSERT_TRUE(truncate_file_to(cfg.dir + "/baseline/op_1.ckpt", 3));
-
-  rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
-  RtRuntime runtime(&engine, cfg);
-  const Status st = runtime.recover(nullptr);
-  ASSERT_FALSE(st.is_ok()) << "truncated baseline must not restore empty";
-  EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.to_string();
-  EXPECT_GE(reg.counter("ft.recovery.corrupt_artifacts")->value(), 1);
 }
 
 // --- power loss around the manifest rename ----------------------------------

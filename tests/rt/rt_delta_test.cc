@@ -559,46 +559,6 @@ TEST(RtDeltaTest, UnreadableMidChainManifestDoesNotDeleteTheChain) {
   expect_sink_exact(engine, total);
 }
 
-// snapshot_now() is outside the coordinator's chain: it must not advance the
-// operator's delta baseline, or the next committed delta silently omits
-// every mutation between the chain tip and the ad-hoc capture.
-TEST(RtDeltaTest, SnapshotNowDoesNotAdvanceTheDeltaBaseline) {
-  auto feed = std::make_shared<ExternalFeed>();
-  const auto cfg = delta_config(fresh_dir("ms_delta_snapshot_now"));
-
-  std::int64_t total = 0;
-  {
-    rt::RtEngine engine(delta_chain(feed), rt::RtConfig{});
-    RtRuntime runtime(&engine, cfg);
-    ASSERT_TRUE(runtime.start().is_ok());
-    wait_drained(engine, 100);
-    ASSERT_TRUE(take_checkpoint(runtime, 0));  // full base
-    // Mutations landing between the base cut and the next delta cut...
-    wait_drained(engine, engine.sink_tuples() + 100);
-    feed->paused.store(true);
-    wait_quiescent(engine);
-    // ...must survive an interleaved ad-hoc full capture: if this advanced
-    // the dirty baseline, the committed delta below would be empty and the
-    // window above would be lost to recovery.
-    ASSERT_TRUE(engine.snapshot_now(kKvOp, /*epoch=*/999).is_ok());
-    ASSERT_TRUE(take_checkpoint(runtime, 1));  // delta
-    total = feed->cursor.load();
-    runtime.simulate_crash();
-    runtime.stop();
-  }
-
-  rt::RtEngine engine(delta_chain(feed), rt::RtConfig{});
-  RtRuntime runtime(&engine, cfg);
-  ASSERT_TRUE(runtime.recover(nullptr).is_ok());
-  wait_quiescent(engine);
-  runtime.stop();
-  expect_sink_exact(engine, total);
-  const auto& kv = static_cast<const DeltaKvRelay&>(engine.op(kKvOp));
-  std::map<std::int64_t, std::int64_t> expect;
-  for (std::int64_t v = 0; v < total; ++v) expect[v % 16] += v;
-  EXPECT_EQ(kv.table(), expect);
-}
-
 // --- chaos kills against the chain -----------------------------------------
 
 struct PointName {

@@ -1,6 +1,6 @@
 // The full fault-tolerance protocol on the real-threads engine: for every
-// MS variant and the baseline, run checkpoint -> crash -> recover -> replay
-// and assert exactly-once sink contents. Also pins the crash-safety of the
+// MS variant, run checkpoint -> crash -> recover -> replay and assert
+// exactly-once sink contents. Also pins the crash-safety of the
 // durable layout: an epoch without a manifest never existed, and restore
 // after a mid-checkpoint crash loads the last *complete* epoch.
 #include "ft/rt_runtime.h"
@@ -283,43 +283,6 @@ TEST(RtProtocolTest, MsSrcApAaLearnsASawtoothAndRecoversExactlyOnce) {
   std::int64_t counted = 0;
   for (const std::int64_t c : counts.values) counted += c;
   EXPECT_EQ(counted, total);
-}
-
-TEST(RtProtocolTest, BaselineFullCycleFromQuiescentCut) {
-  // The baseline restores per-unit files with no manifest tying them
-  // together — only correct from a quiescent cut, which this test arranges
-  // (that weakness is the point of the MS modes; here we pin the machinery).
-  auto feed = std::make_shared<ExternalFeed>();
-  RtRuntimeConfig cfg;
-  cfg.mode = RtMode::kBaseline;
-  cfg.dir = fresh_dir("ms_rtp_baseline");
-  cfg.params.checkpoint_period = SimTime::millis(100);
-  cfg.codec = int_codec();
-
-  constexpr std::int64_t kTotal = 400;
-  feed->limit.store(kTotal);
-  {
-    rt::RtEngine engine(feed_chain(feed, 2, SimTime::micros(200), 4),
-                        rt::RtConfig{});
-    RtRuntime runtime(&engine, cfg);
-    ASSERT_TRUE(runtime.start().is_ok());
-    wait_drained(engine, kTotal);
-    EXPECT_EQ(engine.sink_tuples(), kTotal);
-    // Quiescent now; let every unit take (at least) one more independent
-    // checkpoint of the drained state.
-    std::this_thread::sleep_for(std::chrono::milliseconds(350));
-    runtime.simulate_crash();
-    runtime.stop();
-  }
-
-  rt::RtEngine engine(feed_chain(feed, 2, SimTime::micros(200), 4),
-                      rt::RtConfig{});
-  RtRuntime runtime(&engine, cfg);
-  RecoveryStats stats;
-  ASSERT_TRUE(runtime.recover(&stats).is_ok());
-  wait_quiescent(engine);
-  runtime.stop();
-  expect_sink_exact(engine, 3, kTotal);
 }
 
 TEST(RtProtocolTest, ProbeTracerCapturesCheckpointAndRecoveryPhases) {

@@ -70,7 +70,7 @@ TEST(Crc32cTest, SeedChainsAcrossSplitBuffers) {
 TEST(DurableFileTest, FrameRoundTripsEveryKind) {
   for (const ArtifactKind kind :
        {ArtifactKind::kCheckpoint, ArtifactKind::kDelta, ArtifactKind::kManifest,
-        ArtifactKind::kSourceLog, ArtifactKind::kBaseline}) {
+        ArtifactKind::kSourceLog}) {
     const auto data = payload(257);
     const auto framed = frame_artifact(kind, data.data(), data.size());
     ASSERT_EQ(framed.size(), kArtifactHeaderSize + data.size());

@@ -73,7 +73,8 @@ void usage() {
       "                               real-threads engine (demo pipeline)\n"
       "  --app tmi|bcp|signalguru     application (default tmi, sim only)\n"
       "  --scheme baseline|ms-src|ms-src+ap|ms-src+ap+aa|ms-src+ap+delta\n"
-      "                               fault-tolerance scheme (default ms-src+ap)\n"
+      "                               fault-tolerance scheme (default ms-src+ap;\n"
+      "                               baseline is sim only)\n"
       "  --checkpoints N              checkpoints in the window (default 3)\n"
       "  --window M                   measurement window, minutes (default 10,\n"
       "                               sim only)\n"
@@ -443,8 +444,10 @@ int run_rt_backend(const Options& opt) {
   ft::RtMode mode = ft::RtMode::kSrcAp;
   switch (opt.scheme) {
     case Scheme::kBaseline:
-      mode = ft::RtMode::kBaseline;
-      break;
+      std::fprintf(stderr, "--scheme baseline runs on the simulator backend "
+                           "(--backend sim); the rt backend runs the "
+                           "exactly-once MS schemes\n");
+      return 2;
     case Scheme::kMsSrc:
       mode = ft::RtMode::kSrc;
       break;
@@ -519,13 +522,6 @@ int run_rt_backend(const Options& opt) {
     }
   }
   attach_tracer(*runtime);
-  std::uint64_t ckpts_completed = 0;
-  runtime->add_probe([&ckpts_completed](ft::FtPoint p, int hau, std::uint64_t) {
-    // Baseline units checkpoint independently; op 0's completed writes
-    // stand in for "rounds". The MS modes overwrite this with the
-    // coordinator's completed-epoch count below.
-    if (p == ft::FtPoint::kCheckpointDone && hau == 0) ++ckpts_completed;
-  });
   const Status st = runtime->start();
   if (!st.is_ok()) {
     std::fprintf(stderr, "start failed: %s\n", st.message().c_str());
@@ -589,9 +585,8 @@ int run_rt_backend(const Options& opt) {
     sleep_wall(opt.run_for_seconds);
   }
   const std::uint64_t durable = runtime->last_durable_epoch();
-  if (mode != ft::RtMode::kBaseline) {
-    ckpts_completed = runtime->coordinator().checkpoints().size();
-  }
+  const std::uint64_t ckpts_completed =
+      runtime->coordinator().checkpoints().size();
   runtime->stop();
 
   std::printf("\n--- run report (real threads) ---\n");
@@ -599,10 +594,8 @@ int run_rt_backend(const Options& opt) {
               static_cast<long long>(engine->sink_tuples()));
   std::printf("checkpoints completed:   %llu\n",
               static_cast<unsigned long long>(ckpts_completed));
-  if (mode != ft::RtMode::kBaseline) {
-    std::printf("last durable epoch:      %llu\n",
-                static_cast<unsigned long long>(durable));
-  }
+  std::printf("last durable epoch:      %llu\n",
+              static_cast<unsigned long long>(durable));
   if (fail && recovered && opt.auto_recover) {
     std::printf("self-heal:               %llu automatic recover(ies), "
                 "0 manual\n",

@@ -1,13 +1,13 @@
 // msverify — offline integrity scrub of an rt checkpoint directory.
 //
-// Walks every durable artifact the runtime writes (epoch MANIFESTs,
-// op_<i>.ckpt / op_<i>.delta blobs, source_<i>.log frames, baseline unit
-// files), verifies frame CRCs, cross-checks blob sizes against their
-// manifest, and prints a per-epoch / per-file verdict followed by each
-// source log's record-index run (a gap in the run is a lost record and is
-// reported as corrupt). Read-only: running it against a live directory is
-// safe, though a commit or a log append racing the scrub can surface
-// transient findings (an incomplete epoch, a short or torn log read).
+// Walks every durable artifact the runtime writes (epoch MANIFESTs, op_<i>.ckpt
+// / op_<i>.delta blobs, source_<i>.log frames), verifies frame CRCs,
+// cross-checks blob sizes against their manifest, and prints a per-epoch /
+// per-file verdict followed by each source log's record-index run (a gap in the
+// run is a lost record and is reported as corrupt). Read-only: running it
+// against a live directory is safe, though a commit or a log append racing the
+// scrub can surface transient findings (an incomplete epoch, a short or torn
+// log read).
 //
 //   msverify --dir /path/to/ckpts     # exit 0 clean, 1 when issues found
 //   msverify --dir /path/to/ckpts -q  # verdict only, no per-file detail

@@ -2,8 +2,25 @@
 # tracer as the simulator. A short rt run crashes once and recovers, on the
 # restart path and then under the self-heal supervisor; each capture must
 # pass mstrace --check and its summary must show checkpoint epochs and the
-# one recovery run. Driven from tools/CMakeLists as ctest
-# `tools.rt_trace_smoke`.
+# one recovery run. The rt backend also refuses the simulator-only baseline
+# scheme. Driven from tools/CMakeLists as ctest `tools.rt_trace_smoke`.
+
+# --scheme baseline on the rt backend is a usage error: exit 2 exactly (a
+# crash is not a refusal) and a message that points at the simulator.
+execute_process(
+  COMMAND "${MSSIM}" --backend rt --scheme baseline --run-for 1
+          --dir "${WORK_DIR}/rt_trace_smoke_baseline_ckpts"
+  RESULT_VARIABLE base_rc
+  OUTPUT_VARIABLE base_out
+  ERROR_VARIABLE base_err)
+if(NOT base_rc STREQUAL "2")
+  message(FATAL_ERROR "rt --scheme baseline: want exit 2, got ${base_rc}:\n"
+          "${base_out}\n${base_err}")
+endif()
+if(NOT base_err MATCHES "baseline runs on the simulator backend")
+  message(FATAL_ERROR "rt --scheme baseline: no usage message:\n${base_err}")
+endif()
+
 foreach(path restart auto-recover)
   set(trace_file "${WORK_DIR}/rt_trace_smoke_${path}.json")
   set(ckpt_dir "${WORK_DIR}/rt_trace_smoke_${path}_ckpts")

@@ -63,46 +63,34 @@ for preset in $PRESETS; do
       results+=("$preset: CORRUPTION DRILLS FAILED"); status=1; break
     fi
   fi
-  # Delta-checkpoint smoke: the fifth scheme (incremental checkpoints +
-  # adaptive cadence) end-to-end on the real-threads backend, including a
-  # mid-run crash and base+delta chain recovery, under each preset's
-  # instrumentation. The directory the crash and recovery leave behind must
-  # then scrub clean with the same preset's msverify, and the run's protocol
-  # trace must pass the same preset's mstrace --check.
-  echo "=== [$preset] delta-scheme smoke ==="
+  # rt-scheme smokes: each scheme end-to-end on the real-threads backend,
+  # with a mid-run crash and recovery, under each preset's instrumentation.
+  # ms-src delivers snapshots inline on the worker under op_mu; ms-src+ap+aa
+  # adds the samplers and stage clock (timer-thread tick, control mutex);
+  # ms-src+ap+delta adds incremental checkpoints, adaptive cadence and
+  # base+delta chain recovery. The directory the crash and recovery leave
+  # behind must scrub clean with the same preset's msverify, and the run's
+  # protocol trace must pass the same preset's mstrace --check.
   mssim_bin="build/tools/mssim"
   case "$preset" in
     sanitize) mssim_bin="build-sanitize/tools/mssim" ;;
     tsan) mssim_bin="build-tsan/tools/mssim" ;;
   esac
-  smoke_dir="$(mktemp -d)"
-  if ! "$mssim_bin" --backend rt --scheme ms-src+ap+delta \
-      --run-for 2 --fail-at 1 --dir "$smoke_dir/ckpt" \
-      --trace "$smoke_dir/trace.json" >/dev/null; then
-    results+=("$preset: DELTA SMOKE FAILED"); status=1; break
-  fi
-  if ! "${mssim_bin%mssim}msverify" --dir "$smoke_dir/ckpt"; then
-    results+=("$preset: DELTA SMOKE SCRUB FAILED"); status=1; break
-  fi
-  if ! "${mssim_bin%mssim}mstrace" --check "$smoke_dir/trace.json"; then
-    results+=("$preset: DELTA SMOKE TRACE FAILED"); status=1; break
-  fi
-  # AA smoke: the application-aware scheme's samplers and stage clock on
-  # real threads (the timer-thread tick, the control mutex, the clock's
-  # callbacks), then the same crash, recovery, scrub and trace check.
-  echo "=== [$preset] aa-scheme smoke ==="
-  smoke_dir="$(mktemp -d)"
-  if ! "$mssim_bin" --backend rt --scheme ms-src+ap+aa \
-      --run-for 2 --fail-at 1 --dir "$smoke_dir/ckpt" \
-      --trace "$smoke_dir/trace.json" >/dev/null; then
-    results+=("$preset: AA SMOKE FAILED"); status=1; break
-  fi
-  if ! "${mssim_bin%mssim}msverify" --dir "$smoke_dir/ckpt"; then
-    results+=("$preset: AA SMOKE SCRUB FAILED"); status=1; break
-  fi
-  if ! "${mssim_bin%mssim}mstrace" --check "$smoke_dir/trace.json"; then
-    results+=("$preset: AA SMOKE TRACE FAILED"); status=1; break
-  fi
+  for scheme in ms-src ms-src+ap+aa ms-src+ap+delta; do
+    echo "=== [$preset] $scheme smoke ==="
+    smoke_dir="$(mktemp -d)"
+    if ! "$mssim_bin" --backend rt --scheme "$scheme" \
+        --run-for 2 --fail-at 1 --dir "$smoke_dir/ckpt" \
+        --trace "$smoke_dir/trace.json" >/dev/null; then
+      results+=("$preset: $scheme SMOKE FAILED"); status=1; break 2
+    fi
+    if ! "${mssim_bin%mssim}msverify" --dir "$smoke_dir/ckpt"; then
+      results+=("$preset: $scheme SMOKE SCRUB FAILED"); status=1; break 2
+    fi
+    if ! "${mssim_bin%mssim}mstrace" --check "$smoke_dir/trace.json"; then
+      results+=("$preset: $scheme SMOKE TRACE FAILED"); status=1; break 2
+    fi
+  done
   # End-to-end benchmark oracle smoke, once, after the default preset:
   # 2-second runs of every BENCHMARK.json workload, untraced and traced, must
   # pass the exactly-once oracle with no failed operation and emit every
