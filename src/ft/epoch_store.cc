@@ -4,6 +4,7 @@
 #include <charconv>
 #include <filesystem>
 #include <system_error>
+#include <tuple>
 
 #include "common/log.h"
 #include "common/serialize.h"
@@ -15,6 +16,16 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr char kEpochPrefix[] = "epoch_";
+constexpr char kSourcePrefix[] = "source_";
+
+/// Parse the decimal number at `*p` (before `end`), advancing `*p` past it.
+template <typename T>
+bool parse_number(const char*& p, const char* end, T* out) {
+  const auto [next, err] = std::from_chars(p, end, *out);
+  if (err != std::errc() || next == p) return false;
+  p = next;
+  return true;
+}
 
 /// Paths of the files in `dir` named <prefix>...<ext>, sorted.
 std::vector<std::string> list_files(const std::string& dir,
@@ -51,7 +62,13 @@ std::string blob_path(const std::string& dir, std::uint64_t epoch, int op,
 }
 
 std::string source_log_path(const std::string& dir, int op) {
-  return dir + "/source_" + std::to_string(op) + ".log";
+  return dir + "/" + kSourcePrefix + std::to_string(op) + ".log";
+}
+
+std::string source_segment_path(const std::string& dir, int op,
+                                std::uint64_t first, std::uint64_t last) {
+  return dir + "/" + kSourcePrefix + std::to_string(op) + "." +
+         std::to_string(first) + "-" + std::to_string(last) + ".log";
 }
 
 std::vector<std::uint64_t> list_epoch_dirs(
@@ -75,8 +92,36 @@ std::vector<std::uint64_t> list_epoch_dirs(
   return out;
 }
 
-std::vector<std::string> list_source_logs(const std::string& dir) {
-  return list_files(dir, "source_", ".log");
+std::vector<SourceLogFile> list_source_logs(
+    const std::string& dir, std::vector<std::string>* unparseable) {
+  std::vector<SourceLogFile> out;
+  for (const std::string& path : list_files(dir, kSourcePrefix, ".log")) {
+    // <op>.log, or <op>.<first>-<last>.log
+    const std::string name = fs::path(path).stem().string().substr(
+        sizeof(kSourcePrefix) - 1);
+    SourceLogFile f;
+    f.path = path;
+    const char* p = name.data();
+    const char* end = name.data() + name.size();
+    bool ok = parse_number(p, end, &f.op) && f.op >= 0;
+    if (ok && p != end) {
+      f.sealed = true;
+      ok = *p++ == '.' && parse_number(p, end, &f.first) && p != end &&
+           *p++ == '-' && parse_number(p, end, &f.last) && p == end &&
+           f.first <= f.last;
+    }
+    if (ok) {
+      out.push_back(std::move(f));
+    } else if (unparseable) {
+      unparseable->push_back(path);
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [](const SourceLogFile& a, const SourceLogFile& b) {
+              return std::tuple(a.op, !a.sealed, a.first) <
+                     std::tuple(b.op, !b.sealed, b.first);
+            });
+  return out;
 }
 
 // --- MANIFEST ----------------------------------------------------------------

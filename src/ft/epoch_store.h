@@ -13,8 +13,10 @@
 //   epoch_<E>/MANIFEST      the commit marker (MANIFEST.tmp renamed into
 //                           place): per-op sizes, kinds, replay cursors and
 //                           the chain predecessor. No MANIFEST, no epoch.
-//   source_<i>.log          a source's preservation log: its format and its
-//                           lifecycle belong to SourceLogSet (ft/source_log.h)
+//   source_<i>.log          a source's preservation log, its head segment
+//   source_<i>.<F>-<L>.log  one of its sealed segments, holding records F..L;
+//                           the format and lifecycle of both belong to
+//                           SourceLogSet (ft/source_log.h)
 //
 // EpochStore's only state is one map from committed epoch to its decoded
 // manifest (or "unreadable": the manifest exists but a transient error hid
@@ -45,14 +47,31 @@ std::string epoch_dir_path(const std::string& dir, std::uint64_t epoch);
 std::string manifest_path(const std::string& dir, std::uint64_t epoch);
 std::string blob_path(const std::string& dir, std::uint64_t epoch, int op,
                       bool delta);
+/// Source `op`'s head segment: the file its appends go to.
 std::string source_log_path(const std::string& dir, int op);
+/// Source `op`'s sealed segment holding records `first`..`last`.
+std::string source_segment_path(const std::string& dir, int op,
+                                std::uint64_t first, std::uint64_t last);
 
 /// Every epoch_<E> directory under `dir`, ascending; names with the prefix
 /// but no number go to `unparseable`.
 std::vector<std::uint64_t> list_epoch_dirs(
     const std::string& dir, std::vector<std::string>* unparseable = nullptr);
-/// Every source log under `dir`, in path order.
-std::vector<std::string> list_source_logs(const std::string& dir);
+
+/// One source-log file, as its name describes it.
+struct SourceLogFile {
+  std::string path;
+  int op = 0;
+  bool sealed = false;     // a sealed segment, else the head
+  std::uint64_t first = 0;  // a sealed segment's inclusive index range
+  std::uint64_t last = 0;
+};
+/// Every source-log file under `dir`: by op, each op's sealed segments by
+/// first index, then its head. Names with the source_ prefix and the .log
+/// extension that are neither form (or name a range with first > last) go
+/// to `unparseable`.
+std::vector<SourceLogFile> list_source_logs(
+    const std::string& dir, std::vector<std::string>* unparseable = nullptr);
 
 // --- MANIFEST ----------------------------------------------------------------
 

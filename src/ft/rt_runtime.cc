@@ -317,9 +317,15 @@ void RtRuntime::commit_epoch(std::uint64_t epoch) {
     return;
   }
   // A fallback to any epoch still committed must find every record past its
-  // cut, so each log keeps everything from the lowest boundary among them.
+  // cut, so each log keeps everything from the lowest boundary among them:
+  // a head the floor has reached is sealed, and the sealed segments
+  // wholly below the floor are unlinked.
   for (int i = 0; i < num_units(); ++i) {
-    if (unit_is_source(i)) logs_.truncate(i, store_.truncation_floor(i));
+    if (!unit_is_source(i)) continue;
+    const std::uint64_t floor = store_.truncation_floor(i);
+    logs_.roll(i, floor);
+    if (crashed_.load()) return;  // died mid-seal: nothing is unlinked
+    logs_.truncate(i, floor);
   }
 }
 

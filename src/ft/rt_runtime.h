@@ -12,8 +12,8 @@
 // reads through too. The source logs belong to SourceLogSet
 // (ft/source_log.h): the engine's SourceTap appends each out-edge batch to
 // them *before* it is dispatched (durable-before-dispatch), each commit
-// truncates them to the oldest retained epoch's boundary, and recovery
-// replays them past the chosen epoch's boundaries. A file that fails
+// seals and unlinks segments up to the oldest retained epoch's boundary, and
+// recovery replays them past the chosen epoch's boundaries. A file that fails
 // verification is never read as data: recovery falls back to an older epoch
 // or returns kDataLoss, and so does a hole in the replayed record indices.
 //
@@ -95,9 +95,10 @@ struct RtRuntimeConfig {
   /// How much is forced to media around durable writes (durable_file.h).
   /// kCommit — the paper-faithful discipline — fdatasyncs artifacts and
   /// fsyncs the parent directory around every rename commit point, but a
-  /// source-log append is a write() with no fdatasync: only a log rewrite
-  /// syncs the log. Its exactly-once covers process crashes. After a power
-  /// loss, records appended since the log's last sync may vanish, and
+  /// source-log append is a write() with no fdatasync: a log segment is
+  /// synced when a commit seals it. Its exactly-once covers process
+  /// crashes. After a power loss only the head segment can lose records —
+  /// those appended since its last seal, all after the last commit — and
   /// recovery then replays less and returns OK. kAlways covers power loss.
   storage::SyncMode sync_mode = storage::SyncMode::kCommit;
   /// Optional disk-fault hook consulted by every durable read/write

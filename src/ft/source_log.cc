@@ -7,7 +7,6 @@
 #include <system_error>
 
 #include "common/log.h"
-#include "ft/epoch_store.h"
 
 namespace ms::ft {
 
@@ -142,23 +141,6 @@ Status read_source_log(const std::string& path,
   return Status::ok();
 }
 
-std::vector<std::uint8_t> log_suffix_image(const LogScan& scan,
-                                           std::uint64_t bound) {
-  std::size_t size = kLogFileHeaderSize;
-  for (const LogFrameView& f : scan.frames) {
-    if (f.index >= bound) size += 8 + f.len;
-  }
-  std::vector<std::uint8_t> out;
-  out.reserve(size);
-  const auto hdr = log_file_header();
-  out.insert(out.end(), hdr.begin(), hdr.end());
-  for (const LogFrameView& f : scan.frames) {
-    // [len][crc] sit right before the payload, the CRC already verified.
-    if (f.index >= bound) out.insert(out.end(), f.data - 8, f.data + f.len);
-  }
-  return out;
-}
-
 std::size_t index_run_end(const std::vector<LogFrameView>& frames,
                           std::size_t pos, std::uint64_t first) {
   for (; pos < frames.size(); ++pos, ++first) {
@@ -173,20 +155,24 @@ SourceLogSet::SourceLogSet(const std::string& dir,
                            const std::vector<int>& sources,
                            storage::DurableOptions opts, TupleCodec codec,
                            MetricsRegistry& metrics)
-    : opts_(opts),
+    : dir_(dir),
+      opts_(opts),
       codec_(std::move(codec)),
       m_torn_frames_(metrics.counter("ft.log.torn_frames")),
       m_append_failures_(metrics.counter("ft.log.append_failures")),
-      m_truncations_skipped_(metrics.counter("ft.log.truncation_skipped")),
       m_torn_unconfirmed_(metrics.counter("ft.log.torn_unconfirmed")),
+      m_roll_failures_(metrics.counter("ft.log.roll_failures")),
+      m_segments_unlinked_(metrics.counter("ft.log.segments_unlinked")),
       m_append_ns_(metrics.histogram("ft.log.append_ns")),
       m_batch_tuples_(metrics.histogram("ft.log.batch_tuples")),
+      m_roll_ns_(metrics.histogram("ft.log.roll_ns")),
       m_truncate_ns_(metrics.histogram("ft.log.truncate_ns")),
       m_bytes_(metrics.counter("ft.log.bytes")) {
   for (const int op : sources) {
     const auto idx = static_cast<std::size_t>(op);
     if (logs_.size() <= idx) logs_.resize(idx + 1);
     logs_[idx] = std::make_unique<Log>();
+    logs_[idx]->op = op;
     logs_[idx]->path = source_log_path(dir, op);
   }
 }
@@ -216,6 +202,8 @@ void SourceLogSet::append(int op, int out_port, const core::Tuple* tuples,
   log.batch = w.take();
   if (log.out.append(log.batch.data(), log.batch.size(), opts_)) {
     m_bytes_->add(static_cast<std::int64_t>(log.batch.size()));
+    if (log.head_end == log.head_first) log.head_first = log.next_index;
+    log.head_end = log.next_index + n;
   } else {
     // The batch still goes downstream but no recovery could replay it until
     // a checkpoint boundary passes its indices: health() shows the window.
@@ -238,80 +226,200 @@ void SourceLogSet::append(int op, int out_port, const core::Tuple* tuples,
 
 Status SourceLogSet::scan(const std::vector<std::uint64_t>& boundaries) {
   Status first_error = Status::ok();
+  const std::vector<SourceLogFile> files = list_source_logs(dir_);
   for (std::size_t i = 0; i < logs_.size(); ++i) {
     if (!logs_[i]) continue;
     Log& log = *logs_[i];
     std::scoped_lock lk(log.mu);
-    if (!log.view) {  // a cached view is still the file's
-      const Status st = load(static_cast<int>(i), log);
-      if (!st.is_ok()) {
-        // The bytes may be fine or not; cursors taken off this read could
-        // reuse record indices.
-        MS_LOG_WARN("ft", "source log %zu unreadable at scan: %s", i,
-                    st.message().c_str());
-        if (first_error.is_ok()) first_error = st;
-        continue;
-      }
-    }
-    // Appends that failed just before the cut are in neither the file nor
-    // the snapshot; the engine's emission count resumes past them.
-    const std::vector<LogFrameView>& frames = log.view->scan.frames;
     const std::uint64_t cut = i < boundaries.size() ? boundaries[i] : 0;
-    log.begin_index = frames.empty() ? cut : frames.front().index;
-    log.next_index =
-        frames.empty() ? cut : std::max(cut, frames.back().index + 1);
+    Status st = Status::ok();
+    if (!log.view) st = load_head(log, files);  // a cached view is current
+    if (st.is_ok()) st = load_sealed(log, cut);
+    if (!st.is_ok()) {
+      // The bytes may be fine or not; cursors taken off this read could
+      // reuse record indices.
+      MS_LOG_WARN("ft", "source log %zu unreadable at scan: %s", i,
+                  st.message().c_str());
+      if (first_error.is_ok()) first_error = st;
+      continue;
+    }
+    // Appends that failed just before the cut are in no segment and not in
+    // the snapshot; the engine's emission count resumes past them.
+    log.next_index = std::max(cut, log.head_end);
+    if (log.head_end == log.head_first) {
+      log.head_first = log.head_end = log.next_index;
+    }
   }
   return first_error;
 }
 
-Status SourceLogSet::load(int op, Log& log) {
-  log.out.close();
+Status SourceLogSet::read_confirmed(int op, const std::string& path,
+                                    std::unique_ptr<LogView>* out) {
   auto view = std::make_unique<LogView>();
-  Status st = read_source_log(log.path, opts_, view.get());
+  Status st = read_source_log(path, opts_, view.get());
   if (st.is_ok() && view->scan.torn) {
-    // Trimming a torn tail drops every byte past it, and a bit flipped in
-    // the read looks just like one flipped on disk. Read again: only a tear
-    // both reads place at the same offset is in the file.
+    // A bit flipped in the read looks just like one flipped on disk. Read
+    // again: only a tear both reads place at the same offset is in the file.
     auto again = std::make_unique<LogView>();
-    st = read_source_log(log.path, opts_, again.get());
+    st = read_source_log(path, opts_, again.get());
     if (st.is_ok() && (!again->scan.torn ||
                        again->scan.valid_bytes != view->scan.valid_bytes)) {
-      MS_LOG_WARN("ft", "source log %d: torn at %llu on one read, %s on the "
-                  "next; keeping the file",
-                  op, static_cast<unsigned long long>(view->scan.valid_bytes),
+      MS_LOG_WARN("ft", "source log %d: %s torn at %llu on one read, %s on "
+                  "the next; keeping the file",
+                  op, path.c_str(),
+                  static_cast<unsigned long long>(view->scan.valid_bytes),
                   again->scan.torn ? "elsewhere" : "whole");
       m_torn_unconfirmed_->add(1);
       if (again->scan.torn) {
-        st = Status::unavailable("source log reads disagree: " + log.path);
+        st = Status::unavailable("source log reads disagree: " + path);
       } else {
         view = std::move(again);
       }
     }
   }
   if (!st.is_ok()) return st;
+  *out = std::move(view);
+  return Status::ok();
+}
+
+Status SourceLogSet::load_head(Log& log,
+                               const std::vector<SourceLogFile>& files) {
+  log.out.close();
+  log.sealed.clear();
+  for (const SourceLogFile& f : files) {
+    if (f.op != log.op || !f.sealed) continue;
+    if (!log.sealed.empty() && f.first <= log.sealed.back().last) {
+      return Status::data_loss("source log segments overlap: " +
+                               log.sealed.back().path + " and " + f.path);
+    }
+    log.sealed.push_back({f.first, f.last, f.path, nullptr});
+  }
+  std::unique_ptr<LogView> view;
+  Status st = read_confirmed(log.op, log.path, &view);
+  if (!st.is_ok()) return st;
+  const std::vector<LogFrameView>& frames = view->scan.frames;
+  const std::uint64_t sealed_end =
+      log.sealed.empty() ? 0 : log.sealed.back().last + 1;
+  if (!frames.empty() && frames.front().index < sealed_end) {
+    return Status::data_loss("source log head overlaps " +
+                             log.sealed.back().path + ": " + log.path);
+  }
   if (view->scan.torn) {
-    // Both reads agree. Rewrite the file without the tail, or the garbage
-    // would resurface mid-log after the next append.
+    // Both reads agree. Write the whole frames before the tear back, or the
+    // garbage would resurface mid-log after the next append; a header torn
+    // at creation becomes a whole one.
     MS_LOG_WARN("ft", "source log %d: torn at byte %llu of %zu; rewriting "
                 "the whole frames before it",
-                op, static_cast<unsigned long long>(view->scan.valid_bytes),
+                log.op, static_cast<unsigned long long>(view->scan.valid_bytes),
                 view->bytes.size());
-    st = rewrite(log, view->scan, 0);
+    const auto hdr = log_file_header();
+    const auto valid = static_cast<std::size_t>(view->scan.valid_bytes);
+    const bool has_header = valid >= hdr.size();
+    st = storage::write_raw_atomic(
+        log.path, storage::ArtifactKind::kSourceLog,
+        has_header ? view->bytes.data() : hdr.data(),
+        has_header ? valid : hdr.size(), opts_);
     if (!st.is_ok()) return st;
     m_torn_frames_->add(1);
     view->scan.torn = false;  // the view mirrors the file's frames again
   }
+  log.head_first = frames.empty() ? sealed_end : frames.front().index;
+  log.head_end = frames.empty() ? sealed_end : frames.back().index + 1;
   log.out.open(log.path);
   log.view = std::move(view);
   return Status::ok();
 }
 
-Status SourceLogSet::rewrite(Log& log, const LogScan& scan,
-                             std::uint64_t bound) {
-  const std::vector<std::uint8_t> image = log_suffix_image(scan, bound);
-  log.out.close();
-  return storage::write_raw_atomic(log.path, storage::ArtifactKind::kSourceLog,
-                                   image.data(), image.size(), opts_);
+Status SourceLogSet::load_sealed(Log& log, std::uint64_t boundary) {
+  for (Segment& seg : log.sealed) {
+    if (seg.last < boundary || seg.view) continue;
+    std::unique_ptr<LogView> view;
+    const Status st = read_confirmed(log.op, seg.path, &view);
+    if (!st.is_ok()) return st;
+    // A sealed segment was whole when it was renamed, and its name is the
+    // range it held.
+    const LogScan& scan = view->scan;
+    if (scan.torn) {
+      return Status::data_loss("sealed source log segment torn at byte " +
+                               std::to_string(scan.valid_bytes) + ": " +
+                               seg.path);
+    }
+    if (scan.frames.empty() || scan.frames.front().index != seg.first ||
+        scan.frames.back().index != seg.last) {
+      return Status::data_loss(
+          "sealed source log segment's frames do not span its name's "
+          "range: " + seg.path);
+    }
+    seg.view = std::move(view);
+  }
+  return Status::ok();
+}
+
+void SourceLogSet::roll(int op, std::uint64_t floor) {
+  Log& log = *logs_[static_cast<std::size_t>(op)];
+  std::uint64_t synced = 0;
+  {
+    std::scoped_lock lk(log.mu);
+    // The head is sealed once the floor has reached its first record, so
+    // segments are cut where the floor stands and the floor's next move
+    // past one drops it by an unlink. A head still wholly newer than the
+    // floor stays whole, records past this commit's own cut included, so a
+    // recovery from this commit reads the head alone.
+    if (!log.out.is_open() || log.head_end == log.head_first ||
+        log.head_first > floor) {
+      return;
+    }
+    synced = log.out.size();
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  storage::WriteFaultSpec fault;
+  if (opts_.faults) {
+    fault = opts_.faults->write_fault(log.path,
+                                      storage::ArtifactKind::kSourceLog);
+  }
+  const bool do_sync = opts_.sync != storage::SyncMode::kNone;
+  // The bulk of the sync runs while the source goes on appending.
+  bool ok = fault.fault != storage::WriteFault::kError &&
+            (!do_sync || log.out.sync(fault.fault));
+  if (ok && fault.fault == storage::WriteFault::kCrashBeforeRename) {
+    if (opts_.faults) opts_.faults->on_crash_point(log.path);
+    return;
+  }
+  if (ok) {
+    std::scoped_lock lk(log.mu);
+    // What the source appended during that sync is sealed too.
+    if (do_sync && log.out.size() != synced) ok = log.out.sync(fault.fault);
+    const std::string path = source_segment_path(
+        dir_, op, log.head_first, log.head_end - 1);
+    std::error_code ec;
+    if (ok) std::filesystem::rename(log.path, path, ec);
+    ok = ok && !ec;
+    if (ok) {
+      log.sealed.push_back({log.head_first, log.head_end - 1, path, nullptr});
+      log.head_first = log.head_end = log.next_index;
+      // Closes the sealed file's handle; a head that cannot be created
+      // fails the appends, each one counted.
+      if (!log.out.open(log.path)) {
+        MS_LOG_WARN("ft", "source log %d: cannot open a fresh head", op);
+      }
+    }
+  }
+  if (!ok) {
+    MS_LOG_WARN("ft", "source log %d: seal failed; the head stays and the "
+                "next commit retries", op);
+    m_roll_failures_->add(1);
+    return;
+  }
+  if (fault.fault == storage::WriteFault::kCrashAfterRename) {
+    if (opts_.faults) opts_.faults->on_crash_point(log.path);
+    return;
+  }
+  if (do_sync && !storage::fsync_dir(dir_)) {
+    MS_LOG_WARN("ft", "source log %d: directory sync after a seal failed", op);
+    m_roll_failures_->add(1);
+    return;
+  }
+  m_roll_ns_->record(since(t0));
 }
 
 void SourceLogSet::truncate(int op, std::uint64_t floor) {
@@ -319,46 +427,49 @@ void SourceLogSet::truncate(int op, std::uint64_t floor) {
   std::scoped_lock lk(log.mu);
   // Past the floor no recovery candidate needs the missing record.
   if (log.failed_since < floor) log.failed_since = Log::kNoAppendFailure;
-  if (floor <= log.begin_index) return;  // nothing behind the floor
+  if (log.sealed.empty() || log.sealed.front().last >= floor) return;
   const auto t0 = std::chrono::steady_clock::now();
-  LogView view;
-  const Status st = read_source_log(log.path, opts_, &view);
-  // A whole read holds every record from the floor to next_index - 1. One
-  // that ends early (an error, a short read, a flipped bit) or misses one
-  // would commit an image without records the sink may already have.
-  const std::vector<LogFrameView>& frames = view.scan.frames;
-  const std::size_t from = first_at_or_past(frames, floor);
-  const bool complete = st.is_ok() && !view.scan.torn &&
-                        index_run_end(frames, from, floor) == frames.size() &&
-                        floor + (frames.size() - from) == log.next_index;
-  if (!complete) {
-    MS_LOG_WARN("ft", "source log truncation skipped for op %d: %s", op,
-                st.is_ok() ? "a record past the floor is not in the read"
-                           : st.message().c_str());
-    m_truncations_skipped_->add(1);
-    m_truncate_ns_->record(since(t0));
-    return;
+  std::size_t n = 0;
+  for (; n < log.sealed.size() && log.sealed[n].last < floor; ++n) {
+    std::error_code ec;
+    std::filesystem::remove(log.sealed[n].path, ec);
+    if (ec) {
+      // Kept, with every later segment: the next commit retries.
+      MS_LOG_WARN("ft", "source log %d: cannot unlink %s: %s", op,
+                  log.sealed[n].path.c_str(), ec.message().c_str());
+      break;
+    }
   }
-  const Status wst = rewrite(log, view.scan, floor);
-  if (wst.is_ok()) {
-    log.begin_index = floor;
-  } else {
-    MS_LOG_WARN("ft", "source log truncation failed for op %d: %s", op,
-                wst.message().c_str());
-  }
-  log.out.open(log.path);
+  log.sealed.erase(log.sealed.begin(),
+                   log.sealed.begin() + static_cast<std::ptrdiff_t>(n));
+  m_segments_unlinked_->add(static_cast<std::int64_t>(n));
   m_truncate_ns_->record(since(t0));
 }
 
 Status SourceLogSet::replay(int op, std::uint64_t boundary,
-                            std::vector<LogRecord>* out) const {
+                            std::vector<LogRecord>* out) {
   Log& log = *logs_[static_cast<std::size_t>(op)];
   std::scoped_lock lk(log.mu);
   MS_CHECK_MSG(log.view != nullptr, "SourceLogSet: replay without a scan");
-  const std::vector<LogFrameView>& frames = log.view->scan.frames;
-  const std::size_t from = first_at_or_past(frames, boundary);
-  const std::size_t end = index_run_end(frames, from, boundary);
-  if (end != frames.size()) {
+  // An epoch older than the tip the scan used may need older segments.
+  const Status st = load_sealed(log, boundary);
+  if (!st.is_ok()) return st;
+  // The run crosses the segments in index order; the head alone needs no
+  // joined copy.
+  const std::vector<LogFrameView>* frames = &log.view->scan.frames;
+  std::vector<LogFrameView> joined;
+  for (const Segment& seg : log.sealed) {
+    if (seg.last < boundary) continue;
+    joined.insert(joined.end(), seg.view->scan.frames.begin(),
+                  seg.view->scan.frames.end());
+  }
+  if (!joined.empty()) {
+    joined.insert(joined.end(), frames->begin(), frames->end());
+    frames = &joined;
+  }
+  const std::size_t from = first_at_or_past(*frames, boundary);
+  const std::size_t end = index_run_end(*frames, from, boundary);
+  if (end != frames->size()) {
     // A record a failed append left out went downstream before the crash
     // and cannot be replayed.
     return Status::data_loss(
@@ -368,7 +479,7 @@ Status SourceLogSet::replay(int op, std::uint64_t boundary,
   out->clear();
   out->reserve(end - from);
   for (std::size_t k = from; k < end; ++k) {
-    out->push_back(decode_log_record(frames[k], codec_));
+    out->push_back(decode_log_record((*frames)[k], codec_));
   }
   return Status::ok();
 }
@@ -378,6 +489,7 @@ void SourceLogSet::drop_views() {
     if (!log) continue;
     std::scoped_lock lk(log->mu);
     log->view.reset();
+    for (Segment& seg : log->sealed) seg.view.reset();
   }
 }
 

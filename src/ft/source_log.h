@@ -1,25 +1,45 @@
 // Source preservation: one append-only log per source operator. Every tuple
 // a source emits is logged before it is dispatched (durable-before-dispatch),
 // and recovery replays the tuples past the checkpoint cut. SourceLogSet owns
-// the log's format and lifecycle; EpochStore only names the file
-// (source_log_path), and RtRuntime passes committed boundaries in.
+// the log's format and lifecycle; EpochStore only names the files
+// (source_log_path, source_segment_path), and RtRuntime passes committed
+// boundaries in.
 //
-// Format: an 8-byte "MSLG" header, then one [len][crc32c][record] frame per
-// tuple; a record is kLogFrameFixed bytes of fields (the index first), then
-// the codec's payload. The only tear a crash can leave is a short last frame.
+// Layout: each log is a chain of segments. The head, source_<op>.log, takes
+// the appends; a sealed segment, source_<op>.<first>-<last>.log, is a former
+// head renamed at a commit, holding records first..last. Every segment has
+// an 8-byte "MSLG" header, then one [len][crc32c][record] frame per tuple; a
+// record is kLogFrameFixed bytes of fields (the index first), then the
+// codec's payload. The only tear a crash can leave is a short last frame of
+// the head.
 //
-// Two writers. The append: a group commit per batch the engine flushes —
-// every record of the batch framed into one reused buffer and issued as one
-// write() (one fdatasync under SyncMode::kAlways), carrying the header too
-// when the file is empty. A failed batch — header included — is one append
+// The append: a group commit per batch the engine flushes — every record of
+// the batch framed into one reused buffer and issued as one write() (one
+// fdatasync under SyncMode::kAlways) to the head, carrying the header too
+// when the head is empty. A failed batch — header included — is one append
 // failure: cut back whole, counted once (ft.log.append_failures), and open
-// in health() from its first index until a truncation floor passes it.
-// Each batch records ft.log.append_ns (encode, CRC and write),
-// ft.log.batch_tuples and ft.log.bytes. The rewrite: the verified
-// frames' image through storage::write_raw_atomic (fault injection applies),
-// keeping the frames from the truncation floor on, or every frame before a
-// torn tail two reads confirm. A failed read, a header that does not verify
-// or a failed trim leaves the file as it is and the append handle closed.
+// in health() from its first index until a truncation floor passes it. Each
+// batch records ft.log.append_ns (encode, CRC and write),
+// ft.log.batch_tuples and ft.log.bytes.
+//
+// The roll (once a commit's manifest is durable, when the new truncation
+// floor has reached the head's first record): fdatasync the head without the
+// lock, then under it sync what appends added meanwhile, rename the head to
+// its sealed name and open a fresh head; fsync the directory after
+// (ft.log.roll_ns). A seal that fails before the rename keeps the head as it
+// is (ft.log.roll_failures) and the next commit retries. The truncation
+// unlinks every sealed segment whose last record is below the floor
+// (ft.log.segments_unlinked, ft.log.truncate_ns); it reads and writes no
+// log.
+//
+// The scan reads the head and the sealed segments at or past the committed
+// tip's boundary, each with a second read to confirm a torn verdict. A
+// confirmed tear in the head is trimmed (the whole frames before it written
+// back through storage::write_raw_atomic); in a sealed segment it is
+// kDataLoss, as is a sealed segment whose frames do not span its name's
+// range or two segments whose ranges overlap. Contiguity across segments
+// follows the index-run rule from the replay boundary on. A failed read, a
+// header that does not verify or a failed trim leaves the files as they are.
 #pragma once
 
 #include <array>
@@ -34,6 +54,7 @@
 #include "common/serialize.h"
 #include "common/status.h"
 #include "core/tuple.h"
+#include "ft/epoch_store.h"
 #include "storage/durable_file.h"
 
 namespace ms::ft {
@@ -82,18 +103,13 @@ struct LogView {
   LogScan scan;
 };
 
-/// Read one whole source log and scan it into `view`. Missing = an empty
-/// log; a bad header is kDataLoss; any other failure, a read shorter than the
+/// Read one whole log segment and scan it into `view`. Missing = an empty
+/// segment; a bad header is kDataLoss; any other failure, a read shorter than the
 /// file included, is kUnavailable: "could not look", never "nothing there".
 Status read_source_log(const std::string& path,
                        const storage::DurableOptions& opts, LogView* view);
 
-/// The log image keeping `scan`'s frames with index >= `bound`, each copied
-/// with the CRC the scan verified.
-std::vector<std::uint8_t> log_suffix_image(const LogScan& scan,
-                                           std::uint64_t bound);
-
-/// The one index-run rule (replay, truncation and the scrub use it). Indices
+/// The one index-run rule (replay and the scrub use it). Indices
 /// are assigned consecutively at append, so the frames from position `pos` on
 /// are whole when they read `first`, first + 1, ... Returns the position of
 /// the first frame that breaks the run: frames.size() when none does.
@@ -136,24 +152,34 @@ class SourceLogSet {
     append(op, out_port, &tuple, 1);
   }
 
-  /// With nothing appending: read (and trim) every log without a cached
-  /// view, cache the view for replay(), and continue each log's record
-  /// indices past its last record and `boundaries[op]` (the committed tip's
-  /// boundary). Returns the first failure; that log gets no view.
+  /// With nothing appending: list each log's segments and read (and trim)
+  /// its head and every sealed segment at or past `boundaries[op]` (the
+  /// committed tip's boundary) that has no cached view; cache the views for
+  /// replay(), and continue each log's record indices past its last record
+  /// and that boundary. Returns the first failure.
   Status scan(const std::vector<std::uint64_t>& boundaries);
 
-  /// Commit-time truncation to `floor`, the committed epochs' lowest
-  /// boundary: closes the append-failure window the floor passes, then keeps
-  /// the records from `floor` on, only from a read holding every one of them
-  /// (else ft.log.truncation_skipped, and the next commit retries). Every
-  /// call that reads the log records its wall time in ft.log.truncate_ns.
+  /// Commit-time seal, once the commit's manifest is durable (calls are
+  /// serialized with each other and with scan()): when `floor`
+  /// (the committed epochs' lowest boundary) has reached the head's first
+  /// record, rename the head to a sealed segment, so that a later floor
+  /// past its last record unlinks it whole. Each seal records
+  /// ft.log.roll_ns; a failed one counts ft.log.roll_failures and leaves the
+  /// head as it is.
+  void roll(int op, std::uint64_t floor);
+
+  /// Commit-time truncation to `floor`: closes the append-failure window the
+  /// floor passes and unlinks every sealed segment whose last record is
+  /// below it. A call that unlinks records its wall time in
+  /// ft.log.truncate_ns.
   void truncate(int op, std::uint64_t floor);
 
-  /// Decode source `op`'s records from `boundary` on out of the cached view.
-  /// A record missing from that run is kDataLoss; records below the
-  /// boundary are the snapshot's and are neither checked nor decoded.
-  Status replay(int op, std::uint64_t boundary,
-                std::vector<LogRecord>* out) const;
+  /// Decode source `op`'s records from `boundary` on, across its segments,
+  /// out of the cached views (reading a sealed segment an older boundary
+  /// needs first). A record missing from that run is kDataLoss; records
+  /// below the boundary are the snapshot's and are neither checked nor
+  /// decoded.
+  Status replay(int op, std::uint64_t boundary, std::vector<LogRecord>* out);
 
   /// Drop every cached view: the engine is about to append.
   void drop_views();
@@ -163,39 +189,61 @@ class SourceLogSet {
   Status health() const;
 
  private:
+  /// A sealed segment: its name's range, and its view while cached.
+  struct Segment {
+    std::uint64_t first = 0;
+    std::uint64_t last = 0;
+    std::string path;
+    std::unique_ptr<LogView> view;
+  };
+
   struct Log {
     /// failed_since value meaning "no uncovered append failure".
     static constexpr std::uint64_t kNoAppendFailure = ~std::uint64_t{0};
 
     std::mutex mu;
-    std::string path;
-    storage::AppendFile out;        // append handle, reopened on rewrite
-    std::uint64_t begin_index = 0;  // first record still in the file
+    int op = 0;
+    std::string path;               // the head
+    storage::AppendFile out;        // the head's append handle
+    /// The head's records: indices head_first..head_end - 1 (empty when
+    /// equal), gaps from failed appends included.
+    std::uint64_t head_first = 0;
+    std::uint64_t head_end = 0;
     std::uint64_t next_index = 0;   // index the next append gets
     /// Lowest index whose append failed (its tuple went downstream).
     std::uint64_t failed_since = kNoAppendFailure;
     /// The append's encode buffer, kept between batches for its capacity.
     std::vector<std::uint8_t> batch;
-    /// The last scan()'s verified read, while nothing has changed the file.
+    /// Sealed segments, ascending, as the last scan listed them plus the
+    /// rolls since.
+    std::vector<Segment> sealed;
+    /// The head's view from the last scan, while nothing has changed it.
     std::unique_ptr<LogView> view;
   };
 
-  /// Read `log`, confirm a torn verdict with a second read and trim a
+  /// Read `path` into `*out`, confirming a torn verdict with a second read.
+  Status read_confirmed(int op, const std::string& path,
+                        std::unique_ptr<LogView>* out);
+  /// List `log`'s sealed segments from `files`, read its head and trim a
   /// confirmed tear; on success cache the view and open the handle.
-  Status load(int op, Log& log);
-  /// Replace the file with `scan`'s frames from `bound` on (handle closed).
-  Status rewrite(Log& log, const LogScan& scan, std::uint64_t bound);
+  Status load_head(Log& log, const std::vector<SourceLogFile>& files);
+  /// Read every sealed segment with a record at or past `boundary` that has
+  /// no cached view, and check each against its name.
+  Status load_sealed(Log& log, std::uint64_t boundary);
 
+  std::string dir_;
   storage::DurableOptions opts_;
   TupleCodec codec_;
   std::vector<std::unique_ptr<Log>> logs_;  // index = op; null if not a source
   Counter* m_torn_frames_;          // ft.log.torn_frames
   Counter* m_append_failures_;      // ft.log.append_failures
-  Counter* m_truncations_skipped_;  // ft.log.truncation_skipped
   Counter* m_torn_unconfirmed_;     // ft.log.torn_unconfirmed
+  Counter* m_roll_failures_;        // ft.log.roll_failures
+  Counter* m_segments_unlinked_;    // ft.log.segments_unlinked
   HistogramMetric* m_append_ns_;     // ft.log.append_ns, per batch
   HistogramMetric* m_batch_tuples_;  // ft.log.batch_tuples, per batch
-  HistogramMetric* m_truncate_ns_;   // ft.log.truncate_ns, per log read
+  HistogramMetric* m_roll_ns_;       // ft.log.roll_ns, per seal
+  HistogramMetric* m_truncate_ns_;   // ft.log.truncate_ns, per unlink pass
   Counter* m_bytes_;                 // ft.log.bytes appended
 };
 

@@ -78,39 +78,78 @@ void scrub_epoch(const std::string& dir, std::uint64_t epoch,
   }
 }
 
-void scrub_source_log(const std::string& path, ScrubReport* report) {
-  LogView view;
-  const LogScan& scan = view.scan;
-  const Status st = read_source_log(path, kReadOnly, &view);
-  if (!tally(path, st, scan.valid_bytes, report)) return;
-  if (scan.torn) {
-    report->issues.push_back(
-        {path, "torn tail: " +
-                   std::to_string(view.bytes.size() - scan.valid_bytes) +
-                   " unverifiable bytes past offset " +
-                   std::to_string(scan.valid_bytes) + " (" +
-                   std::to_string(scan.frames.size()) + " whole frames)"});
-  }
+/// Record a break in a record-index run: `index` follows `prev` in `path`.
+void report_break(const std::string& path, std::uint64_t prev,
+                  std::uint64_t index, const std::string& where,
+                  ScrubReport* report) {
+  report->issues.push_back(
+      {path, index > prev
+                 ? "records " + std::to_string(prev + 1) + ".." +
+                       std::to_string(index - 1) + " missing" + where
+                 : "record " + std::to_string(index) + " out of order after " +
+                       std::to_string(prev) + where});
+}
+
+/// Scrub one source's segments, `files` in index order (its sealed
+/// segments, then its head): each file's frames, each sealed segment's
+/// frames against its name's range, and the record-index run within and
+/// across the files. A sealed segment joins the run by its name's range, so
+/// one that does not verify still shows where the run breaks.
+void scrub_source_log(const std::vector<SourceLogFile>& files,
+                      const std::string& head, ScrubReport* report) {
   ScrubLog run;
-  run.path = path;
-  run.records = scan.frames.size();
-  if (!scan.frames.empty()) {
-    run.first_index = scan.frames.front().index;
-    run.last_index = scan.frames.back().index;
-  }
-  for (std::size_t k = 0; k < scan.frames.size();) {
-    const std::size_t end = index_run_end(scan.frames, k, scan.frames[k].index);
-    if (end < scan.frames.size()) {
-      const std::uint64_t prev = scan.frames[end - 1].index;
-      const std::uint64_t index = scan.frames[end].index;
+  run.path = head;
+  bool joined = false;  // a previous file placed `prev`
+  std::uint64_t prev = 0;
+  for (const SourceLogFile& f : files) {
+    ++run.segments;
+    LogView view;
+    const LogScan& scan = view.scan;
+    const Status st = read_source_log(f.path, kReadOnly, &view);
+    const bool read = tally(f.path, st, scan.valid_bytes, report);
+    const std::vector<LogFrameView>& frames = scan.frames;
+    if (read && scan.torn) {
       report->issues.push_back(
-          {path, index > prev
-                     ? "records " + std::to_string(prev + 1) + ".." +
-                           std::to_string(index - 1) + " missing"
-                     : "record " + std::to_string(index) +
-                           " out of order after " + std::to_string(prev)});
+          {f.path, std::string(f.sealed ? "torn sealed segment" : "torn tail") +
+                       ": " +
+                       std::to_string(view.bytes.size() - scan.valid_bytes) +
+                       " unverifiable bytes past offset " +
+                       std::to_string(scan.valid_bytes) + " (" +
+                       std::to_string(frames.size()) + " whole frames)"});
     }
-    k = end;
+    if (read && f.sealed &&
+        (frames.empty() || frames.front().index != f.first ||
+         frames.back().index != f.last)) {
+      report->issues.push_back(
+          {f.path, "name range " + std::to_string(f.first) + "-" +
+                       std::to_string(f.last) + " disagrees with its frames (" +
+                       (frames.empty()
+                            ? std::string("none")
+                            : std::to_string(frames.front().index) + ".." +
+                                  std::to_string(frames.back().index)) +
+                       ")"});
+    }
+    // Where this file sits in the run: a sealed segment by its name.
+    if (f.sealed || !frames.empty()) {
+      const std::uint64_t first = f.sealed ? f.first : frames.front().index;
+      if (joined && first != prev + 1) {
+        report_break(f.path, prev, first, " between segments", report);
+      }
+      joined = true;
+      prev = f.sealed ? f.last : frames.back().index;
+    }
+    if (frames.empty()) continue;
+    if (run.records == 0) run.first_index = frames.front().index;
+    run.last_index = frames.back().index;
+    run.records += frames.size();
+    for (std::size_t k = 0; k < frames.size();) {
+      const std::size_t end = index_run_end(frames, k, frames[k].index);
+      if (end < frames.size()) {
+        report_break(f.path, frames[end - 1].index, frames[end].index, "",
+                     report);
+      }
+      k = end;
+    }
   }
   report->logs.push_back(std::move(run));
 }
@@ -129,8 +168,17 @@ ScrubReport scrub_checkpoint_dir(const std::string& dir) {
   for (const std::uint64_t epoch : epochs) {
     scrub_epoch(dir, epoch, epochs, &report);
   }
-  for (const std::string& path : list_source_logs(dir)) {
-    scrub_source_log(path, &report);
+  std::vector<std::string> unnamed;
+  const std::vector<SourceLogFile> logs = list_source_logs(dir, &unnamed);
+  for (const std::string& path : unnamed) {
+    report.issues.push_back({path, "unparseable source log name"});
+  }
+  for (auto it = logs.begin(); it != logs.end();) {
+    const auto end = std::find_if(it, logs.end(), [op = it->op](const auto& f) {
+      return f.op != op;
+    });
+    scrub_source_log({it, end}, source_log_path(dir, it->op), &report);
+    it = end;
   }
   return report;
 }

@@ -1,8 +1,10 @@
 // Offline integrity scrub of an rt checkpoint directory — the library behind
 // tools/msverify. Walks every durable artifact the runtime writes (epoch
-// manifests, checkpoint/delta blobs, source logs), verifies frames and
-// cross-checks blob sizes against their manifest, reports each source log's
-// record-index run (a gap in it is a lost record), and reports per-file
+// manifests, checkpoint/delta blobs, source-log segments), verifies frames
+// and cross-checks blob sizes against their manifest, walks each source's
+// segments in index order and reports its record-index run (a gap in it,
+// within a segment or between two, is a lost record; a sealed segment whose
+// frames contradict its name's range is damage), and reports per-file
 // verdicts without modifying anything on disk. It reads through the same
 // ft/epoch_store.h and ft/source_log.h functions recovery uses, so the two
 // apply one rule set (one index-run rule included); the scrub exists so an
@@ -21,10 +23,11 @@ struct ScrubIssue {
   std::string detail;  // what failed verification
 };
 
-/// One source log's record-index run, read from the frames' index fields
-/// without decoding the records.
+/// One source log's record-index run across its segments, read from the
+/// frames' index fields without decoding the records.
 struct ScrubLog {
-  std::string path;
+  std::string path;               // the head segment's
+  std::uint64_t segments = 0;     // files: sealed segments and the head
   std::uint64_t records = 0;      // whole, verifiable frames
   std::uint64_t first_index = 0;  // meaningful when records > 0
   std::uint64_t last_index = 0;   // meaningful when records > 0
@@ -35,7 +38,7 @@ struct ScrubReport {
   int incomplete = 0;    // epoch dirs without a MANIFEST (crash leftovers)
   int artifacts = 0;     // files whose frames were verified
   std::uint64_t verified_bytes = 0;
-  std::vector<ScrubLog> logs;  // every source log, in path order
+  std::vector<ScrubLog> logs;  // every source log, by op
   std::vector<ScrubIssue> issues;
   bool clean() const { return issues.empty(); }
 };

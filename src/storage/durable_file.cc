@@ -444,6 +444,10 @@ bool AppendFile::append(const void* data, std::size_t n,
   return wrote;
 }
 
+bool AppendFile::sync(WriteFault fault) {
+  return fd_ >= 0 && sync_fd(fd_, fault);
+}
+
 bool AppendFile::rollback() {
   return fd_ >= 0 && ::ftruncate(fd_, static_cast<off_t>(size_)) == 0;
 }

@@ -43,7 +43,7 @@ enum class ArtifactKind : std::uint8_t {
   kCheckpoint = 1,  // epoch_<E>/op_<i>.ckpt
   kDelta = 2,       // epoch_<E>/op_<i>.delta
   kManifest = 3,    // epoch_<E>/MANIFEST
-  kSourceLog = 4,   // source_<i>.log (per-record frames, see AppendFile)
+  kSourceLog = 4,   // source_<i>[.<F>-<L>].log (per-record frames, AppendFile)
   // 5 is retired (a removed per-unit checkpoint file): never reuse it.
 };
 
@@ -124,11 +124,12 @@ class FaultInjector {
 // --- durable I/O -----------------------------------------------------------
 
 /// kCommit syncs at rename commit points only: a log append is a write()
-/// with no fdatasync, and a log is synced only when it is rewritten (a
-/// truncation, or a torn tail cut at scan). Its exactly-once therefore
-/// covers process crashes. After a power loss, records appended since the
-/// log's last sync may vanish, and recovery then replays less and returns
-/// OK. kAlways is the mode that covers power loss.
+/// with no fdatasync, and a log segment is synced when a commit seals it
+/// (fdatasync, rename, directory fsync) or a torn head tail is cut at scan.
+/// Its exactly-once therefore covers process crashes. After a power loss
+/// only the head segment can lose records — those appended since the last
+/// seal, all after the last commit — and recovery then replays less and
+/// returns OK. kAlways is the mode that covers power loss.
 enum class SyncMode : std::uint8_t {
   kNone,    // page cache only (fast; tests and benches)
   kCommit,  // fdatasync files + fsync parent dir around rename commit points
@@ -161,8 +162,9 @@ Status write_artifact_atomic(const std::string& path, ArtifactKind kind,
                              const DurableOptions& opts);
 
 /// write_artifact_atomic without the MSDF frame: `data` is the exact file
-/// image. For files with internal framing (source-log rewrites) that still
-/// want the tmp+rename+fsync commit discipline and fault injection.
+/// image. For files with internal framing (a source log's torn-tail trim)
+/// that still want the tmp+rename+fsync commit discipline and fault
+/// injection.
 Status write_raw_atomic(const std::string& path, ArtifactKind kind,
                         const void* data, std::size_t n,
                         const DurableOptions& opts);
@@ -197,6 +199,10 @@ class AppendFile {
   /// and a failed sync fails the append. A failed append may leave part or
   /// all of its bytes in the file.
   bool append(const void* data, std::size_t n, const DurableOptions& opts);
+  /// fdatasync what has been appended (`fault` as the write hook returned
+  /// it: kSyncError fails the sync). It reads only the descriptor, so it
+  /// may run while another thread appends; false when the handle is closed.
+  bool sync(WriteFault fault = WriteFault::kNone);
   /// File size at open plus every successful append since.
   std::uint64_t size() const { return size_; }
   /// Cut the file back to size(), dropping whatever a failed append left

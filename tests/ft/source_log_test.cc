@@ -1,19 +1,24 @@
 // SourceLogSet on its own: one source log in a temp dir, no engine. Checks
-// the append / scan / truncate / replay round trip byte for byte, the
-// index-run rule (a hole past the boundary is data loss, one below it is
-// not), the torn-tail trim and its two-read confirmation, the
-// append-failure window that health() reports, and the batch append: one
-// write per batch, rolled back whole when it fails, with per-batch metrics
-// and one truncation-time sample per truncation that reads the log.
+// the append / scan / roll / truncate / replay round trip byte for byte, the
+// index-run rule across segments (a hole past the boundary is data loss, one
+// below it is not), the torn-tail trim and its two-read confirmation, the
+// append-failure window that health() reports, the batch append (one write
+// per batch, rolled back whole when it fails, with per-batch metrics), the
+// seal and its failure, sealed segments checked against their names, and
+// the exact file reads and writes of a truncation and of a scan.
 #include "ft/source_log.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "../testing/test_ops.h"
@@ -82,11 +87,27 @@ struct LogDir {
     return set;
   }
 
-  std::vector<std::uint8_t> bytes() const {
+  std::vector<std::uint8_t> bytes() const { return bytes_of(path); }
+
+  static std::vector<std::uint8_t> bytes_of(const std::string& file) {
     std::vector<std::uint8_t> out;
-    EXPECT_TRUE(storage::read_raw(path, storage::ArtifactKind::kSourceLog,
+    EXPECT_TRUE(storage::read_raw(file, storage::ArtifactKind::kSourceLog,
                                   storage::DurableOptions{}, &out)
                     .is_ok());
+    return out;
+  }
+
+  /// Source op kOp's sealed segment holding records first..last.
+  std::string sealed(std::uint64_t first, std::uint64_t last) const {
+    return source_segment_path(dir, kOp, first, last);
+  }
+
+  /// Every file name in the directory.
+  std::set<std::string> files() const {
+    std::set<std::string> out;
+    for (const auto& e : fs::directory_iterator(dir)) {
+      out.insert(e.path().filename().string());
+    }
     return out;
   }
 
@@ -162,26 +183,32 @@ TEST(SourceLogTest, AppendScanTruncateReplayRoundTrip) {
     EXPECT_EQ(p->value, v);
   }
 
-  // Truncation keeps the header and the frames from the floor on, each byte
-  // as the appends wrote it.
+  // A floor inside the head seals it: renamed whole, each byte as the
+  // appends wrote it, behind a fresh empty head. The truncation to that
+  // floor keeps it, since records 4..9 are past the floor.
   logs.drop_views();
+  logs.roll(kOp, 4);
   logs.truncate(kOp, 4);
-  EXPECT_EQ(d.count("ft.log.truncation_skipped"), 0);
-  const auto header = log_file_header();
-  std::vector<std::uint8_t> kept(header.begin(), header.end());
-  const auto from = static_cast<std::size_t>(scan.frames[4].data -
-                                             before.data()) - 8;
-  kept.insert(kept.end(), before.begin() + static_cast<std::ptrdiff_t>(from),
-              before.end());
-  EXPECT_EQ(d.bytes(), kept);
+  EXPECT_EQ(d.files(), (std::set<std::string>{"source_0.0-9.log",
+                                              "source_0.log"}));
+  EXPECT_EQ(LogDir::bytes_of(d.sealed(0, 9)), before);
+  EXPECT_EQ(fs::file_size(d.path), 0u);
 
-  // Appends continue the run behind the rewrite.
+  // Appends continue the run in the new head, behind its own header; a
+  // restart replays it across both segments.
   logs.append(kOp, 0, tuple_of(10));
+  EXPECT_EQ(indices(scan_of(d.bytes())), (std::vector<std::uint64_t>{10}));
   SourceLogSet& again = d.open();
-  ASSERT_TRUE(d.scanned.is_ok());
+  ASSERT_TRUE(d.scanned.is_ok()) << d.scanned.to_string();
   ASSERT_TRUE(again.replay(kOp, 4, &records).is_ok());
   EXPECT_EQ(indices(records),
             (std::vector<std::uint64_t>{4, 5, 6, 7, 8, 9, 10}));
+
+  // A floor past the sealed segment unlinks it; the head stays.
+  again.drop_views();
+  again.truncate(kOp, 10);
+  EXPECT_EQ(d.files(), (std::set<std::string>{"source_0.log"}));
+  EXPECT_EQ(d.count("ft.log.segments_unlinked"), 1);
 }
 
 TEST(SourceLogTest, HolePastTheBoundaryIsDataLossBelowItIsNot) {
@@ -306,20 +333,20 @@ TEST(SourceLogTest, TruncationFloorPastTheFailureClosesTheWindow) {
   EXPECT_EQ(d.count("ft.log.append_failures"), 1);
   EXPECT_EQ(logs.health().code(), StatusCode::kDataLoss);
 
-  // A floor at the lost record still needs it: the window stays open, and
-  // the records from the floor on are not whole, so the file stays too.
+  // A floor at the lost record still needs it: the window stays open. With
+  // no sealed segment the truncation touches no file.
   const std::vector<std::uint8_t> before = d.bytes();
   logs.truncate(kOp, 2);
   EXPECT_EQ(logs.health().code(), StatusCode::kDataLoss);
-  EXPECT_EQ(d.count("ft.log.truncation_skipped"), 1);
   EXPECT_EQ(d.bytes(), before);
-  // The skipped call read the log, so its time is recorded too.
-  EXPECT_EQ(d.metrics.histogram("ft.log.truncate_ns")->snapshot().count(), 1);
 
-  // A floor past it closes the window and truncates.
+  // A floor past it closes the window. The head, gap and all, is sealed
+  // under the range of the frames it holds.
+  logs.roll(kOp, 3);
   logs.truncate(kOp, 3);
   EXPECT_TRUE(logs.health().is_ok()) << logs.health().to_string();
-  EXPECT_EQ(indices(scan_of(d.bytes())), (std::vector<std::uint64_t>{3, 4}));
+  EXPECT_EQ(LogDir::bytes_of(d.sealed(0, 4)), before);
+  EXPECT_EQ(indices(scan_of(before)), (std::vector<std::uint64_t>{0, 1, 3, 4}));
 }
 
 // A batch is one write: a tear inside its third frame cuts the whole batch
@@ -402,21 +429,239 @@ TEST(SourceLogTest, BatchMetricsRecordEachBatchOnce) {
   EXPECT_EQ(indices(scan_of(d.bytes())).size(), 24u);
 }
 
-// One ft.log.truncate_ns sample per truncation that reads the log; a floor
-// that does not move reads nothing and records nothing.
-TEST(SourceLogTest, TruncateNsRecordsOneSamplePerLogRead) {
+// One ft.log.truncate_ns sample per truncation that unlinks, however many
+// segments it unlinks (ft.log.segments_unlinked counts them); a floor that
+// passes no sealed segment whole records nothing.
+TEST(SourceLogTest, TruncateNsRecordsOneSamplePerUnlinkPass) {
   LogDir d("ms_slog_truncate_ns");
-  SourceLogSet& logs = d.append(0, 12);
+  SourceLogSet& logs = d.append(0, 3);
+  for (std::int64_t v = 3; v < 12; v += 3) {  // seals 0-2, 3-5, 6-8
+    logs.roll(kOp, static_cast<std::uint64_t>(v));
+    append_batch(logs, v, v + 3);
+  }
   HistogramMetric* truncate_ns = d.metrics.histogram("ft.log.truncate_ns");
-  for (const std::uint64_t floor : {3, 6, 9}) logs.truncate(kOp, floor);
-  EXPECT_EQ(truncate_ns->snapshot().count(), 3);
-  EXPECT_EQ(d.count("ft.log.truncation_skipped"), 0);
+  logs.truncate(kOp, 2);  // passes no segment whole
+  EXPECT_EQ(truncate_ns->snapshot().count(), 0);
+  logs.truncate(kOp, 3);
+  logs.truncate(kOp, 9);
+  EXPECT_EQ(truncate_ns->snapshot().count(), 2);
+  EXPECT_EQ(d.count("ft.log.segments_unlinked"), 3);
+  EXPECT_EQ(d.files(), (std::set<std::string>{"source_0.log"}));
   EXPECT_EQ(indices(scan_of(d.bytes())), (std::vector<std::uint64_t>{9, 10,
                                                                      11}));
 
   logs.truncate(kOp, 9);
   logs.truncate(kOp, 4);
-  EXPECT_EQ(truncate_ns->snapshot().count(), 3);
+  EXPECT_EQ(truncate_ns->snapshot().count(), 2);
+}
+
+// A commit seals the head once the floor has reached its first record: a
+// head still wholly newer than the floor, or an empty one, stays. Each seal
+// is one ft.log.roll_ns sample.
+TEST(SourceLogTest, RollSealsTheHeadOnceTheFloorReachesIt) {
+  LogDir d("ms_slog_roll");
+  SourceLogSet& logs = d.open();
+  logs.drop_views();
+  logs.roll(kOp, 5);  // nothing appended yet
+  append_batch(logs, 0, 4);
+  logs.roll(kOp, 0);  // the floor stands at record 0, the head's first
+  EXPECT_EQ(d.files(), (std::set<std::string>{"source_0.0-3.log",
+                                              "source_0.log"}));
+  EXPECT_EQ(d.metrics.histogram("ft.log.roll_ns")->snapshot().count(), 1);
+  logs.roll(kOp, 9);  // the fresh head is empty
+
+  append_batch(logs, 4, 8);
+  const std::vector<std::uint8_t> head = d.bytes();
+  logs.roll(kOp, 3);  // the head starts at 4, past the floor
+  EXPECT_EQ(d.files().size(), 2u);
+  logs.roll(kOp, 4);
+  EXPECT_EQ(d.files(), (std::set<std::string>{"source_0.0-3.log",
+                                              "source_0.4-7.log",
+                                              "source_0.log"}));
+  EXPECT_EQ(LogDir::bytes_of(d.sealed(4, 7)), head);
+  EXPECT_EQ(fs::file_size(d.path), 0u);
+  EXPECT_EQ(d.metrics.histogram("ft.log.roll_ns")->snapshot().count(), 2);
+  EXPECT_EQ(d.count("ft.log.roll_failures"), 0);
+}
+
+// A seal that fails keeps the head as it is, counts ft.log.roll_failures,
+// and the next commit's seal takes it whole: an injected write error, and
+// under SyncMode::kCommit a failed fdatasync.
+TEST(SourceLogTest, FailedRollKeepsTheHeadAndTheNextCommitRetries) {
+  for (const auto fault :
+       {storage::WriteFault::kError, storage::WriteFault::kSyncError}) {
+    SCOPED_TRACE(static_cast<int>(fault));
+    LogDir d("ms_slog_rollfail");
+    d.sync = storage::SyncMode::kCommit;
+    DiskFaultInjector faults;
+    SourceLogSet& logs = d.append(0, 4, &faults);
+    faults.arm_write(storage::ArtifactKind::kSourceLog, fault);
+    logs.roll(kOp, 2);
+    EXPECT_EQ(faults.injected(), 1);
+    EXPECT_EQ(d.count("ft.log.roll_failures"), 1);
+    EXPECT_EQ(d.files(), (std::set<std::string>{"source_0.log"}));
+
+    append_batch(logs, 4, 6);
+    const std::vector<std::uint8_t> head = d.bytes();
+    logs.roll(kOp, 2);
+    EXPECT_EQ(d.count("ft.log.roll_failures"), 1);
+    EXPECT_EQ(d.files(), (std::set<std::string>{"source_0.0-5.log",
+                                                "source_0.log"}));
+    EXPECT_EQ(LogDir::bytes_of(d.sealed(0, 5)), head);
+  }
+}
+
+// A seal syncs the head without the log's mutex while the source appends,
+// then takes it for the rename and the handle swap. Appends racing a run of
+// seals land in exactly one segment each, in order: a restart replays the
+// whole run and the scrub finds every segment's name true.
+TEST(SourceLogTest, RollsRacingAppendsKeepTheRunWhole) {
+  LogDir d("ms_slog_race");
+  d.sync = storage::SyncMode::kCommit;
+  SourceLogSet& logs = d.open();
+  logs.drop_views();
+  constexpr std::int64_t kBatches = 200;
+  constexpr std::int64_t kBatch = 8;
+  constexpr std::int64_t kTotal = kBatches * kBatch;
+  std::atomic<std::int64_t> appended{0};
+  std::thread appender([&logs, &appended] {
+    for (std::int64_t v = 0; v < kTotal; v += kBatch) {
+      append_batch(logs, v, v + kBatch);
+      appended.store(v + kBatch);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  while (appended.load() < kTotal) {
+    logs.roll(kOp, static_cast<std::uint64_t>(appended.load()));
+  }
+  appender.join();
+  logs.roll(kOp, kTotal);
+  EXPECT_EQ(d.count("ft.log.roll_failures"), 0);
+  EXPECT_EQ(d.count("ft.log.append_failures"), 0);
+  EXPECT_GE(d.files().size(), 2u);
+
+  SourceLogSet& again = d.open();
+  ASSERT_TRUE(d.scanned.is_ok()) << d.scanned.to_string();
+  std::vector<LogRecord> records;
+  ASSERT_TRUE(again.replay(kOp, 0, &records).is_ok());
+  ASSERT_EQ(records.size(), static_cast<std::size_t>(kTotal));
+  for (std::size_t k = 0; k < records.size(); ++k) {
+    ASSERT_EQ(records[k].index, k);
+  }
+  const ScrubReport report = scrub_checkpoint_dir(d.dir);
+  EXPECT_TRUE(report.clean()) << report.issues.front().path << ": "
+                              << report.issues.front().detail;
+  ASSERT_EQ(report.logs.size(), 1u);
+  EXPECT_EQ(report.logs[0].segments, d.files().size());
+}
+
+/// Counts every source-log read and write hook call; injects nothing.
+class LogIoCounter final : public storage::FaultInjector {
+ public:
+  storage::WriteFaultSpec write_fault(const std::string&,
+                                      storage::ArtifactKind kind) override {
+    if (kind == storage::ArtifactKind::kSourceLog) ++writes;
+    return {};
+  }
+  storage::ReadFaultSpec read_fault(const std::string& path,
+                                    storage::ArtifactKind kind) override {
+    if (kind == storage::ArtifactKind::kSourceLog) read_paths.insert(path);
+    if (kind == storage::ArtifactKind::kSourceLog) ++reads;
+    return {};
+  }
+  int reads = 0;
+  int writes = 0;
+  std::set<std::string> read_paths;
+};
+
+// The exact I/O of the two commit-time and restart-time paths. A truncation
+// unlinks: it reads and writes no log. A scan reads the head and only the
+// sealed segments at or past the boundary — in the shape of a crash after a
+// quiescent commit, the head alone — and a replay from an older boundary
+// reads the older segments it needs, once.
+TEST(SourceLogTest, TruncationAndScanReadOnlyWhatTheyNeed) {
+  LogDir d("ms_slog_io");
+  SourceLogSet& logs = d.append(0, 10);
+  for (std::int64_t v = 10; v < 40; v += 10) {  // 0-9, 10-19, 20-29 sealed
+    logs.roll(kOp, static_cast<std::uint64_t>(v));
+    append_batch(logs, v, v + 10);
+  }
+  LogIoCounter io;
+  d.open(&io);
+  ASSERT_TRUE(d.scanned.is_ok()) << d.scanned.to_string();
+  EXPECT_EQ(io.reads, 4) << "no boundary: every segment is read";
+
+  io.reads = 0;
+  io.read_paths.clear();
+  SourceLogSet logs2(d.dir, {kOp},
+                     storage::DurableOptions{storage::SyncMode::kNone, &io},
+                     int_codec(), d.metrics);
+  ASSERT_TRUE(logs2.scan({30}).is_ok());  // the head starts at the boundary
+  EXPECT_EQ(io.reads, 1);
+  EXPECT_EQ(io.read_paths, (std::set<std::string>{d.path}));
+  ASSERT_TRUE(logs2.scan({30}).is_ok());  // the cached view is still the file's
+  EXPECT_EQ(io.reads, 1);
+  std::vector<LogRecord> records;
+  ASSERT_TRUE(logs2.replay(kOp, 15, &records).is_ok());
+  EXPECT_EQ(io.reads, 3);
+  EXPECT_EQ(io.read_paths, (std::set<std::string>{d.path, d.sealed(10, 19),
+                                                  d.sealed(20, 29)}));
+  ASSERT_EQ(records.size(), 25u);
+  EXPECT_EQ(records.front().index, 15u);
+  EXPECT_EQ(records.back().index, 39u);
+
+  logs2.drop_views();
+  io.reads = io.writes = 0;
+  logs2.truncate(kOp, 25);
+  EXPECT_EQ(io.reads, 0);
+  EXPECT_EQ(io.writes, 0);
+  EXPECT_EQ(d.files(), (std::set<std::string>{"source_0.20-29.log",
+                                              "source_0.log"}));
+}
+
+// A sealed segment is whole and is what its name says: one whose frames do
+// not span its name's range, or whose range overlaps another's, is
+// kDataLoss. A gap between two segments is kDataLoss only past the replay
+// boundary, like a gap inside one.
+TEST(SourceLogTest, SealedSegmentsAreCheckedAgainstTheirNames) {
+  LogDir d("ms_slog_names");
+  SourceLogSet& logs = d.append(0, 5);
+  logs.roll(kOp, 5);
+  append_batch(logs, 5, 10);
+  logs.roll(kOp, 10);
+  append_batch(logs, 10, 12);
+  std::vector<LogRecord> records;
+
+  // Renamed to claim a range its frames do not hold.
+  fs::rename(d.sealed(5, 9), d.sealed(5, 8));
+  SourceLogSet& misnamed = d.open();
+  EXPECT_EQ(d.scanned.code(), StatusCode::kDataLoss) << d.scanned.to_string();
+  EXPECT_NE(d.scanned.message().find(d.sealed(5, 8)), std::string::npos);
+  (void)misnamed;
+
+  // Overlapping ranges.
+  fs::copy_file(d.sealed(0, 4), d.sealed(4, 4));
+  fs::rename(d.sealed(5, 8), d.sealed(5, 9));
+  d.open();
+  EXPECT_EQ(d.scanned.code(), StatusCode::kDataLoss) << d.scanned.to_string();
+  fs::remove(d.sealed(4, 4));
+
+  // A gap between segments: records 5..9 are gone.
+  fs::remove(d.sealed(5, 9));
+  SourceLogSet& gap = d.open();
+  ASSERT_TRUE(d.scanned.is_ok()) << d.scanned.to_string();
+  const Status st = gap.replay(kOp, 3, &records);
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.to_string();
+  EXPECT_NE(st.message().find("missing record 5"), std::string::npos);
+  ASSERT_TRUE(gap.replay(kOp, 10, &records).is_ok());
+  EXPECT_EQ(indices(records), (std::vector<std::uint64_t>{10, 11}));
+  const ScrubReport report = scrub_checkpoint_dir(d.dir);
+  ASSERT_EQ(report.issues.size(), 1u);
+  EXPECT_EQ(report.issues[0].path, d.path);
+  EXPECT_NE(report.issues[0].detail.find("records 5..9 missing between "
+                                         "segments"),
+            std::string::npos)
+      << report.issues[0].detail;
 }
 
 }  // namespace

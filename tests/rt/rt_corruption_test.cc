@@ -556,8 +556,8 @@ TEST(RtCorruptionTest, TornLogTailIsTruncatedCountedAndReplaysExactly) {
   EXPECT_TRUE(scrub_checkpoint_dir(cfg.dir).clean());
 }
 
-// The trim of a confirmed torn tail is a rewrite through the same atomic
-// write as truncation, so the disk-fault hook sees it. A rewrite that fails
+// The trim of a confirmed torn tail writes the whole frames back through an
+// atomic write, so the disk-fault hook sees it. A trim write that fails
 // is handled like a read error: the file stays byte-identical, the log gets
 // no view, and recover() is retryable. Once the fault clears, the trim lands
 // and the replay is exact.
@@ -840,77 +840,274 @@ TEST(RtCorruptionTest, TornAppendIsTrimmedBackBeforeLaterAppends) {
   EXPECT_EQ(after, before) << "recovery modified the log";
 }
 
-// --- damaged reads during commit-time truncation -----------------------------
+// --- sealed segments ---------------------------------------------------------
 
-/// Run a full-epochs-only incarnation whose every commit truncates the log to
-/// its own boundary, with `fault` armed (one-shot) on the second commit's
-/// truncation read; then crash, recover in a fresh incarnation and demand an
-/// exact sink. A truncation that trusts the damaged read commits a log
-/// ending where the read ended and durably drops records past the boundary
-/// that the sink has already seen.
-void damaged_truncation_read_drill(const std::string& name,
-                                   storage::ReadFault fault,
-                                   std::uint64_t offset) {
+/// A directory whose source log has a sealed segment the tip does not need
+/// but the epoch before it does.
+struct SegmentSeed {
+  std::int64_t total = 0;
+  std::vector<std::uint64_t> cuts;  // the three epochs' boundaries
+  std::string sealed;               // holds records cuts[1]..cuts[2] - 1
+  std::string head;
+};
+
+/// Full epochs only, one fallback rung retained.
+RtRuntimeConfig segment_config(const std::string& dir,
+                               MetricsRegistry* metrics) {
+  RtRuntimeConfig cfg = drill_config(dir, metrics);
+  cfg.mode = RtMode::kSrcAp;
+  return cfg;
+}
+
+/// Three epochs, each cut with the feed paused and the pipeline quiescent,
+/// then a suffix only the head holds, then a crash. Each commit seals the
+/// head, which starts at the floor: the first unlinks what it sealed, the
+/// third unlinks the second's segment and keeps its own, records
+/// cuts[1]..cuts[2] - 1. Epochs 2 and 3 survive.
+SegmentSeed seed_segments(std::shared_ptr<ExternalFeed> feed,
+                          const RtRuntimeConfig& cfg) {
+  SegmentSeed seed;
+  rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
+  RtRuntime runtime(&engine, cfg);
+  EXPECT_TRUE(runtime.start().is_ok());
+  for (std::uint64_t done = 0; done < 3; ++done) {
+    feed->paused.store(false);
+    EXPECT_TRUE(wait_drained(engine, engine.sink_tuples() + 100));
+    feed->paused.store(true);
+    wait_quiescent(engine);
+    EXPECT_TRUE(take_checkpoint(runtime, done));
+    seed.cuts.push_back(static_cast<std::uint64_t>(feed->cursor.load()));
+  }
+  feed->paused.store(false);
+  EXPECT_TRUE(wait_drained(engine, engine.sink_tuples() + 100));
+  runtime.simulate_crash();
+  feed->paused.store(true);
+  wait_quiescent(engine);
+  seed.total = feed->cursor.load();
+  runtime.stop();
+  seed.sealed = source_segment_path(cfg.dir, 0, seed.cuts[1],
+                                    seed.cuts[2] - 1);
+  seed.head = source_log_path(cfg.dir, 0);
+  std::set<std::string> logs;
+  for (const SourceLogFile& f : list_source_logs(cfg.dir)) logs.insert(f.path);
+  EXPECT_EQ(logs, (std::set<std::string>{seed.sealed, seed.head}));
+  return seed;
+}
+
+/// Epoch 3's blob fails verification: recovery falls back to epoch 2, whose
+/// boundary lies inside the sealed segment.
+void force_fallback_to_epoch_2(const RtRuntimeConfig& cfg) {
+  ASSERT_TRUE(flip_bit_in_file(cfg.dir + "/epoch_3/op_1.ckpt", payload_bit()));
+}
+
+/// Records the path of every source-log read; injects nothing.
+class LogReadPaths final : public storage::FaultInjector {
+ public:
+  storage::WriteFaultSpec write_fault(const std::string&,
+                                      storage::ArtifactKind) override {
+    return {};
+  }
+  storage::ReadFaultSpec read_fault(const std::string& path,
+                                    storage::ArtifactKind kind) override {
+    if (kind == storage::ArtifactKind::kSourceLog) paths.push_back(path);
+    return {};
+  }
+  std::vector<std::string> paths;
+};
+
+// Construction reads only what the tip needs: the head, whose records start
+// at the tip's cut. When the tip fails verification, the fallback to epoch 2
+// reads the sealed segment its cut lies in, once, and the replay across the
+// segment and the head is exact.
+TEST(RtCorruptionTest, SegmentFallbackReadsOlderSealedSegments) {
   auto feed = std::make_shared<ExternalFeed>();
   MetricsRegistry reg;
-  auto cfg = drill_config(fresh_dir(name), &reg);
-  cfg.mode = RtMode::kSrcAp;  // full epochs only
-  cfg.params.retain_fallback_epochs = 0;
-  DiskFaultInjector faults;
-  cfg.disk_faults = &faults;
+  auto cfg = segment_config(fresh_dir("ms_corr_seg_fallback"), &reg);
+  const SegmentSeed seed = seed_segments(feed, cfg);
+  force_fallback_to_epoch_2(cfg);
 
+  LogReadPaths reads;
+  cfg.disk_faults = &reads;
+  rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
+  RtRuntime runtime(&engine, cfg);
+  EXPECT_EQ(reads.paths, (std::vector<std::string>{seed.head}));
+  const Status st = runtime.recover(nullptr);
+  ASSERT_TRUE(st.is_ok()) << st.to_string();
+  EXPECT_EQ(runtime.last_durable_epoch(), 2u);
+  EXPECT_EQ(reads.paths, (std::vector<std::string>{seed.head, seed.sealed}));
+  wait_quiescent(engine);
+  runtime.stop();
+  expect_sink_exact(engine, seed.total);
+  expect_table_exact(engine, seed.total);
+}
+
+// Records missing between two segments, each whole and named for what it
+// holds, are lost records once a replay needs them: kDataLoss, and the scrub
+// names the segment the run resumes in.
+TEST(RtCorruptionTest, SegmentGapPastTheBoundaryIsDataLoss) {
+  auto feed = std::make_shared<ExternalFeed>();
+  MetricsRegistry reg;
+  const auto cfg = segment_config(fresh_dir("ms_corr_seg_gap"), &reg);
+  const SegmentSeed seed = seed_segments(feed, cfg);
+  ASSERT_GE(seed.cuts[2] - seed.cuts[1], 3u);
+
+  // Cut the sealed segment's last two frames and rename it for the rest.
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(storage::read_raw(seed.sealed, storage::ArtifactKind::kSourceLog,
+                                storage::DurableOptions{}, &bytes)
+                  .is_ok());
+  const auto scanned = scan_log_bytes(bytes.data(), bytes.size(), seed.sealed);
+  ASSERT_TRUE(scanned.is_ok()) << scanned.status().to_string();
+  const auto& frames = scanned.value().frames;
+  const auto cut = static_cast<std::size_t>(
+      frames[frames.size() - 2].data - bytes.data() - 8);
+  const std::string shorter =
+      source_segment_path(cfg.dir, 0, seed.cuts[1], seed.cuts[2] - 3);
+  {
+    std::ofstream out(shorter, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(cut));
+  }
+  fs::remove(seed.sealed);
+
+  const ScrubReport report = scrub_checkpoint_dir(cfg.dir);
+  ASSERT_EQ(report.issues.size(), 1u);
+  EXPECT_EQ(report.issues[0].path, seed.head);
+  const std::string gap = "records " + std::to_string(seed.cuts[2] - 2) +
+                          ".." + std::to_string(seed.cuts[2] - 1) +
+                          " missing between segments";
+  EXPECT_NE(report.issues[0].detail.find(gap), std::string::npos)
+      << report.issues[0].detail;
+
+  force_fallback_to_epoch_2(cfg);
+  rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
+  RtRuntime runtime(&engine, cfg);
+  const Status st = runtime.recover(nullptr);
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.to_string();
+  EXPECT_NE(st.message().find("missing record " +
+                              std::to_string(seed.cuts[2] - 2)),
+            std::string::npos)
+      << st.message();
+}
+
+// A sealed segment was whole when it was renamed, so a tear in it is damage,
+// not a crash mid-append: kDataLoss when a replay needs it, never a trim, and
+// the scrub names it.
+TEST(RtCorruptionTest, SegmentTornWhileSealedIsDataLoss) {
+  auto feed = std::make_shared<ExternalFeed>();
+  MetricsRegistry reg;
+  const auto cfg = segment_config(fresh_dir("ms_corr_seg_torn"), &reg);
+  const SegmentSeed seed = seed_segments(feed, cfg);
+  const auto size = fs::file_size(seed.sealed);
+  ASSERT_TRUE(ms::failure::truncate_file_to(seed.sealed, size - 5));
+
+  const ScrubReport report = scrub_checkpoint_dir(cfg.dir);
+  ASSERT_FALSE(report.clean());
+  bool named = false;
+  for (const ScrubIssue& issue : report.issues) {
+    EXPECT_EQ(issue.path, seed.sealed) << issue.detail;
+    named |= issue.detail.find("torn sealed segment") != std::string::npos;
+  }
+  EXPECT_TRUE(named);
+
+  force_fallback_to_epoch_2(cfg);
+  rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
+  RtRuntime runtime(&engine, cfg);
+  const Status st = runtime.recover(nullptr);
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.to_string();
+  EXPECT_NE(st.message().find(seed.sealed), std::string::npos) << st.message();
+  EXPECT_EQ(fs::file_size(seed.sealed), size - 5)
+      << "a sealed segment's tear was trimmed";
+  EXPECT_EQ(reg.counter("ft.log.torn_frames")->value(), 0);
+}
+
+/// One incarnation whose second commit dies inside its seal with `fault`
+/// (after the manifest landed), followed by a suffix the log keeps taking;
+/// then a fresh incarnation recovers and must be exact. Full epochs, no
+/// fallback rung: every commit's floor is its own cut, so each commit seals.
+void crash_in_roll_drill(const std::string& name, storage::WriteFault fault,
+                         bool sealed_survives) {
+  auto feed = std::make_shared<ExternalFeed>();
+  MetricsRegistry reg;
+  auto cfg = segment_config(fresh_dir(name), &reg);
+  cfg.params.retain_fallback_epochs = 0;
+  std::uint64_t cut1 = 0, cut2 = 0;
   std::int64_t total = 0;
   {
+    DiskFaultInjector faults;
+    cfg.disk_faults = &faults;
     rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
     RtRuntime runtime(&engine, cfg);
-    // Hold every checkpoint report back a little, so records past the
-    // boundary are in the log by the time the commit truncates it.
-    runtime.add_probe([](FtPoint point, int, std::uint64_t) {
-      if (point == FtPoint::kCheckpointDone) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      }
-    });
+    faults.set_crash_hook([&runtime] { runtime.simulate_crash(); });
     ASSERT_TRUE(runtime.start().is_ok());
     ASSERT_TRUE(wait_drained(engine, 100));
-    ASSERT_TRUE(take_checkpoint(runtime, 0));
+    feed->paused.store(true);
+    wait_quiescent(engine);
+    ASSERT_TRUE(take_checkpoint(runtime, 0));  // seals 0..cut1 - 1, unlinked
+    cut1 = static_cast<std::uint64_t>(feed->cursor.load());
+    feed->paused.store(false);
     ASSERT_TRUE(wait_drained(engine, engine.sink_tuples() + 100));
-    faults.arm_read(storage::ArtifactKind::kSourceLog, fault, offset);
-    ASSERT_TRUE(take_checkpoint(runtime, 1));
-    EXPECT_EQ(faults.injected(), 1) << "the truncation read was not damaged";
-    EXPECT_GE(reg.counter("ft.log.truncation_skipped")->value(), 1);
-    EXPECT_TRUE(runtime.health().is_ok()) << runtime.health().to_string();
-    ASSERT_TRUE(wait_drained(engine, engine.sink_tuples() + 50));
-    runtime.simulate_crash();
+    feed->paused.store(true);
+    wait_quiescent(engine);
+    cut2 = static_cast<std::uint64_t>(feed->cursor.load());
+    faults.arm_write(storage::ArtifactKind::kSourceLog, fault);
+    ASSERT_TRUE(runtime.begin_checkpoint().is_ok());
+    ASSERT_TRUE(wait_for([&runtime] { return runtime.crashed(); }))
+        << "crash point never reached";
+    EXPECT_EQ(runtime.last_durable_epoch(), 2u);
+    // The log takes every tuple the dead process still dispatches.
+    feed->paused.store(false);
+    ASSERT_TRUE(wait_drained(engine, engine.sink_tuples() + 100));
     feed->paused.store(true);
     wait_quiescent(engine);
     total = feed->cursor.load();
     runtime.stop();
   }
-  EXPECT_TRUE(scrub_checkpoint_dir(cfg.dir).clean());
+  ASSERT_TRUE(fs::exists(manifest_path(cfg.dir, 2)));
+  // Records cut1..cut2 - 1 are below the committed floor either way: left in
+  // the head, or sealed and, the unlink never having run, still on disk.
+  const std::string sealed = source_segment_path(cfg.dir, 0, cut1, cut2 - 1);
+  EXPECT_EQ(fs::exists(sealed), sealed_survives);
 
   cfg.disk_faults = nullptr;
   rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
   RtRuntime runtime(&engine, cfg);
-  ASSERT_TRUE(runtime.recover(nullptr).is_ok());
+  const Status st = runtime.recover(nullptr);
+  ASSERT_TRUE(st.is_ok()) << st.to_string();
+  EXPECT_EQ(runtime.last_durable_epoch(), 2u);
   wait_quiescent(engine);
-  runtime.stop();
   expect_sink_exact(engine, total);
   expect_table_exact(engine, total);
+  EXPECT_TRUE(scrub_checkpoint_dir(cfg.dir).clean());
+
+  // The next commit seals the rest and unlinks everything below its cut,
+  // the leftover segment included.
+  Counter* unlinked = reg.counter("ft.log.segments_unlinked");
+  const std::int64_t unlinked0 = unlinked->value();
+  ASSERT_TRUE(take_checkpoint(runtime, 0));
+  runtime.stop();
+  EXPECT_FALSE(fs::exists(sealed));
+  EXPECT_EQ(unlinked->value() - unlinked0, sealed_survives ? 2 : 1);
+  std::set<std::string> logs;
+  for (const SourceLogFile& f : list_source_logs(cfg.dir)) logs.insert(f.path);
+  EXPECT_EQ(logs, (std::set<std::string>{source_log_path(cfg.dir, 0)}));
 }
 
-// The read hands back only the MSLG header: the scan finds no frames.
-TEST(RtCorruptionTest, ShortTruncationReadKeepsTheLog) {
-  damaged_truncation_read_drill("ms_corr_trunc_short",
-                                storage::ReadFault::kShortRead,
-                                kLogFileHeaderSize);
+// Dying after the manifest landed but before the seal's rename: the head
+// keeps every record, and recovery from the committed epoch is exact.
+TEST(RtCorruptionTest, SegmentCrashBetweenCommitAndRollRecoversExactly) {
+  crash_in_roll_drill("ms_corr_seg_crash_roll",
+                      storage::WriteFault::kCrashBeforeRename,
+                      /*sealed_survives=*/false);
 }
 
-// A bit flips in the first frame's payload: its CRC fails and the scan
-// stops there.
-TEST(RtCorruptionTest, BitFlippedTruncationReadKeepsTheLog) {
-  damaged_truncation_read_drill("ms_corr_trunc_flip",
-                                storage::ReadFault::kBitFlip,
-                                (kLogFileHeaderSize + 8 + 2) * 8 + 1);
+// Dying after the seal's rename but before the unlink: a sealed segment
+// below the floor stays on disk, recovery is exact, and the next commit
+// unlinks it.
+TEST(RtCorruptionTest, SegmentCrashBetweenRollAndUnlinkRecoversExactly) {
+  crash_in_roll_drill("ms_corr_seg_crash_unlink",
+                      storage::WriteFault::kCrashAfterRename,
+                      /*sealed_survives=*/true);
 }
 
 // --- failed source-log appends -----------------------------------------------

@@ -25,6 +25,7 @@
 #include "ft/epoch_store.h"
 #include "ft/source_log.h"
 #include "ft/tracing.h"
+#include "ft/verify.h"
 #include "rt/engine.h"
 #include "storage/durable_file.h"
 
@@ -426,80 +427,122 @@ TEST(RtProtocolTest, ManifestCommitIsAtomic) {
   expect_sink_exact(engine, 3, total);
 }
 
+// Each commit seals the source log's head once the floor — the lowest
+// boundary among the committed epochs — has reached the head's first record,
+// and unlinks every sealed segment the floor has passed whole. Every
+// checkpoint is cut with the feed paused and the pipeline quiescent, so
+// nothing appends while a commit runs and the outcome is exact: the set of
+// files that survive, their index ranges, and their bytes, each the head's
+// bytes as the appends wrote them.
 TEST(RtProtocolTest, SourceLogTruncatesAtCommit) {
   auto feed = std::make_shared<ExternalFeed>();
   RtRuntimeConfig cfg;
-  cfg.mode = RtMode::kSrcAp;
+  cfg.mode = RtMode::kSrcAp;  // full epochs; one fallback rung is retained
   cfg.dir = fresh_dir("ms_rtp_trunc");
   cfg.params.periodic = false;
   cfg.codec = int_codec();
+  const std::string head = cfg.dir + "/source_0.log";
+  const auto files = [&cfg] {
+    std::set<std::string> out;
+    for (const auto& e : fs::directory_iterator(cfg.dir)) {
+      const std::string name = e.path().filename().string();
+      if (name.rfind("source_", 0) == 0) out.insert(name);
+    }
+    return out;
+  };
+  const auto log_indices = [](const std::vector<std::uint8_t>& bytes) {
+    std::vector<std::uint64_t> out;
+    const auto scanned = scan_log_bytes(bytes.data(), bytes.size(), "log");
+    EXPECT_TRUE(scanned.is_ok()) << scanned.status().to_string();
+    if (scanned.is_ok()) {
+      EXPECT_FALSE(scanned.value().torn);
+      for (const LogFrameView& f : scanned.value().frames) {
+        out.push_back(f.index);
+      }
+    }
+    return out;
+  };
+  const auto run = [](std::uint64_t first, std::uint64_t end) {
+    std::vector<std::uint64_t> out;
+    for (std::uint64_t i = first; i < end; ++i) out.push_back(i);
+    return out;
+  };
 
-  const auto log = fs::path(cfg.dir) / "source_0.log";
-  // The log as the commit is about to truncate it, captured at every unit's
-  // report (the last one commits) after a pause that lets the source append
-  // past the boundary. Appends continue, so this is a prefix of what the
-  // truncation reads.
-  std::vector<std::uint8_t> pre;
   rt::RtEngine engine(feed_chain(feed, 1, SimTime::micros(200), 4),
                       rt::RtConfig{});
   RtRuntime runtime(&engine, cfg);
-  runtime.add_probe([&](FtPoint point, int, std::uint64_t) {
-    if (point != FtPoint::kCheckpointDone) return;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    EXPECT_TRUE(read_log_file(log.string(), &pre));
-  });
   ASSERT_TRUE(runtime.start().is_ok());
-  wait_drained(engine, 300);
-  ASSERT_TRUE(fs::exists(log));
-  const auto before = fs::file_size(log);
-  ASSERT_GT(before, 0u);
-  ASSERT_TRUE(runtime.begin_checkpoint().is_ok());
-  ASSERT_TRUE(runtime.wait_checkpoints(1, SimTime::seconds(10)));
-  feed->paused.store(true);
-  wait_quiescent(engine);
+  // cuts[k] is checkpoint k + 1's boundary; heads[k] the head just before it.
+  std::vector<std::uint64_t> cuts;
+  std::vector<std::vector<std::uint8_t>> heads;
+  const auto checkpoint = [&] {
+    feed->paused.store(false);
+    wait_drained(engine, engine.sink_tuples() + 100);
+    feed->paused.store(true);
+    wait_quiescent(engine);
+    heads.emplace_back();
+    EXPECT_TRUE(read_log_file(head, &heads.back()));
+    const std::uint64_t done = cuts.size();
+    EXPECT_TRUE(runtime.begin_checkpoint().is_ok());
+    EXPECT_TRUE(runtime.wait_checkpoints(done + 1, SimTime::seconds(10)));
+    const std::string manifest = cfg.dir + "/epoch_" +
+                                 std::to_string(runtime.last_durable_epoch()) +
+                                 "/MANIFEST";
+    std::vector<std::uint8_t> payload;
+    EXPECT_TRUE(storage::read_artifact(manifest,
+                                       storage::ArtifactKind::kManifest,
+                                       storage::DurableOptions{}, &payload)
+                    .is_ok());
+    const auto decoded = decode_manifest(payload, manifest);
+    EXPECT_TRUE(decoded.is_ok());
+    cuts.push_back(decoded.is_ok() ? decoded.value().ops[0].boundary : 0);
+    EXPECT_EQ(cuts.back(), static_cast<std::uint64_t>(feed->cursor.load()))
+        << "the cut is not the quiescent point";
+  };
+  const auto segment = [](std::uint64_t first, std::uint64_t last) {
+    return "source_0." + std::to_string(first) + "-" + std::to_string(last) +
+           ".log";
+  };
+  std::vector<std::uint8_t> bytes;
+
+  // 1: the floor is the cut, which passes every record: sealed and unlinked.
+  checkpoint();
+  ASSERT_FALSE(HasFailure());
+  EXPECT_EQ(log_indices(heads[0]), run(0, cuts[0]));
+  EXPECT_EQ(files(), (std::set<std::string>{"source_0.log"}));
+  EXPECT_EQ(fs::file_size(head), 0u);
+
+  // 2: epoch 1 is kept as the fallback rung, so the floor stays at its cut,
+  // where the head starts: the head is sealed under its range, byte for
+  // byte, and kept, since every record in it is past the floor.
+  checkpoint();
+  ASSERT_FALSE(HasFailure());
+  EXPECT_EQ(files(), (std::set<std::string>{segment(cuts[0], cuts[1] - 1),
+                                            "source_0.log"}));
+  ASSERT_TRUE(read_log_file(cfg.dir + "/" + segment(cuts[0], cuts[1] - 1),
+                            &bytes));
+  EXPECT_EQ(bytes, heads[1]);
+  EXPECT_EQ(log_indices(bytes), run(cuts[0], cuts[1]));
+  EXPECT_EQ(fs::file_size(head), 0u);
+
+  // 3: epoch 1 goes and the floor moves to epoch 2's cut: the head is sealed
+  // again, and the segment the floor has passed whole is unlinked. What
+  // survives runs contiguously from the floor.
+  checkpoint();
+  ASSERT_FALSE(HasFailure());
+  EXPECT_EQ(files(), (std::set<std::string>{segment(cuts[1], cuts[2] - 1),
+                                            "source_0.log"}));
+  ASSERT_TRUE(read_log_file(cfg.dir + "/" + segment(cuts[1], cuts[2] - 1),
+                            &bytes));
+  EXPECT_EQ(bytes, heads[2]);
+  EXPECT_EQ(log_indices(bytes), run(cuts[1], cuts[2]));
+  EXPECT_EQ(fs::file_size(head), 0u);
+  const ScrubReport report = scrub_checkpoint_dir(cfg.dir);
+  EXPECT_TRUE(report.clean());
+  ASSERT_EQ(report.logs.size(), 1u);
+  EXPECT_EQ(report.logs[0].first_index, cuts[1]);
+  EXPECT_EQ(report.logs[0].last_index + 1, cuts[2]);
   runtime.stop();
-  // Commit truncated the preserved prefix behind the epoch boundary.
-  EXPECT_LT(fs::file_size(log), before);
-
-  // What is left is the MSLG header followed by exactly the frames from the
-  // boundary onward, byte-identical to the file before the commit.
-  const std::string manifest = cfg.dir + "/epoch_" +
-                               std::to_string(runtime.last_durable_epoch()) +
-                               "/MANIFEST";
-  std::vector<std::uint8_t> payload;
-  ASSERT_TRUE(storage::read_artifact(manifest, storage::ArtifactKind::kManifest,
-                                     storage::DurableOptions{}, &payload)
-                  .is_ok());
-  const auto decoded = decode_manifest(payload, manifest);
-  ASSERT_TRUE(decoded.is_ok());
-  const std::uint64_t bound = decoded.value().ops[0].boundary;
-  const auto pre_scanned = scan_log_bytes(pre.data(), pre.size(), "pre");
-  ASSERT_TRUE(pre_scanned.is_ok()) << pre_scanned.status().to_string();
-  const LogScan& pre_scan = pre_scanned.value();
-  const auto first_kept =
-      std::find_if(pre_scan.frames.begin(), pre_scan.frames.end(),
-                   [bound](const LogFrameView& f) { return f.index >= bound; });
-  ASSERT_NE(first_kept, pre_scan.frames.end())
-      << "no record past the boundary before the commit";
-  ASSERT_GT(bound, pre_scan.frames.front().index)
-      << "nothing behind the boundary";
-  const auto from =
-      static_cast<std::size_t>(first_kept->data - pre.data()) - 8;
-  const std::size_t kept = pre_scan.valid_bytes - from;
-
-  std::vector<std::uint8_t> post;
-  ASSERT_TRUE(read_log_file(log.string(), &post));
-  ASSERT_GE(post.size(), kLogFileHeaderSize + kept);
-  const auto header = log_file_header();
-  EXPECT_TRUE(std::equal(header.begin(), header.end(), post.begin()));
-  EXPECT_TRUE(std::equal(pre.begin() + static_cast<std::ptrdiff_t>(from),
-                         pre.begin() + static_cast<std::ptrdiff_t>(from + kept),
-                         post.begin() + kLogFileHeaderSize));
-  const auto post_scanned = scan_log_bytes(post.data(), post.size(), "post");
-  ASSERT_TRUE(post_scanned.is_ok()) << post_scanned.status().to_string();
-  const LogScan& post_scan = post_scanned.value();
-  ASSERT_FALSE(post_scan.frames.empty());
-  EXPECT_EQ(post_scan.frames.front().index, bound);
 }
 
 TEST(RtProtocolTest, RestartedRuntimeNumbersEpochsAboveTheDirectory) {

@@ -1,10 +1,12 @@
 // msverify — offline integrity scrub of an rt checkpoint directory.
 //
 // Walks every durable artifact the runtime writes (epoch MANIFESTs, op_<i>.ckpt
-// / op_<i>.delta blobs, source_<i>.log frames), verifies frame CRCs,
-// cross-checks blob sizes against their manifest, and prints a per-epoch /
-// per-file verdict followed by each source log's record-index run (a gap in the
-// run is a lost record and is reported as corrupt). Read-only: running it
+// / op_<i>.delta blobs, the frames of each source's segments source_<i>.log and
+// source_<i>.<first>-<last>.log), verifies frame CRCs, cross-checks blob sizes
+// against their manifest, and prints a per-epoch / per-file verdict followed
+// by each source log's record-index run across its segments (a gap in the run,
+// a torn sealed segment or one whose frames contradict its name's range is
+// reported as corrupt, naming the file). Read-only: running it
 // against a live directory is safe, though a commit or a log append racing the
 // scrub can surface transient findings (an incomplete epoch, a short or torn
 // log read).
@@ -61,11 +63,12 @@ int main(int argc, char** argv) {
       if (log.records == 0) {
         std::printf("log %s: empty\n", log.path.c_str());
       } else {
-        std::printf("log %s: %llu record(s), index %llu..%llu\n",
+        std::printf("log %s: %llu record(s), index %llu..%llu, %llu file(s)\n",
                     log.path.c_str(),
                     static_cast<unsigned long long>(log.records),
                     static_cast<unsigned long long>(log.first_index),
-                    static_cast<unsigned long long>(log.last_index));
+                    static_cast<unsigned long long>(log.last_index),
+                    static_cast<unsigned long long>(log.segments));
       }
     }
   }

@@ -46,6 +46,19 @@ for preset in $PRESETS; do
       --repeat until-fail:20 --timeout 60; then
     results+=("$preset: TRANSPORT REPEAT FAILED"); status=1; break
   fi
+  # Source-log segment repeat pass under the sanitizers: a commit's seal
+  # syncs the head without the log's mutex while the source appends, then
+  # takes it for the rename and the handle swap. The SourceLogTest cases and
+  # the segment drills (seal, unlink, crash around both, fallback into older
+  # segments) repeat serially so a race in that handoff shows up.
+  if [[ "$preset" != "default" ]]; then
+    echo "=== [$preset] source-log segment repeat ==="
+    if ! ctest --preset "$preset" \
+        -R '^SourceLogTest\.|^RtCorruptionTest\.Segment|^RtProtocolTest\.SourceLogTruncatesAtCommit$' \
+        --repeat until-fail:20 --timeout 120; then
+      results+=("$preset: SEGMENT REPEAT FAILED"); status=1; break
+    fi
+  fi
   # The self-healing drills get a dedicated serial pass on top of the full
   # suite: crash-recovery timing is wall-clock-sensitive, so run them without
   # sibling load to catch latent flakiness the parallel run can mask.

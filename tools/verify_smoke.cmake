@@ -1,7 +1,8 @@
 # Smoke test: a short rt-backend run writes a real checkpoint directory,
-# msverify scrubs it clean; then two kinds of deliberate damage (a truncated
-# manifest, a source log without its header) must each be flagged with a
-# non-zero exit. Driven from tools/CMakeLists as ctest
+# msverify scrubs it clean; then three kinds of deliberate damage (a
+# truncated manifest, a source log's head without its header, a sealed
+# segment without its header) must each be flagged with a non-zero exit,
+# naming the file. Driven from tools/CMakeLists as ctest
 # `tools.verify_smoke`.
 set(ckpt_dir "${WORK_DIR}/verify_smoke_ckpts")
 file(REMOVE_RECURSE "${ckpt_dir}")
@@ -51,29 +52,47 @@ if(NOT dirty_err MATCHES "CORRUPT .*MANIFEST")
           "msverify did not name the damaged manifest:\n${dirty_out}\n${dirty_err}")
 endif()
 
-# Cut the 8-byte MSLG header off a source log: the frames are intact but the
-# file no longer verifies as a log, and the scrub must name it.
-file(GLOB logs "${ckpt_dir}/source_*.log")
-list(GET logs 0 log_victim)
-execute_process(
-  COMMAND tail -c +9 "${log_victim}"
-  OUTPUT_FILE "${log_victim}.cut"
-  RESULT_VARIABLE cut_rc)
-if(NOT cut_rc EQUAL 0)
-  message(FATAL_ERROR "could not cut the header off ${log_victim}")
-endif()
-file(RENAME "${log_victim}.cut" "${log_victim}")
+# Cut the 8-byte MSLG header off `victim`: the frames are intact but the
+# file no longer verifies as a log segment, and the scrub must name it.
+function(cut_header_and_verify victim what)
+  execute_process(
+    COMMAND tail -c +9 "${victim}"
+    OUTPUT_FILE "${victim}.cut"
+    RESULT_VARIABLE cut_rc)
+  if(NOT cut_rc EQUAL 0)
+    message(FATAL_ERROR "could not cut the header off ${victim}")
+  endif()
+  file(RENAME "${victim}.cut" "${victim}")
 
-execute_process(
-  COMMAND "${MSVERIFY}" --dir "${ckpt_dir}"
-  RESULT_VARIABLE log_rc
-  OUTPUT_VARIABLE log_out
-  ERROR_VARIABLE log_err)
-if(log_rc EQUAL 0)
+  execute_process(
+    COMMAND "${MSVERIFY}" --dir "${ckpt_dir}"
+    RESULT_VARIABLE log_rc
+    OUTPUT_VARIABLE log_out
+    ERROR_VARIABLE log_err)
+  if(log_rc EQUAL 0)
+    message(FATAL_ERROR
+            "msverify missed a headerless ${what}:\n${log_out}\n${log_err}")
+  endif()
+  string(FIND "${log_err}" "CORRUPT ${victim}:" named)
+  if(named EQUAL -1)
+    message(FATAL_ERROR
+            "msverify did not name the headerless ${what} ${victim}:\n"
+            "${log_out}\n${log_err}")
+  endif()
+endfunction()
+
+# The head takes the appends; the first commit sealed the records before it
+# into source_<op>.<first>-<last>.log, kept while the epochs still need them.
+file(GLOB heads "${ckpt_dir}/source_*.log")
+list(FILTER heads EXCLUDE REGEX "/source_[0-9]+\\.[0-9]+-[0-9]+\\.log$")
+file(GLOB sealed "${ckpt_dir}/source_*.*-*.log")
+list(LENGTH heads num_heads)
+list(LENGTH sealed num_sealed)
+if(num_heads EQUAL 0 OR num_sealed EQUAL 0)
   message(FATAL_ERROR
-          "msverify missed a headerless source log:\n${log_out}\n${log_err}")
+          "expected a source log head and a sealed segment in ${ckpt_dir}")
 endif()
-if(NOT log_err MATCHES "CORRUPT .*source_")
-  message(FATAL_ERROR
-          "msverify did not name the headerless source log:\n${log_out}\n${log_err}")
-endif()
+list(GET heads 0 head_victim)
+cut_header_and_verify("${head_victim}" "source log head")
+list(GET sealed 0 sealed_victim)
+cut_header_and_verify("${sealed_victim}" "sealed source log segment")
