@@ -41,7 +41,7 @@ class CadenceController {
   void on_checkpoint_abandoned() { ++abandoned_; }
 
   /// A failure verdict landed at `now` (FailureDetector, or the rt
-  /// supervisor's scan — one event per correlated batch). With
+  /// runtime's detector scan — one event per correlated batch). With
   /// params.cadence_live_mtbf the EWMA of inter-failure gaps replaces the
   /// configured MTBF constant in the Young/Daly retune; without the flag the
   /// estimate is still tracked for introspection.

@@ -10,9 +10,9 @@
 // network delay never triggers a (costly) whole-application rollback.
 //
 // The clock is pluggable: the simulator injects sim-time, the real-threads
-// supervisor injects a monotonic wall clock, and the escalation logic is
-// shared verbatim. All entry points are mutex-guarded so the rt engine's
-// timer thread can publish heartbeats while the supervisor thread scans.
+// runtime injects a monotonic wall clock, and the escalation logic is
+// shared verbatim. All entry points are mutex-guarded, so callers on other
+// threads may query a detector the rt runtime's control thread drives.
 //
 // Units are opaque ints: node ids on the sim side, operator ids on the rt
 // side.

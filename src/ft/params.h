@@ -100,12 +100,12 @@ struct FtParams {
   /// Zero disables retransmission.
   SimTime token_retransmit_timeout = SimTime::seconds(2);
 
-  // --- self-healing (rt supervisor) ---
-  /// Cadence at which live operators publish heartbeats and the supervisor
+  // --- self-healing (rt runtime, config.auto_recover) ---
+  /// Cadence at which live operators publish heartbeats and the runtime
   /// scans the detector.
   SimTime heartbeat_period = SimTime::millis(25);
   /// A unit whose last heartbeat is older than this accrues one miss per
-  /// supervisor scan.
+  /// detector scan.
   SimTime heartbeat_timeout = SimTime::millis(200);
   /// Bounded auto-recovery: retries per verdict, with exponential backoff
   /// starting at `self_heal_backoff`.
@@ -113,7 +113,7 @@ struct FtParams {
   SimTime self_heal_backoff = SimTime::millis(50);
   /// Crash-loop quarantine: this many crashes within `crash_loop_window`
   /// of the previous heal puts the runtime in degraded mode (health()
-  /// returns a non-OK Status and the supervisor stops resurrecting it).
+  /// returns a non-OK Status and self-heal stops resurrecting it).
   int crash_loop_threshold = 3;
   SimTime crash_loop_window = SimTime::seconds(2);
 

@@ -6,7 +6,7 @@
 // "when recovery enters phase 2" — rather than at wall-clock offsets. In
 // the simulator probes fire in deterministic simulation order, so any
 // scripted reaction is bit-for-bit reproducible from (seed, script); the rt
-// runtime fires them from its worker, helper, timer and supervisor threads.
+// runtime fires them from its worker, helper and control threads.
 //
 // The subscribers share this one spine:
 //   - the chaos fault-injection harnesses (src/failure/chaos.h for the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 
 #include "common/log.h"
 
@@ -26,6 +25,43 @@ std::vector<int> source_ops(const rt::RtEngine* engine) {
 }
 
 }  // namespace
+
+template <typename F>
+auto RtRuntime::on_ctl(F fn) {
+  if (ctl_.on_thread()) return fn();
+  // A turn: the control thread parks at this post while the caller runs
+  // `fn`, so control state still sees one thread at a time, in the control
+  // thread's order. `fn` runs on the caller's thread because recovery
+  // allocates tens of megabytes (blob reads, decoded records, restored
+  // state), and on a fresh control thread, whose malloc arena is cold, that
+  // cost e2ebench's recovery_ms_p50 about 40 ms on a 4-CPU host.
+  struct Turn {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool parked = false;
+    bool done = false;
+  };
+  auto turn = std::make_shared<Turn>();
+  ctl_.post([turn] {
+    std::unique_lock lk(turn->mu);
+    turn->parked = true;
+    turn->cv.notify_all();
+    turn->cv.wait(lk, [&turn] { return turn->done; });
+  });
+  {
+    std::unique_lock lk(turn->mu);
+    turn->cv.wait(lk, [&turn] { return turn->parked; });
+  }
+  struct Release {
+    Turn& turn;
+    ~Release() {
+      std::scoped_lock lk(turn.mu);
+      turn.done = true;
+      turn.cv.notify_all();
+    }
+  } release{*turn};
+  return fn();
+}
 
 RtRuntime::RtRuntime(rt::RtEngine* engine, RtRuntimeConfig config)
     : engine_(engine),
@@ -60,20 +96,15 @@ RtRuntime::RtRuntime(rt::RtEngine* engine, RtRuntimeConfig config)
   coordinator_->set_probe([this](FtPoint point, int unit, std::uint64_t id) {
     emit_probe(point, unit, id);
   });
-  // ctl_mu_ is held wherever the coordinator runs, so this reads consistent.
-  coordinator_->set_blocked_fn([this] { return initiation_stopped_; });
+  // Only the control thread starts and stops the engine, and the coordinator
+  // runs there too, so this reads consistent.
+  coordinator_->set_blocked_fn([this] { return !engine_->running(); });
 
   if (config_.mode == RtMode::kSrcApAa) {
-    // Every AA hook runs under ctl_mu_, which also guards samplers_.
+    // Every AA hook runs on the control thread, which owns samplers_.
     aa_ = std::make_unique<AaController>(config_.params);
     aa_->set_hooks(AaController::Hooks{
-        // op_state_size must not run under ctl_mu_ (op_mu ordering), so the
-        // query hops to the timer thread.
-        .query_dynamic_haus =
-            [this] {
-              engine_->run_after(SimTime::zero(),
-                                 [this] { aa_query_dynamic(); });
-            },
+        .query_dynamic_haus = [this] { aa_query_dynamic(); },
         .trigger_checkpoint = [this] { coordinator_->begin_checkpoint(); },
         .set_alert_reporting =
             [this](bool on) {
@@ -112,7 +143,10 @@ RtRuntime::RtRuntime(rt::RtEngine* engine, RtRuntimeConfig config)
     });
     hb_suppress_until_ =
         std::make_unique<std::atomic<std::int64_t>[]>(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) hb_suppress_until_[i].store(0);
+    for (int i = 0; i < n; ++i) {
+      hb_suppress_until_[i].store(0);
+      detector_->track(i);
+    }
     m_heal_attempts_ = metrics.counter("ft.selfheal.attempts");
     m_heal_success_ = metrics.counter("ft.selfheal.success");
     m_heal_failed_ = metrics.counter("ft.selfheal.failed_attempts");
@@ -133,98 +167,98 @@ RtRuntime::RtRuntime(rt::RtEngine* engine, RtRuntimeConfig config)
       [this](rt::ProtoPoint point, int op, std::uint64_t epoch) {
         on_engine_proto(point, op, epoch);
       });
+  publish();
+  ctl_.start();
 }
 
 RtRuntime::~RtRuntime() {
-  stop_supervisor();  // may be mid-heal with the engine stopped
-  if (engine_->running()) stop();
+  stop();  // also drops a self-heal retry waiting out its backoff
   // The engine may outlive this runtime; leave no dangling callbacks behind.
   engine_->set_snapshot_sink(nullptr);
   engine_->set_source_tap(nullptr);
   engine_->set_proto_probe(nullptr);
+  ctl_.stop();
 }
 
 // ---------------------------------------------------------------------------
 // Lifecycle
 
 Status RtRuntime::start() {
-  if (engine_->running()) {
-    return Status::failed_precondition("RtRuntime: engine already running");
-  }
-  {
-    std::scoped_lock lk(ctl_mu_);
-    initiation_stopped_ = false;
-  }
-  logs_.drop_views();  // the engine appends from here on
-  engine_->start();
-  arm_initiation();
-  if (config_.auto_recover) start_supervisor();
-  return Status::ok();
+  return on_ctl([this] {
+    if (engine_->running()) {
+      return Status::failed_precondition("RtRuntime: engine already running");
+    }
+    logs_.drop_views();  // the engine appends from here on
+    engine_->start();
+    arm_initiation();
+    return Status::ok();
+  });
 }
 
 void RtRuntime::stop() {
-  // Join the supervisor before stopping the engine: a heal in flight may be
-  // about to restart the engine, and the join serializes that against our
-  // stop so the engine always ends up stopped.
-  stop_supervisor();
-  {
-    std::scoped_lock lk(ctl_mu_);
-    initiation_stopped_ = true;
-  }
-  engine_->stop();
+  on_ctl([this] {
+    ++fence_;
+    engine_->stop();
+  });
+  // The reports the drain delivered were posted behind the stop.
+  on_ctl([] {});
 }
 
 void RtRuntime::arm_initiation() {
-  // Engine timers do not survive stop()/start(), so every (re)start re-arms
-  // the heartbeat chain alongside the mode's initiation machinery.
-  if (config_.auto_recover) arm_heartbeats();
+  // A stop() or recover() fenced off the previous run's timers, so every
+  // (re)start arms the detector tick alongside the mode's initiation.
+  if (config_.auto_recover) {
+    detector_->reset_all();
+    schedule_after(config_.params.heartbeat_period,
+                   [this] { detector_tick(); });
+  }
   switch (config_.mode) {
     case RtMode::kSrc:
     case RtMode::kSrcAp:
-    case RtMode::kSrcApDelta: {
-      if (config_.params.periodic) {
-        std::scoped_lock lk(ctl_mu_);
-        coordinator_->schedule_periodic();
-      }
+    case RtMode::kSrcApDelta:
+      if (config_.params.periodic) coordinator_->schedule_periodic();
       break;
-    }
-    case RtMode::kSrcApAa: {
-      {
-        std::scoped_lock lk(ctl_mu_);
-        aa_->start(this);  // resets the samplers
-      }
-      engine_->run_after(config_.params.state_sample_period,
-                         [this] { aa_sample_tick(); });
+    case RtMode::kSrcApAa:
+      aa_->start(this);  // resets the samplers
+      schedule_after(config_.params.state_sample_period,
+                     [this] { aa_sample_tick(); });
       break;
-    }
   }
 }
 
 Status RtRuntime::begin_checkpoint() {
-  if (!engine_->running()) {
-    return Status::failed_precondition("RtRuntime: engine not running");
-  }
-  std::scoped_lock lk(ctl_mu_);
-  coordinator_->begin_checkpoint();
-  return Status::ok();
+  return on_ctl([this] {
+    if (!engine_->running()) {
+      return Status::failed_precondition("RtRuntime: engine not running");
+    }
+    coordinator_->begin_checkpoint();
+    return Status::ok();
+  });
 }
 
 bool RtRuntime::wait_checkpoints(std::uint64_t n, SimTime timeout) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::nanoseconds(timeout.ns());
-  for (;;) {
-    {
-      std::scoped_lock lk(ctl_mu_);
-      if (coordinator_->checkpoints().size() >= n) return true;
-    }
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
+  std::unique_lock lk(pub_mu_);
+  return pub_cv_.wait_for(lk, std::chrono::nanoseconds(timeout.ns()),
+                          [&] { return pub_completed_ >= n; });
 }
 
 std::uint64_t RtRuntime::last_durable_epoch() const {
-  std::scoped_lock lk(ctl_mu_);
-  return store_.tip();
+  std::scoped_lock lk(pub_mu_);
+  return pub_tip_;
+}
+
+void RtRuntime::publish() {
+  {
+    std::scoped_lock lk(pub_mu_);
+    pub_tip_ = store_.tip();
+    pub_completed_ = coordinator_->checkpoints().size();
+  }
+  pub_cv_.notify_all();
+}
+
+void RtRuntime::set_health(Status st) {
+  std::scoped_lock lk(pub_mu_);
+  pub_health_ = std::move(st);
 }
 
 void RtRuntime::add_probe(FtProbe probe) {
@@ -254,24 +288,16 @@ SimTime RtRuntime::now() const {
 }
 
 void RtRuntime::schedule_after(SimTime delay, std::function<void()> fn) {
-  const std::uint64_t fence = recovery_seq_.load();
-  engine_->run_after(delay, [this, fence, fn = std::move(fn)] {
-    std::scoped_lock lk(ctl_mu_);
-    // Swallowing the callback while stopped kills the periodic chain; a
-    // later start()/recover() re-arms it.
-    if (initiation_stopped_) return;
-    // A recovery re-armed its own chains; this one belongs to the previous
-    // incarnation. Letting it run would double the periodic cadence (and
-    // retransmit epochs that no longer exist) after every heal.
-    if (fence != recovery_seq_.load()) return;
-    fn();
+  ctl_.after(delay, [this, fence = fence_, fn = std::move(fn)] {
+    // A stop() or recover() since: the next start()/recover() re-armed its
+    // own chains, and running this one too would double the periodic cadence
+    // (and retransmit epochs that no longer exist).
+    if (fence == fence_) fn();
   });
 }
 
 void RtRuntime::start_epoch(std::uint64_t epoch) {
-  // Called by the coordinator under ctl_mu_.
   EpochState es;
-  es.fence = recovery_seq_.load();
   es.initiated = now();
   es.manifest.epoch = epoch;
   es.manifest.ops.resize(static_cast<std::size_t>(engine_->num_operators()));
@@ -297,7 +323,7 @@ void RtRuntime::start_epoch(std::uint64_t epoch) {
 }
 
 void RtRuntime::commit_epoch(std::uint64_t epoch) {
-  // Called by the coordinator under ctl_mu_ once every unit reported.
+  // Called by the coordinator once every unit reported.
   auto it = pending_.find(epoch);
   if (it == pending_.end()) return;
   EpochManifest manifest = std::move(it->second.manifest);
@@ -319,7 +345,7 @@ void RtRuntime::commit_epoch(std::uint64_t epoch) {
   // A fallback to any epoch still committed must find every record past its
   // cut, so each log keeps everything from the lowest boundary among them:
   // a head the floor has reached is sealed, and the sealed segments
-  // wholly below the floor are unlinked.
+  // wholly below the floor are unlinked. The sources append meanwhile.
   for (int i = 0; i < num_units(); ++i) {
     if (!unit_is_source(i)) continue;
     const std::uint64_t floor = store_.truncation_floor(i);
@@ -330,7 +356,7 @@ void RtRuntime::commit_epoch(std::uint64_t epoch) {
 }
 
 void RtRuntime::abandon_epoch(std::uint64_t epoch) {
-  // Called by the coordinator under ctl_mu_ (wedge or unit failure).
+  // Called by the coordinator (wedge or unit failure).
   pending_.erase(epoch);
   store_.abandon(epoch, /*remove_files=*/!crashed_.load());
 }
@@ -345,21 +371,29 @@ void RtRuntime::on_snapshot(const rt::Snapshot& snap) {
   const SimTime serialized_at = now();
 
   emit_probe(FtPoint::kCheckpointWrite, snap.op, snap.epoch);
+  // The bytes are written on this worker or helper thread; only the report
+  // goes to the control thread, which reads none of the borrowed `data`.
   const bool wrote =
       store_.write_blob(snap.epoch, snap.op, snap.delta, snap.data, snap.size)
           .is_ok();
   const SimTime written_at = now();
+  ctl_.post([this, snap, wrote, serialized_at, written_at] {
+    on_report(snap, wrote, serialized_at, written_at);
+  });
+}
 
-  std::scoped_lock lk(ctl_mu_);
+void RtRuntime::on_report(const rt::Snapshot& snap, bool wrote,
+                          SimTime serialized_at, SimTime written_at) {
   auto it = pending_.find(snap.epoch);
-  if (it == pending_.end()) return;  // abandoned while we wrote
-  if (it->second.fence != recovery_seq_.load()) return;  // stale incarnation
+  if (it == pending_.end()) return;  // abandoned or recovered past meanwhile
   if (!wrote) {
     MS_LOG_WARN("ft", "rt epoch %llu: checkpoint write failed for op %d",
                 static_cast<unsigned long long>(snap.epoch), snap.op);
     coordinator_->on_unit_checkpoint_failed(snap.epoch);
     return;
   }
+  // Just before the report that may commit: a probe here runs before the
+  // manifest write.
   emit_probe(FtPoint::kCheckpointDone, snap.op, snap.epoch);
   EpochState& es = it->second;
   // The replay cursors are 0 in a non-source's snapshot.
@@ -377,6 +411,7 @@ void RtRuntime::on_snapshot(const rt::Snapshot& snap) {
   report.written = written_at;
   report.declared_bytes = static_cast<Bytes>(snap.size);
   coordinator_->on_unit_report(report);  // may commit the epoch
+  publish();
 }
 
 void RtRuntime::on_engine_proto(rt::ProtoPoint point, int op,
@@ -386,11 +421,11 @@ void RtRuntime::on_engine_proto(rt::ProtoPoint point, int op,
       emit_probe(FtPoint::kTokenReceived, op, epoch);
       break;
     case rt::ProtoPoint::kAligned: {
-      {
-        std::scoped_lock lk(ctl_mu_);
+      const SimTime at = now();
+      ctl_.post([this, op, epoch, at] {
         auto it = pending_.find(epoch);
-        if (it != pending_.end()) it->second.aligned_at[op] = now();
-      }
+        if (it != pending_.end()) it->second.aligned_at[op] = at;
+      });
       emit_probe(FtPoint::kAlignDone, op, epoch);
       break;
     }
@@ -427,6 +462,10 @@ Status RtRuntime::scan_logs() {
 // Recovery
 
 Status RtRuntime::recover(RecoveryStats* stats) {
+  return on_ctl([this, stats] { return recover_now(stats); });
+}
+
+Status RtRuntime::recover_now(RecoveryStats* stats) {
   if (engine_->running()) {
     return Status::failed_precondition("RtRuntime: stop the engine first");
   }
@@ -436,14 +475,10 @@ Status RtRuntime::recover(RecoveryStats* stats) {
     // drill is an explicit state that must be explicitly lifted.
     return Status::aborted("RtRuntime: crash flag set; clear_crash() first");
   }
-  std::uint64_t seq = 0;
-  {
-    std::scoped_lock lk(ctl_mu_);
-    seq = recovery_seq_.fetch_add(1) + 1;
-    coordinator_->abort_in_progress();
-    pending_.clear();
-    initiation_stopped_ = true;
-  }
+  ++fence_;
+  const std::uint64_t seq = ++recoveries_;
+  coordinator_->abort_in_progress();
+  pending_.clear();
   const SimTime t0 = now();
   emit_probe(FtPoint::kRecoveryStart, -1, seq);
 
@@ -452,8 +487,8 @@ Status RtRuntime::recover(RecoveryStats* stats) {
   // is not read again.
   emit_probe(FtPoint::kRecoveryPhase1, -1, seq);
   {
-    std::scoped_lock lk(ctl_mu_);
     const Status st = scan_existing_state();
+    publish();
     // Replaying without the log's records would silently lose every tuple
     // past the checkpoint boundary. A read error aborts retryably, a log
     // header that does not verify is kDataLoss (same contract as manifests
@@ -473,11 +508,7 @@ Status RtRuntime::recover(RecoveryStats* stats) {
   // the bytes may be fine, nothing may be destroyed or skipped over.
   emit_probe(FtPoint::kRecoveryPhase2, -1, seq);
   const SimTime t_read0 = now();
-  std::vector<std::uint64_t> candidates;
-  {
-    std::scoped_lock lk(ctl_mu_);
-    candidates = store_.ladder();
-  }
+  const std::vector<std::uint64_t> candidates = store_.ladder();
   Status last_err = Status::ok();
   for (const std::uint64_t cand : candidates) {
     LoadedEpoch attempt;
@@ -515,12 +546,12 @@ Status RtRuntime::recover(RecoveryStats* stats) {
     // proven (directly or transitively) unusable. Remove them so the next
     // scan cannot resurrect a tip recovery just rejected, then set the log
     // cursors from the surviving tip.
-    std::scoped_lock lk(ctl_mu_);
     for (const std::uint64_t e : candidates) {
       if (e <= epoch) break;  // descending order
       m_corrupt_artifacts_->add(1);
       store_.remove(e);
     }
+    publish();
     const Status st = scan_logs();  // from the cached views
     if (!st.is_ok()) return st;
   }
@@ -578,10 +609,6 @@ Status RtRuntime::recover(RecoveryStats* stats) {
   const SimTime t_replay1 = now();
   logs_.drop_views();  // the engine appends from here on
   engine_->start();
-  {
-    std::scoped_lock lk(ctl_mu_);
-    initiation_stopped_ = false;
-  }
   arm_initiation();
 
   emit_probe(FtPoint::kRecoveryComplete, -1, seq);
@@ -603,19 +630,19 @@ Status RtRuntime::recover(RecoveryStats* stats) {
 }
 
 // ---------------------------------------------------------------------------
-// Self-heal supervisor (config.auto_recover)
+// Self-heal (config.auto_recover)
 //
-// Liveness is published *by the runtime on behalf of the operators*: a tick
-// chained on the engine timer heartbeats every operator while the process is
-// healthy. simulate_crash() silences the ticks — exactly the signal a killed
-// process would produce — so the supervisor thread's detector scan escalates
+// Liveness is published *by the runtime on behalf of the operators*: a
+// control-thread tick heartbeats every operator while the process is healthy
+// and then scans the detector. simulate_crash() silences the heartbeats —
+// exactly the signal a killed process would produce — so the scan escalates
 // silence into suspicion and, past the threshold, a failure verdict that
 // triggers fenced recovery without any manual recover() call.
 
 Status RtRuntime::health() const {
   {
-    std::scoped_lock lk(heal_mu_);
-    if (!health_.is_ok()) return health_;
+    std::scoped_lock lk(pub_mu_);
+    if (!pub_health_.is_ok()) return pub_health_;
   }
   // A failed append left a tuple downstream that no recovery could replay.
   return logs_.health();
@@ -627,172 +654,102 @@ void RtRuntime::inject_heartbeat_delay(int op, SimTime delay) {
   hb_suppress_until_[op].store((now() + delay).ns());
 }
 
-void RtRuntime::arm_heartbeats() {
-  engine_->run_after(config_.params.heartbeat_period,
-                     [this] { heartbeat_tick(); });
-}
-
-void RtRuntime::heartbeat_tick() {
-  if (!engine_->running()) return;  // chain dies with the engine
-  if (!crashed_.load()) {
+void RtRuntime::detector_tick() {
+  if (engine_->running() && !crashed_.load()) {
     const std::int64_t tn = now().ns();
-    const int n = engine_->num_operators();
-    for (int i = 0; i < n; ++i) {
+    for (int i = 0; i < engine_->num_operators(); ++i) {
       if (tn < hb_suppress_until_[i].load()) continue;  // injected delay
       detector_->heartbeat(i);
     }
   }
-  arm_heartbeats();
-}
-
-void RtRuntime::start_supervisor() {
-  if (supervisor_.joinable()) return;  // already running across a heal
-  supervisor_stop_.store(false);
-  detector_->reset_all();
-  const int n = engine_->num_operators();
-  for (int i = 0; i < n; ++i) detector_->track(i);
-  supervisor_ = std::thread([this] { supervisor_loop(); });
-}
-
-void RtRuntime::stop_supervisor() {
-  if (!supervisor_.joinable()) return;
-  {
-    std::scoped_lock lk(sup_mu_);
-    supervisor_stop_.store(true);
-  }
-  sup_cv_.notify_all();
-  supervisor_.join();
-}
-
-void RtRuntime::supervisor_loop() {
-  const auto period =
-      std::chrono::nanoseconds(config_.params.heartbeat_period.ns());
-  for (;;) {
-    {
-      std::unique_lock lk(sup_mu_);
-      sup_cv_.wait_for(lk, period, [this] { return supervisor_stop_.load(); });
-      if (supervisor_stop_.load()) return;
+  const std::vector<int> failed = detector_->scan();
+  if (!failed.empty()) {
+    // One correlated batch of verdicts = one failure event for the live
+    // MTBF estimate feeding the cadence retune (params.cadence_live_mtbf).
+    if (cadence_) cadence_->on_failure_event(now());
+    for (int unit : failed) coordinator_->on_unit_failed(unit);
+    if (!quarantine_verdict()) {
+      heal(0);  // a recovery that succeeds re-arms this tick
+      return;
     }
-    const std::vector<int> failed = detector_->scan();
-    if (failed.empty()) continue;
-    {
-      std::scoped_lock lk(ctl_mu_);
-      // One correlated batch of verdicts = one failure event for the live
-      // MTBF estimate feeding the cadence retune (params.cadence_live_mtbf).
-      if (cadence_) cadence_->on_failure_event(now());
-      for (int unit : failed) coordinator_->on_unit_failed(unit);
-    }
-    attempt_self_heal();
   }
+  schedule_after(config_.params.heartbeat_period, [this] { detector_tick(); });
 }
 
-void RtRuntime::attempt_self_heal() {
+bool RtRuntime::quarantine_verdict() {
+  if (quarantined_) return true;
+  // Crash-loop detection: a verdict arriving hot on the heels of the
+  // previous successful heal extends the streak; enough of those in a row
+  // and resurrecting the runtime is doing more harm than good.
   const SimTime verdict_at = now();
-  {
-    std::scoped_lock lk(heal_mu_);
-    if (quarantined_) return;
-    // Crash-loop detection: a verdict arriving hot on the heels of the
-    // previous successful heal extends the streak; enough of those in a row
-    // and resurrecting the runtime is doing more harm than good.
-    if (last_heal_completed_ > SimTime::zero() &&
-        verdict_at - last_heal_completed_ < config_.params.crash_loop_window) {
-      ++crash_streak_;
-    } else {
-      crash_streak_ = 1;
-    }
-    if (crash_streak_ >= config_.params.crash_loop_threshold) {
-      quarantined_ = true;
-      health_ = Status::unavailable(
-          "RtRuntime: crash-loop quarantine (" +
-          std::to_string(crash_streak_) + " crashes within " +
-          std::to_string(config_.params.crash_loop_window.to_seconds()) +
-          "s of a heal); manual recover() required");
-      m_heal_quarantined_->add(1);
-      MS_LOG_WARN("ft", "rt self-heal: crash-loop quarantine after %d rapid "
-                  "crashes", crash_streak_);
-      return;
-    }
+  if (last_heal_completed_ > SimTime::zero() &&
+      verdict_at - last_heal_completed_ < config_.params.crash_loop_window) {
+    ++crash_streak_;
+  } else {
+    crash_streak_ = 1;
   }
+  if (crash_streak_ < config_.params.crash_loop_threshold) return false;
+  quarantined_ = true;
+  set_health(Status::unavailable(
+      "RtRuntime: crash-loop quarantine (" + std::to_string(crash_streak_) +
+      " crashes within " +
+      std::to_string(config_.params.crash_loop_window.to_seconds()) +
+      "s of a heal); manual recover() required"));
+  m_heal_quarantined_->add(1);
+  MS_LOG_WARN("ft", "rt self-heal: crash-loop quarantine after %d rapid "
+              "crashes", crash_streak_);
+  return true;
+}
 
+void RtRuntime::heal(int attempt) {
   const int max_attempts = std::max(1, config_.params.self_heal_max_attempts);
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    if (supervisor_stop_.load()) return;
-    m_heal_attempts_->add(1);
-    if (engine_->running()) {
-      {
-        std::scoped_lock lk(ctl_mu_);
-        initiation_stopped_ = true;
-      }
-      engine_->stop();
-    }
-    clear_crash();
-    RecoveryStats rs;
-    const Status st = recover(&rs);
-    if (st.is_ok()) {
-      detector_->reset_all();
-      auto_recoveries_.fetch_add(1);
-      m_heal_success_->add(1);
-      {
-        std::scoped_lock lk(heal_mu_);
-        last_heal_completed_ = now();
-        health_ = Status::ok();
-      }
-      MS_LOG_INFO("ft", "rt self-heal: recovered on attempt %d (%.1f ms)",
-                  attempt + 1, (rs.completed - rs.started).to_seconds() * 1e3);
-      return;
-    }
-    m_heal_failed_->add(1);
-    MS_LOG_WARN("ft", "rt self-heal attempt %d/%d failed: %s", attempt + 1,
-                max_attempts, st.message().c_str());
-    if (attempt + 1 < max_attempts) {
-      const SimTime backoff =
-          config_.params.self_heal_backoff * (std::int64_t{1} << attempt);
-      std::unique_lock lk(sup_mu_);
-      sup_cv_.wait_for(lk, std::chrono::nanoseconds(backoff.ns()),
-                       [this] { return supervisor_stop_.load(); });
-      if (supervisor_stop_.load()) return;
-    }
+  m_heal_attempts_->add(1);
+  engine_->stop();
+  clear_crash();
+  RecoveryStats rs;
+  const Status st = recover(&rs);
+  if (st.is_ok()) {
+    auto_recoveries_.fetch_add(1);
+    m_heal_success_->add(1);
+    last_heal_completed_ = now();
+    set_health(Status::ok());
+    MS_LOG_INFO("ft", "rt self-heal: recovered on attempt %d (%.1f ms)",
+                attempt + 1, (rs.completed - rs.started).to_seconds() * 1e3);
+    return;
+  }
+  m_heal_failed_->add(1);
+  MS_LOG_WARN("ft", "rt self-heal attempt %d/%d failed: %s", attempt + 1,
+              max_attempts, st.message().c_str());
+  if (attempt + 1 < max_attempts) {
+    // Armed past recover()'s fence bump, so only a stop() drops it.
+    schedule_after(
+        config_.params.self_heal_backoff * (std::int64_t{1} << attempt),
+        [this, attempt] { heal(attempt + 1); });
+    return;
   }
   m_heal_exhausted_->add(1);
-  {
-    std::scoped_lock lk(heal_mu_);
-    health_ = Status::unavailable(
-        "RtRuntime: self-heal exhausted after " +
-        std::to_string(max_attempts) + " attempts; manual recover() required");
-  }
+  set_health(Status::unavailable(
+      "RtRuntime: self-heal exhausted after " + std::to_string(max_attempts) +
+      " attempts; manual recover() required"));
   MS_LOG_WARN("ft", "rt self-heal: giving up after %d attempts", max_attempts);
 }
 
 // ---------------------------------------------------------------------------
 // AA pipeline (kSrcApAa)
 
-std::vector<double> RtRuntime::aa_state_sizes() const {
-  std::vector<double> sizes;
-  for (int i = 0; i < engine_->num_operators(); ++i) {
-    sizes.push_back(static_cast<double>(engine_->op_state_size(i)));
-  }
-  return sizes;
-}
-
 void RtRuntime::aa_sample_tick() {
-  if (!engine_->running()) return;
-  const std::vector<double> sizes = aa_state_sizes();
-  {
-    std::scoped_lock lk(ctl_mu_);
-    if (initiation_stopped_) return;
-    const SimTime tnow = now();
-    for (int op = 0; op < static_cast<int>(sizes.size()); ++op) {
-      const AaSampler::Events events =
-          samplers_[op].add_sample(tnow, sizes[op]);
-      if (events.turning_point.has_value()) {
-        const auto& tp = *events.turning_point;
-        aa_->report_turning_point(op, tp.t, tp.size, tp.icr);
-      }
-      if (events.half_drop) aa_->on_half_drop_notification(op, tnow);
+  const SimTime tnow = now();
+  for (int op = 0; op < engine_->num_operators(); ++op) {
+    const AaSampler::Events events = samplers_[op].add_sample(
+        tnow, static_cast<double>(engine_->op_state_size(op)));
+    if (events.turning_point.has_value()) {
+      const auto& tp = *events.turning_point;
+      aa_->report_turning_point(op, tp.t, tp.size, tp.icr);
     }
+    if (events.half_drop) aa_->on_half_drop_notification(op, tnow);
   }
-  engine_->run_after(config_.params.state_sample_period,
-                     [this] { aa_sample_tick(); });
+  schedule_after(config_.params.state_sample_period,
+                 [this] { aa_sample_tick(); });
 }
 
 void RtRuntime::aa_end_observation() {
@@ -808,12 +765,11 @@ void RtRuntime::aa_end_observation() {
 }
 
 void RtRuntime::aa_query_dynamic() {
-  if (!engine_->running()) return;
-  const std::vector<double> sizes = aa_state_sizes();
-  std::scoped_lock lk(ctl_mu_);
   const SimTime tnow = now();
   for (const int op : aa_->dynamic_haus()) {
-    aa_->on_query_response(op, tnow, sizes[op], samplers_[op].current_icr());
+    aa_->on_query_response(op, tnow,
+                           static_cast<double>(engine_->op_state_size(op)),
+                           samplers_[op].current_icr());
   }
 }
 

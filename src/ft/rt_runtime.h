@@ -3,7 +3,7 @@
 //
 // The same CheckpointCoordinator that drives MsScheme in the simulator
 // drives a live engine here. RtRuntime supplies the Runtime contract
-// (wall-clock, engine timers, the operator roster, epoch actions) and owns
+// (wall-clock, control timers, the operator roster, epoch actions) and owns
 // everything the engine deliberately does not: checkpoint files, source
 // logs, epoch commit, and restart-and-replay recovery.
 //
@@ -23,8 +23,8 @@
 //   kSrcAp    snapshots serialize in memory and a helper writes behind the
 //             dataflow (EpochMode::kAsync);
 //   kSrcApAa  kSrcAp plus application-aware timing with the simulator's
-//             parts: a tick on the engine timer thread feeds one AaSampler
-//             per operator, and the same AaController runs its shared stage
+//             parts: a control-thread tick feeds one AaSampler per
+//             operator, and the same AaController runs its shared stage
 //             timeline on this runtime's timers (observation → profiling →
 //             execution with alert mode; a period with no alert-fired
 //             checkpoint ends with a forced one);
@@ -36,13 +36,18 @@
 // Every mode is exactly-once. The paper's independent-checkpoint baseline
 // runs on the simulator only (ft/baseline.h).
 //
-// Threading: the coordinator and all epoch bookkeeping live under one
-// control mutex (ctl_mu_). Engine callbacks (snapshot sink on worker/helper
-// threads, protocol probes under the per-operator mutex) take ctl_mu_, so
-// code holding ctl_mu_ must never call engine functions that take a
-// per-operator mutex (op_state_size) — the AA tick samples outside the lock
-// and reports under it. The AA samplers, their gates and the stage
-// timeline's callbacks live under ctl_mu_.
+// Threading: one control thread — the paper's controller — owns all control
+// state: the coordinator, the epochs in flight, the EpochStore, the cadence
+// and AA controllers with their samplers, log seal and truncation, and the
+// heartbeat, detector scan and self-heal. Its timers are schedule_after().
+// Engine hooks post to it and return, never waiting on it: a snapshot's
+// bytes are written on the worker or helper thread that took it, and the
+// report follows as a post. begin_checkpoint(), start(), stop() and
+// recover() each take a turn: the control thread parks while the caller
+// runs the body, so control state still sees one thread at a time.
+// last_durable_epoch(), wait_checkpoints() and health() read what the
+// control thread publishes. Since no engine thread waits on the control
+// thread, it may take a per-operator mutex (op_state_size).
 #pragma once
 
 #include <atomic>
@@ -54,11 +59,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/metrics_registry.h"
 #include "common/status.h"
+#include "common/timer_thread.h"
 #include "core/tuple.h"
 #include "ft/aa_controller.h"
 #include "ft/aa_sampler.h"
@@ -86,11 +91,11 @@ struct RtRuntimeConfig {
   TupleCodec codec;
   /// Redirects the coordinator's ft.ckpt.* metrics (default: global()).
   MetricsRegistry* metrics = nullptr;
-  /// Self-healing: a heartbeat tick on the engine timer publishes operator
-  /// liveness into a FailureDetector and a supervisor thread turns
-  /// missed-deadline verdicts into automatic fenced recovery with bounded
-  /// exponential-backoff retries and crash-loop quarantine. The happy chaos
-  /// path then needs no manual recover() call.
+  /// Self-healing: a control-thread tick publishes operator liveness into a
+  /// FailureDetector, scans it, and turns missed-deadline verdicts into
+  /// automatic fenced recovery with bounded exponential-backoff retries and
+  /// crash-loop quarantine. The happy chaos path then needs no manual
+  /// recover() call.
   bool auto_recover = false;
   /// How much is forced to media around durable writes (durable_file.h).
   /// kCommit — the paper-faithful discipline — fdatasyncs artifacts and
@@ -122,7 +127,8 @@ class RtRuntime final : public Runtime {
   Status start();
 
   /// Stop initiating checkpoints and stop the engine (drains in-flight
-  /// epochs' snapshot deliveries first).
+  /// epochs' snapshot deliveries first). Returns once the control thread has
+  /// handled every report the drain delivered.
   void stop();
 
   /// Trigger one application checkpoint now.
@@ -132,7 +138,8 @@ class RtRuntime final : public Runtime {
   /// runtime was constructed, or `timeout` elapses. Returns true on success.
   bool wait_checkpoints(std::uint64_t n, SimTime timeout);
 
-  /// Most recent committed (manifest-durable) epoch number; 0 = none.
+  /// Most recent committed (manifest-durable) epoch number; 0 = none. Safe
+  /// from any thread, probes included.
   std::uint64_t last_durable_epoch() const;
 
   /// Whole-application restart-and-replay recovery: load the last complete
@@ -143,7 +150,8 @@ class RtRuntime final : public Runtime {
 
   /// Protocol instrumentation spine (same FtPoint vocabulary as the sim
   /// schemes; chaos harnesses and tracers subscribe here). Subscribe before
-  /// start(); probes fire from worker, helper and timer threads.
+  /// start(); probes fire from worker, helper and control threads, and must
+  /// not wait on the control thread.
   void add_probe(FtProbe probe);
 
   /// Crash drill: from this instant the runtime stops writing checkpoint
@@ -151,7 +159,7 @@ class RtRuntime final : public Runtime {
   /// appends continue — durable-before-dispatch holds right up to the
   /// "crash". recover() refuses (StatusCode::kAborted) until clear_crash().
   /// Under auto_recover the crash also silences heartbeats, so the
-  /// supervisor detects it and self-heals.
+  /// detector convicts and the runtime self-heals.
   void simulate_crash() { crashed_.store(true); }
   void clear_crash() { crashed_.store(false); }
   bool crashed() const { return crashed_.load(); }
@@ -165,28 +173,29 @@ class RtRuntime final : public Runtime {
   Status health() const;
   /// Completed automatic recoveries since construction.
   std::uint64_t auto_recoveries() const { return auto_recoveries_.load(); }
-  /// Null unless config.auto_recover.
+  /// Null unless config.auto_recover. The detector locks itself, so its
+  /// queries are safe while running.
   FailureDetector* detector() { return detector_.get(); }
   /// Fault injection: suppress `op`'s heartbeats for `delay` from now. The
   /// operator looks silent (suspected) without being dead — the detector
   /// must exonerate it once heartbeats resume.
   void inject_heartbeat_delay(int op, SimTime delay);
 
+  /// Control-thread state: read the coordinator, the AA controller
+  /// (non-null only in kSrcApAa mode) and the cadence controller (non-null
+  /// only in kSrcApDelta mode) only while stopped.
   CheckpointCoordinator& coordinator() { return *coordinator_; }
-  /// Non-null only in kSrcApAa mode.
   AaController* aa() { return aa_.get(); }
-  /// Non-null only in kSrcApDelta mode.
   CadenceController* cadence() { return cadence_.get(); }
   rt::RtEngine& engine() { return *engine_; }
   RtMode mode() const { return config_.mode; }
 
-  // --- ft::Runtime (called by the coordinator under ctl_mu_) ---
+  // --- ft::Runtime (called by the coordinator on the control thread) ---
   int num_units() const override;
   bool unit_is_source(int unit) const override;
   bool unit_alive(int unit) const override;
   SimTime now() const override;
-  /// Wraps the engine timer; `fn` runs under ctl_mu_ (the coordinator's
-  /// callbacks assume it).
+  /// A control-thread timer, dropped if a stop() or recover() comes first.
   void schedule_after(SimTime delay, std::function<void()> fn) override;
   void start_epoch(std::uint64_t epoch) override;
   void commit_epoch(std::uint64_t epoch) override;
@@ -194,9 +203,6 @@ class RtRuntime final : public Runtime {
 
  private:
   struct EpochState {
-    /// recovery_seq_ at initiation: snapshots fenced against a recovery that
-    /// happened while the bytes were in flight.
-    std::uint64_t fence = 0;
     SimTime initiated;
     std::map<int, SimTime> aligned_at;
     /// The MANIFEST, filled in from the ops' reports (an op without
@@ -208,13 +214,25 @@ class RtRuntime final : public Runtime {
     for (const auto& p : probes_) p(point, unit, id);
   }
 
-  // Engine hook bodies.
+  /// Run `fn` in a turn of the control thread and return its result;
+  /// inline on the control thread itself.
+  template <typename F>
+  auto on_ctl(F fn);
+  /// Publish the committed tip and the completed count.
+  void publish();
+  void set_health(Status st);
+
+  // Engine hooks (engine threads) and the report they post.
   void on_snapshot(const rt::Snapshot& snap);
+  void on_report(const rt::Snapshot& snap, bool wrote, SimTime serialized_at,
+                 SimTime written_at);
   void on_engine_proto(rt::ProtoPoint point, int op, std::uint64_t epoch);
 
   storage::DurableOptions durable_opts() const {
     return {config_.sync_mode, config_.disk_faults};
   }
+  /// recover()'s body, in a control-thread turn.
+  Status recover_now(RecoveryStats* stats);
   /// Rebuild the committed set, then scan_logs() (engine stopped).
   Status scan_existing_state();
   /// SourceLogSet::scan with the committed tip's boundaries.
@@ -222,44 +240,43 @@ class RtRuntime final : public Runtime {
 
   // Mode drivers.
   void arm_initiation();
-  /// Every operator's state size. Called outside ctl_mu_: op_state_size
-  /// takes the per-operator mutexes.
-  std::vector<double> aa_state_sizes() const;
   void aa_sample_tick();
   void aa_end_observation();
   void aa_query_dynamic();
 
-  // Self-heal supervisor (config.auto_recover).
-  void arm_heartbeats();
-  void heartbeat_tick();
-  void start_supervisor();
-  void stop_supervisor();
-  void supervisor_loop();
-  void attempt_self_heal();
+  // Self-heal (config.auto_recover).
+  void detector_tick();
+  /// Crash-loop bookkeeping for a verdict; true once quarantined.
+  bool quarantine_verdict();
+  void heal(int attempt);
 
   rt::RtEngine* engine_;
   RtRuntimeConfig config_;
   std::chrono::steady_clock::time_point epoch0_;
 
-  mutable std::mutex ctl_mu_;
+  // --- control-thread state (built before the thread starts) ---
   std::unique_ptr<CheckpointCoordinator> coordinator_;
   std::unique_ptr<AaController> aa_;
   /// kSrcApAa: one sampler per operator, reset whenever aa_ starts (every
-  /// start() and recover()). Guarded by ctl_mu_.
+  /// start() and recover()).
   std::vector<AaSampler> samplers_;
   /// In-flight epochs keyed by coordinator id, which is also the on-disk
-  /// epoch number. Guarded by ctl_mu_.
+  /// epoch number. Ids are never reused, so a report for an epoch no longer
+  /// here (abandoned, or from before a recovery) is dropped.
   std::map<std::uint64_t, EpochState> pending_;
-  /// The checkpoint directory and its committed epochs. Guarded by ctl_mu_
-  /// (its const file functions excepted).
+  /// The checkpoint directory and its committed epochs (its const file
+  /// functions are safe from any thread).
   EpochStore store_;
   /// kSrcApDelta only, like delta epochs: the mode is the one switch.
   std::unique_ptr<CadenceController> cadence_;
-  bool initiation_stopped_ = false;  // guarded by ctl_mu_
-  /// Recovery fence. Bumped at the start of every recover(); epoch state and
-  /// timer callbacks stamped with an older value are stale in-flight
-  /// messages from the pre-recovery incarnation and are dropped.
-  std::atomic<std::uint64_t> recovery_seq_{0};
+  /// Bumped by every stop() and recover(): a schedule_after() timer armed
+  /// before belongs to a previous run, which re-armed its own chains, and
+  /// is dropped.
+  std::uint64_t fence_ = 0;
+  std::uint64_t recoveries_ = 0;  // recover() calls past their preconditions
+  bool quarantined_ = false;
+  int crash_streak_ = 0;
+  SimTime last_heal_completed_;  // zero = never
 
   /// Every source's preservation log.
   SourceLogSet logs_;
@@ -267,21 +284,20 @@ class RtRuntime final : public Runtime {
   std::vector<FtProbe> probes_;
   std::atomic<bool> crashed_{false};
 
-  // --- self-heal supervisor state (config.auto_recover) ---
+  // --- self-heal (config.auto_recover) ---
   std::unique_ptr<FailureDetector> detector_;
-  std::thread supervisor_;
-  std::mutex sup_mu_;
-  std::condition_variable sup_cv_;
-  std::atomic<bool> supervisor_stop_{false};
   /// Per-op heartbeat suppression deadline (ns since epoch0_); written by
-  /// inject_heartbeat_delay, read by heartbeat_tick.
+  /// inject_heartbeat_delay, read by detector_tick.
   std::unique_ptr<std::atomic<std::int64_t>[]> hb_suppress_until_;
   std::atomic<std::uint64_t> auto_recoveries_{0};
-  mutable std::mutex heal_mu_;
-  Status health_ = Status::ok();     // guarded by heal_mu_
-  bool quarantined_ = false;         // guarded by heal_mu_
-  int crash_streak_ = 0;             // guarded by heal_mu_
-  SimTime last_heal_completed_;      // guarded by heal_mu_; zero = never
+
+  // --- published by the control thread, read from any thread ---
+  mutable std::mutex pub_mu_;
+  std::condition_variable pub_cv_;  // notified at each publish()
+  std::uint64_t pub_tip_ = 0;
+  std::size_t pub_completed_ = 0;
+  Status pub_health_ = Status::ok();
+
   // Durable-state integrity counters.
   Counter* m_corrupt_manifests_ = nullptr;  // ft.scan.corrupt_manifests
   Counter* m_corrupt_artifacts_ = nullptr;  // ft.recovery.corrupt_artifacts
@@ -292,6 +308,9 @@ class RtRuntime final : public Runtime {
   Counter* m_heal_failed_ = nullptr;
   Counter* m_heal_exhausted_ = nullptr;
   Counter* m_heal_quarantined_ = nullptr;
+
+  /// The control thread; the destructor joins it before any member goes.
+  TimerThread ctl_;
 };
 
 }  // namespace ms::ft

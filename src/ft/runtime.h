@@ -12,7 +12,7 @@
 //     simulated network. Behaviour is bit-for-bit what MsScheme did before
 //     the seam existed; the tier-1 sim tests pin that.
 //   - RtRuntime (ft/rt_runtime.h): real threads over rt::RtEngine. Timers
-//     run on the engine's timer thread, units are operator workers, epoch
+//     run on the runtime's control thread, units are operator workers, epoch
 //     actions inject checkpoint tokens and commit epoch directories via a
 //     rename-into-place manifest.
 #pragma once

@@ -424,9 +424,12 @@ void SourceLogSet::roll(int op, std::uint64_t floor) {
 
 void SourceLogSet::truncate(int op, std::uint64_t floor) {
   Log& log = *logs_[static_cast<std::size_t>(op)];
-  std::scoped_lock lk(log.mu);
-  // Past the floor no recovery candidate needs the missing record.
-  if (log.failed_since < floor) log.failed_since = Log::kNoAppendFailure;
+  {
+    std::scoped_lock lk(log.mu);
+    // Past the floor no recovery candidate needs the missing record.
+    if (log.failed_since < floor) log.failed_since = Log::kNoAppendFailure;
+  }
+  // The appender never touches the sealed segments: unlink without the lock.
   if (log.sealed.empty() || log.sealed.front().last >= floor) return;
   const auto t0 = std::chrono::steady_clock::now();
   std::size_t n = 0;

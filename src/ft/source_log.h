@@ -30,7 +30,8 @@
 // is (ft.log.roll_failures) and the next commit retries. The truncation
 // unlinks every sealed segment whose last record is below the floor
 // (ft.log.segments_unlinked, ft.log.truncate_ns); it reads and writes no
-// log.
+// log, and holds the lock only to close the append-failure window, so the
+// appender never waits for an unlink.
 //
 // The scan reads the head and the sealed segments at or past the committed
 // tip's boundary, each with a second read to confirm a torn verdict. A
@@ -159,8 +160,8 @@ class SourceLogSet {
   /// and that boundary. Returns the first failure.
   Status scan(const std::vector<std::uint64_t>& boundaries);
 
-  /// Commit-time seal, once the commit's manifest is durable (calls are
-  /// serialized with each other and with scan()): when `floor`
+  /// Commit-time seal, once the commit's manifest is durable (roll,
+  /// truncate, scan and replay run on one thread at a time): when `floor`
   /// (the committed epochs' lowest boundary) has reached the head's first
   /// record, rename the head to a sealed segment, so that a later floor
   /// past its last record unlinks it whole. Each seal records
@@ -215,7 +216,8 @@ class SourceLogSet {
     /// The append's encode buffer, kept between batches for its capacity.
     std::vector<std::uint8_t> batch;
     /// Sealed segments, ascending, as the last scan listed them plus the
-    /// rolls since.
+    /// rolls since. The appender never touches them: only the serialized
+    /// roll, truncate, scan and replay do.
     std::vector<Segment> sealed;
     /// The head's view from the last scan, while nothing has changed it.
     std::unique_ptr<LogView> view;

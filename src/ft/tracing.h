@@ -18,8 +18,8 @@
 // dangling — so a capture of a chaos run still balances (check_trace).
 //
 // Thread-safe: on() runs under one mutex and reads the clock inside it, so
-// probes arriving from the rt engine's worker, helper, timer and supervisor
-// threads land on every track in timestamp order.
+// probes arriving from the rt engine's worker and helper threads and the
+// runtime's control thread land on every track in timestamp order.
 #pragma once
 
 #include <cstdint>

@@ -20,15 +20,10 @@ inline void cpu_relax() {
 }
 
 /// Spin iterations before a parked wait. A pipelined peer is usually
-/// microseconds away from its next flush, while a futex park/unpark round
-/// trip (plus the scheduler latency to run again) costs more than the data
-/// it would wait for — parking on every transient empty/full reading is
-/// what capped the mutexed transport. A few hundred PAUSE beats (~10 µs)
-/// rides out the common gap; genuinely idle workers still park afterwards
-/// and burn nothing. On a single-CPU host spinning is strictly harmful —
-/// the peer cannot make progress until we yield — so spin_before_park()
-/// resolves to zero there and threads park immediately (which is exactly
-/// the scheduler handoff the mutexed transport relied on).
+/// microseconds from its next flush, less than a futex park/unpark round
+/// trip; a few hundred PAUSE beats (~10 µs) ride out the common gap, and
+/// idle workers still park afterwards. On a single-CPU host the peer cannot
+/// run while we spin, so spin_before_park() is zero there.
 constexpr int kSpinBeforePark = 384;
 
 int spin_before_park() {
@@ -47,18 +42,10 @@ void wake(std::atomic<bool>& armed, EventCount& ec) {
 
 }  // namespace
 
-/// The one OperatorContext of an operator, owned by its Worker.
-///
-/// Owns the per-out-edge output buffers for batched transport. Every emit
-/// path of the operator — process() on its worker thread, schedule()
-/// callbacks on the timer thread, on_open() on the starter — runs under
-/// op_mu and emits into these same buffers, so per-edge FIFO holds across
-/// threads: whichever path flushes, it flushes everything emitted before.
-/// Buffers flush on the max_batch watermark, explicitly before a token is
-/// forwarded, and whenever an emit path returns control to the engine
-/// (still inside op_mu). A source's tap sees each buffer as one batch just
-/// before it is published, so its tap count at snapshot time is exactly
-/// what has been flushed ahead of any token.
+/// The one OperatorContext of an operator, owned by its Worker: the
+/// per-out-edge batch buffers every emit path (worker, timer thread,
+/// starter) fills under op_mu, so per-edge FIFO holds across threads. The
+/// batching and source-boundary invariants are in the header.
 class RtEngine::RtContext final : public core::OperatorContext {
  public:
   RtContext(RtEngine* engine, Worker* worker)
@@ -148,15 +135,11 @@ class RtEngine::RtContext final : public core::OperatorContext {
 
   void schedule(SimTime delay,
                 std::function<void(core::OperatorContext&)> fn) override {
-    engine_->schedule_timer(delay, [worker = worker_, fn = std::move(fn)] {
-      // Operator code runs under op_mu so a timer tick never mutates state
-      // the worker thread is concurrently serializing into a snapshot, and
-      // so the tick's emissions use the out-edge rings' producer role
-      // exclusively. The flush happens before the lock releases: a source
-      // snapshot taken under op_mu sees either none or all of this tick's
-      // emissions already flushed, never a buffered half. Holding op_mu
-      // across the flush cannot deadlock: downstream delivery only needs
-      // *downstream* backpressure and the query graph is a DAG.
+    engine_->timers_.after(delay, [worker = worker_, fn = std::move(fn)] {
+      // Under op_mu, flushed before it releases: a snapshot sees all or
+      // none of this tick's emissions, and the tick holds the out-edge
+      // rings' producer role. Delivery waits only on downstream
+      // backpressure and the graph is a DAG, so this cannot deadlock.
       std::scoped_lock op_lock(worker->op_mu);
       fn(*worker->ctx);
       worker->ctx->flush_all();
@@ -225,13 +208,7 @@ RtEngine::RtEngine(const core::QueryGraph& graph, RtConfig config)
   const Status st = graph_.validate();
   MS_CHECK_MSG(st.is_ok(), "invalid query network: " + st.to_string());
   if (config_.max_batch == 0) config_.max_batch = 1;
-  // Deferred-wake threshold: let batches pile up to half the queue before
-  // paying a futex wake — on a loaded box the wake + context-switch round
-  // trip costs microseconds, an order of magnitude more than moving a whole
-  // batch, so wake frequency sets the batched-transport ceiling. Half the
-  // queue keeps backpressure ahead of the wakes; liveness does not depend
-  // on the threshold at all — unconditional notifies fire at operator
-  // return and before any producer parks, and tokens always wake.
+  // Half the queue keeps backpressure ahead of the wakes (wake_threshold_).
   wake_threshold_ = config_.max_batch > 1
                         ? std::max<std::size_t>(1, config_.queue_capacity / 2)
                         : 1;
@@ -315,8 +292,7 @@ void RtEngine::start() {
   // exists (and after the source tap is installed, which it caches).
   for (auto& w : workers_) w->ctx = std::make_unique<RtContext>(this, w.get());
   running_.store(true);
-  stopping_.store(false);
-  timer_thread_ = std::thread([this] { timer_loop(); });
+  timers_.start();
   for (auto& w : workers_) {
     w->thread = std::thread([this, worker = w.get()] { worker_loop(*worker); });
   }
@@ -335,13 +311,7 @@ void RtEngine::stop() {
   // Phase 1: stop timers so sources quiesce. Joining the timer thread also
   // waits out any in-flight callback, which flushes before it returns —
   // after this point no new tuples enter the graph.
-  {
-    std::scoped_lock lock(timer_mu_);
-    stopping_.store(true);
-    timers_.clear();
-  }
-  timer_cv_.notify_all();
-  if (timer_thread_.joinable()) timer_thread_.join();
+  timers_.stop();
   // Phase 2: drain in topological order so upstream emissions land before a
   // downstream worker shuts down. Once a worker's producers have quiesced
   // its push counters are final, so (popped == pushed, then !busy) proves
@@ -395,17 +365,13 @@ void RtEngine::push_slot(InEdge& e, Slot&& slot, std::size_t units,
   MS_CHECK_MSG(fit, "rt transport ring overfull (slots undersized?)");
   e.tuples_pushed.store(pushed + units, std::memory_order_release);
   // Wake policy. Tokens (urgent) and the per-tuple path (threshold 1)
-  // notify on every push — with no batch buffers there is no flush_all
-  // backstop, and the crossing test below can misjudge emptiness through a
-  // stale `popped` in the exact window where the consumer parks. Batched
-  // pushes notify only on the upward *crossing* of the threshold: one wake
-  // per accumulated half-queue, and pushes riding above the threshold (a
-  // parked-but-not-yet-scheduled consumer on a loaded host) never repeat
-  // the syscall. A crossing missed through a stale `popped` cannot strand
-  // the consumer in batched mode: every batched push comes from a
-  // flush_port, whose dirty bit forces a notify at the producer's next
-  // flush_all (at the end of every emit path) — and a producer about
-  // to park on backpressure notifies first in wait_for_space().
+  // notify on every push: with no batch buffers there is no flush_all
+  // backstop for a crossing misjudged through a stale `popped`. Batched
+  // pushes notify only on the upward crossing of the threshold, one wake per
+  // half-queue, so a parked-but-unscheduled consumer costs one syscall. A
+  // crossing missed through a stale `popped` cannot strand the consumer:
+  // flush_port's dirty bit forces a notify at the producer's next flush_all,
+  // and a producer about to park notifies first in wait_for_space().
   if (urgent || wake_threshold_ == 1 ||
       (pushed - popped < wake_threshold_ &&
        pushed + units - popped >= wake_threshold_)) {
@@ -569,11 +535,9 @@ void RtEngine::worker_loop(Worker& w) {
       std::uint64_t popped = e.tuples_popped.load(std::memory_order_relaxed);
       std::size_t burst = 0;
       {
-        // One op_mu acquisition per burst, entries processed in place (no
-        // Slot move-out). The tuple-count publish still precedes the
-        // processing of each entry — capacity frees as early as the old
-        // swap-drain freed it — while pop_front() releases the ring slot
-        // itself only after the entry is consumed.
+        // One op_mu acquisition per burst, entries processed in place. Each
+        // entry's tuple count is published before it is processed (capacity
+        // frees early); pop_front() frees its ring slot only after.
         std::scoped_lock op_lock(w.op_mu);
         do {
           popped += slot_units(*s);
@@ -797,11 +761,7 @@ Status RtEngine::set_source_progress(int op, std::uint64_t next_seq,
 }
 
 Status RtEngine::replay_downstream(int op, int out_port, core::Tuple tuple) {
-  // Only valid on a stopped engine: recovery enqueues the preserved suffix
-  // before start() — it lands in the edge's preload list, adopted by the
-  // downstream worker ahead of any live ring entry, so a live source's
-  // fresh emissions can never overtake a replayed tuple. (Stopped-only is
-  // also what keeps the edge ring single-producer.)
+  // Stopped-only, so the suffix lands in the preload list (see the header).
   if (op < 0 || op >= num_operators()) {
     return Status::invalid_argument("replay_downstream: no such operator");
   }
@@ -818,10 +778,6 @@ Status RtEngine::replay_downstream(int op, int out_port, core::Tuple tuple) {
   return Status::ok();
 }
 
-void RtEngine::run_after(SimTime delay, std::function<void()> fn) {
-  schedule_timer(delay, std::move(fn));
-}
-
 Bytes RtEngine::op_state_size(int op) const {
   Worker& w = *workers_[static_cast<std::size_t>(op)];
   std::scoped_lock op_lock(w.op_mu);
@@ -830,44 +786,6 @@ Bytes RtEngine::op_state_size(int op) const {
 
 std::int64_t RtEngine::tuples_processed(int op) const {
   return workers_[static_cast<std::size_t>(op)]->processed.load();
-}
-
-void RtEngine::timer_loop() {
-  std::unique_lock lock(timer_mu_);
-  while (!stopping_.load()) {
-    if (timers_.empty()) {
-      timer_cv_.wait(lock,
-                     [this] { return stopping_.load() || !timers_.empty(); });
-      continue;
-    }
-    const auto due = timers_.front().at;  // heap top is the earliest timer
-    if (std::chrono::steady_clock::now() < due) {
-      // Wakes early if a new (possibly earlier) timer arrives or we stop;
-      // the loop re-examines the heap top either way.
-      timer_cv_.wait_until(lock, due);
-      continue;
-    }
-    std::pop_heap(timers_.begin(), timers_.end(), std::greater<>());
-    Timer next = std::move(timers_.back());
-    timers_.pop_back();
-    // Run outside the lock; the callback may schedule more timers.
-    lock.unlock();
-    next.fn();
-    lock.lock();
-  }
-}
-
-void RtEngine::schedule_timer(SimTime delay, std::function<void()> fn) {
-  {
-    std::scoped_lock lock(timer_mu_);
-    if (stopping_.load()) return;
-    timers_.push_back(Timer{
-        std::chrono::steady_clock::now() +
-            std::chrono::nanoseconds(std::max<std::int64_t>(0, delay.ns())),
-        timer_seq_++, std::move(fn)});
-    std::push_heap(timers_.begin(), timers_.end(), std::greater<>());
-  }
-  timer_cv_.notify_all();
 }
 
 }  // namespace ms::rt

@@ -58,14 +58,9 @@
 //  - max_batch = 1 reproduces per-tuple delivery: one ring entry per
 //    tuple, no buffers — the reference engine_batch_test compares batched
 //    runs against.
-//
-// The engine is deliberately small: it reuses the exact Operator subclasses
-// the simulator runs, so every application in src/apps also runs on real
-// threads.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -81,6 +76,7 @@
 #include "common/spsc_ring.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "common/timer_thread.h"
 #include "core/query_graph.h"
 #include "core/tuple.h"
 
@@ -88,10 +84,7 @@ namespace ms::rt {
 
 struct RtConfig {
   /// Backpressure bound per edge, in tuples: a producer blocks while an
-  /// edge already holds this many. (The mutexed transport bounded the sum
-  /// over a worker's in-edges; the ring transport bounds each edge —
-  /// strictly more buffering on multi-input operators, same per-edge
-  /// semantics.)
+  /// edge already holds this many.
   std::size_t queue_capacity = 4096;
   /// Upper bound on tuples accumulated per out-edge before a flush to the
   /// downstream ring. 64 is the measured sweet spot on the chain/diamond
@@ -226,11 +219,6 @@ class RtEngine {
   /// is also what keeps each ring single-producer.)
   Status replay_downstream(int op, int out_port, core::Tuple tuple);
 
-  /// Control-plane timer on the engine's timer thread (the protocol layer's
-  /// clock). Callbacks scheduled after stop() begins are dropped; timers do
-  /// not survive a stop()/start() cycle.
-  void run_after(SimTime delay, std::function<void()> fn);
-
   // --- introspection ---
 
   int num_operators() const { return static_cast<int>(workers_.size()); }
@@ -238,7 +226,7 @@ class RtEngine {
     return workers_[static_cast<std::size_t>(op)]->is_source;
   }
   /// Declared state size of one operator, taken under its operator mutex —
-  /// safe to call from the timer thread (AA state sampling).
+  /// safe from any thread that holds none (the runtime's AA sampling).
   Bytes op_state_size(int op) const;
 
   std::int64_t tuples_processed(int op) const;
@@ -255,16 +243,12 @@ class RtEngine {
   friend class RtContext;
 
   /// One transport unit: a single tuple (max_batch == 1), a checkpoint
-  /// token, or a whole batch of tuples moved in as one ring entry. Batch
-  /// granularity is the point — a 64-tuple flush costs one vector move and
-  /// one ring publish, not 64 of each.
+  /// token, or a whole batch moved as one ring entry (one move, one publish).
   using Slot = std::variant<core::Tuple, core::Token, std::vector<core::Tuple>>;
 
-  /// One (upstream → downstream) edge's transport state. Exactly one
-  /// producer — every emit path of the upstream operator holds its op_mu,
-  /// which also makes producer handoff between the worker and timer
-  /// threads well-defined — and one consumer, the downstream worker
-  /// thread. Memory ordering arguments live in DESIGN.md §5h.
+  /// One (upstream → downstream) edge's transport state. One producer —
+  /// every emit path of the upstream operator holds its op_mu — and one
+  /// consumer, the downstream worker. Memory ordering: DESIGN.md §5h.
   struct InEdge {
     InEdge(int consumer, int in_port, std::size_t ring_slots,
            std::size_t carrier_slots)
@@ -281,10 +265,9 @@ class RtEngine {
     /// producers first, so try_push can never find the ring full.
     SpscRing<Slot> ring;
 
-    /// Drained batch carriers handed back to the producer — the only batch
-    /// recycler: a carrier that does not fit is freed, and a producer that
-    /// finds it empty allocates a fresh one. Producer and consumer roles
-    /// are exactly reversed relative to `ring`.
+    /// Drained batch carriers handed back to the producer (roles reversed
+    /// from `ring`): one that does not fit is freed, and a producer that
+    /// finds none allocates a fresh one.
     SpscRing<std::vector<core::Tuple>> carriers;
 
     /// Ring occupancy in tuples (a token counts as 1) — the unit
@@ -315,14 +298,11 @@ class RtEngine {
   /// flush barrier / snapshot), or a single tuple. `done` accumulates
   /// processed tuple counts for the per-pass counter updates.
   void process_slot(Worker& w, InEdge* e, Slot& slot, std::int64_t& done);
-  /// Enqueue one slot on `e`, blocking while the edge holds at least
-  /// queue_capacity tuples (an entry is never split, so occupancy may
-  /// overshoot by up to max_batch — bound: queue_capacity + max_batch).
-  /// `units` is the slot's tuple count (tokens: 1). `urgent` forces an
-  /// immediate consumer wake (tokens); otherwise the wake is deferred until
-  /// the edge holds wake_threshold_ tuples — flush_all()'s unconditional
-  /// notifies and the pre-park notify below guarantee liveness. On a
-  /// stopped engine the slot lands in e.preload instead (recovery replay).
+  /// Enqueue one slot on `e` (`units` tuples; a token is 1), blocking while
+  /// the edge holds queue_capacity tuples (overshoot ≤ max_batch). `urgent`
+  /// wakes the consumer at once; otherwise the wake waits for
+  /// wake_threshold_ (the wake policy is in push_slot). A stopped engine
+  /// preloads the slot instead (recovery replay).
   void push_slot(InEdge& e, Slot&& slot, std::size_t units, bool urgent);
   /// push_slot's slow path: park on the consumer's space eventcount until
   /// occupancy drops below queue_capacity (or the engine stops). Notifies
@@ -338,8 +318,6 @@ class RtEngine {
   void emit_proto(ProtoPoint point, int op, std::uint64_t epoch) {
     if (proto_probe_) proto_probe_(point, op, epoch);
   }
-  void timer_loop();
-  void schedule_timer(SimTime delay, std::function<void()> fn);
   SimTime now() const;
 
   static std::size_t slot_units(const Slot& s) {
@@ -387,8 +365,7 @@ class RtEngine {
     /// prepare_wait and its predicate re-check; wakers notify only when
     /// their exchange(false) wins the flag. A woken-but-not-yet-scheduled
     /// thread (the common state on a loaded host) therefore costs its
-    /// peers one futex syscall total, not one per push — the lock-free
-    /// analogue of the mutexed transport's wake_pending flag. A stale
+    /// peers one futex syscall total, not one per push. A stale
     /// armed flag after a cancelled wait costs at most one spurious
     /// notify; a missed wake is impossible (see DESIGN.md §5h).
     std::atomic<bool> items_armed{false};
@@ -462,7 +439,6 @@ class RtEngine {
   static constexpr std::size_t kMaxDrainPerEdge = 64;
 
   std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
   std::atomic<std::int64_t> sink_tuples_{0};
 
   /// Operators of the current epoch that have not yet delivered a snapshot;
@@ -476,22 +452,9 @@ class RtEngine {
   /// Kind of the epoch in flight; published exactly like epoch_mode_.
   SnapshotKind epoch_kind_ = SnapshotKind::kFull;
 
-  // Timer thread.
-  struct Timer {
-    std::chrono::steady_clock::time_point at;
-    std::uint64_t seq;
-    std::function<void()> fn;
-    bool operator>(const Timer& o) const {
-      if (at != o.at) return at > o.at;
-      return seq > o.seq;
-    }
-  };
-  std::thread timer_thread_;
-  std::mutex timer_mu_;
-  std::condition_variable timer_cv_;
-  std::vector<Timer> timers_;  // heap
-  std::uint64_t timer_seq_ = 0;
-
+  /// Operator timers (OperatorContext::schedule); started and stopped with
+  /// the engine, so timers do not survive a stop()/start() cycle.
+  TimerThread timers_;
   std::chrono::steady_clock::time_point started_at_;
 };
 

@@ -512,9 +512,10 @@ TEST(SourceLogTest, FailedRollKeepsTheHeadAndTheNextCommitRetries) {
 }
 
 // A seal syncs the head without the log's mutex while the source appends,
-// then takes it for the rename and the handle swap. Appends racing a run of
-// seals land in exactly one segment each, in order: a restart replays the
-// whole run and the scrub finds every segment's name true.
+// then takes it for the rename and the handle swap; a truncation unlinks
+// without it. Appends racing a run of seals and unlinks land in exactly one
+// segment each, in order: a restart replays the whole run from the last
+// floor and the scrub finds every segment's name true.
 TEST(SourceLogTest, RollsRacingAppendsKeepTheRunWhole) {
   LogDir d("ms_slog_race");
   d.sync = storage::SyncMode::kCommit;
@@ -531,22 +532,29 @@ TEST(SourceLogTest, RollsRacingAppendsKeepTheRunWhole) {
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
   });
+  // Each roll is followed by a truncation to the floor before it, as a
+  // commit does, so unlinks race the appends too.
+  std::uint64_t floor = 0;
   while (appended.load() < kTotal) {
-    logs.roll(kOp, static_cast<std::uint64_t>(appended.load()));
+    const auto next = static_cast<std::uint64_t>(appended.load());
+    logs.roll(kOp, next);
+    logs.truncate(kOp, floor);
+    floor = next;
   }
   appender.join();
   logs.roll(kOp, kTotal);
   EXPECT_EQ(d.count("ft.log.roll_failures"), 0);
   EXPECT_EQ(d.count("ft.log.append_failures"), 0);
+  EXPECT_GT(d.count("ft.log.segments_unlinked"), 0);
   EXPECT_GE(d.files().size(), 2u);
 
   SourceLogSet& again = d.open();
   ASSERT_TRUE(d.scanned.is_ok()) << d.scanned.to_string();
   std::vector<LogRecord> records;
-  ASSERT_TRUE(again.replay(kOp, 0, &records).is_ok());
-  ASSERT_EQ(records.size(), static_cast<std::size_t>(kTotal));
+  ASSERT_TRUE(again.replay(kOp, floor, &records).is_ok());
+  ASSERT_EQ(records.size(), static_cast<std::size_t>(kTotal) - floor);
   for (std::size_t k = 0; k < records.size(); ++k) {
-    ASSERT_EQ(records[k].index, k);
+    ASSERT_EQ(records[k].index, floor + k);
   }
   const ScrubReport report = scrub_checkpoint_dir(d.dir);
   EXPECT_TRUE(report.clean()) << report.issues.front().path << ": "

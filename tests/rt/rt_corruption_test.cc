@@ -177,6 +177,9 @@ bool take_checkpoint(RtRuntime& runtime, std::uint64_t completed_so_far) {
 }
 
 void expect_sink_exact(rt::RtEngine& engine, std::int64_t n) {
+  // On a running engine, taking the sink's operator mutex orders every value
+  // it appended before the reads below.
+  (void)engine.op_state_size(kSinkOp);
   const auto& sink = static_cast<const RecordingSink&>(engine.op(kSinkOp));
   ASSERT_EQ(sink.values.size(), static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) {
@@ -186,6 +189,7 @@ void expect_sink_exact(rt::RtEngine& engine, std::int64_t n) {
 }
 
 void expect_table_exact(rt::RtEngine& engine, std::int64_t total) {
+  (void)engine.op_state_size(kSumOp);  // as in expect_sink_exact
   const auto& sum = static_cast<const DeltaSum&>(engine.op(kSumOp));
   std::map<std::int64_t, std::int64_t> expect;
   for (std::int64_t v = 0; v < total; ++v) expect[v % 8] += v;

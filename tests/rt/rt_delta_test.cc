@@ -456,8 +456,9 @@ TEST(RtDeltaTest, ManifestWriteFailureForcesFullRebase) {
     // epoch directory with a regular file right after the last blob's
     // kCheckpointDone makes exactly the MANIFEST write fail (ENOTDIR on its
     // temp file) — the deterministic stand-in for a full disk at the worst
-    // instant. The probe fires under ctl_mu_ on the committing thread, so
-    // the swap is ordered strictly before the manifest write.
+    // instant. The probe fires on the control thread just before the
+    // report that commits, so the swap is ordered strictly before the
+    // manifest write.
     std::atomic<int> epoch3_done{0};
     runtime.add_probe([&](FtPoint p, int, std::uint64_t id) {
       if (p == FtPoint::kCheckpointDone && id == 3 &&

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <map>
@@ -20,6 +21,7 @@
 
 #include "../testing/rt_feed.h"
 #include "../testing/test_ops.h"
+#include "common/metrics_registry.h"
 #include "common/trace.h"
 #include "core/stdops.h"
 #include "ft/epoch_store.h"
@@ -625,6 +627,130 @@ TEST(RtProtocolTest, RuntimeGuardsReturnStatus) {
   runtime.clear_crash();
   EXPECT_TRUE(runtime.recover(nullptr).is_ok());
   runtime.stop();
+}
+
+// Control timers outlive an engine stop, so every stop() fences off the
+// periodic chain its run armed before the next start() arms another. A chain
+// left running would add one initiation per period for every stop/start
+// cycle.
+TEST(RtProtocolTest, StopStartCyclesKeepOnePeriodicChain) {
+  auto feed = std::make_shared<ExternalFeed>();
+  MetricsRegistry metrics;
+  RtRuntimeConfig cfg;
+  cfg.mode = RtMode::kSrcAp;
+  cfg.dir = fresh_dir("ms_rtp_cycles");
+  cfg.params.checkpoint_period = SimTime::millis(50);
+  cfg.codec = int_codec();
+  cfg.metrics = &metrics;
+  // Epochs far shorter than the period, so no initiation is skipped for an
+  // epoch still running.
+  cfg.sync_mode = storage::SyncMode::kNone;
+
+  rt::RtEngine engine(feed_chain(feed, 1, SimTime::micros(500)),
+                      rt::RtConfig{});
+  RtRuntime runtime(&engine, cfg);
+  for (int cycle = 0; cycle < 5; ++cycle) {
+    ASSERT_TRUE(runtime.start().is_ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(7 * (cycle + 1)));
+    runtime.stop();
+  }
+  ASSERT_TRUE(runtime.start().is_ok());
+  Counter* started = metrics.counter("ft.ckpt.started");
+  constexpr std::int64_t kWindowMs = 1000;
+  const std::int64_t before = started->value();
+  std::this_thread::sleep_for(std::chrono::milliseconds(kWindowMs));
+  const std::int64_t in_window = started->value() - before;
+  runtime.stop();
+  EXPECT_GT(in_window, 0);
+  EXPECT_LE(in_window, kWindowMs / 50 + 1) << "more than one periodic chain";
+}
+
+/// Sleeps 200 ms in every manifest write's fault hook, which runs on the
+/// writing thread, and records whether the engine moved meanwhile: the sink
+/// processed tuples, and the source emitted them.
+class SlowManifestWrites final : public storage::FaultInjector {
+ public:
+  SlowManifestWrites(const rt::RtEngine* engine, const ExternalFeed* feed)
+      : engine_(engine), feed_(feed) {}
+
+  storage::WriteFaultSpec write_fault(const std::string&,
+                                      storage::ArtifactKind kind) override {
+    if (kind != storage::ArtifactKind::kManifest) return {};
+    const std::int64_t sink0 = engine_->sink_tuples();
+    const std::int64_t emitted0 = feed_->cursor.load();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    ++delayed;
+    if (engine_->sink_tuples() > sink0) ++sink_moved;
+    if (feed_->cursor.load() > emitted0) ++source_moved;
+    return {};
+  }
+  storage::ReadFaultSpec read_fault(const std::string&,
+                                    storage::ArtifactKind) override {
+    return {};
+  }
+
+  std::atomic<int> delayed{0};
+  std::atomic<int> sink_moved{0};
+  std::atomic<int> source_moved{0};
+
+ private:
+  const rt::RtEngine* engine_;
+  const ExternalFeed* feed_;
+};
+
+/// Two commits whose manifest writes each take 200 ms, with a live feed:
+/// neither the source nor the sink may wait for them. Then a crash past the
+/// second commit, and recovery must be exact.
+void run_slow_manifest_drill(RtMode mode, const std::string& dirname) {
+  auto feed = std::make_shared<ExternalFeed>();
+  RtRuntimeConfig cfg;
+  cfg.mode = mode;
+  cfg.dir = fresh_dir(dirname);
+  cfg.params.periodic = false;
+  cfg.codec = int_codec();
+
+  std::int64_t total = 0;
+  {
+    rt::RtEngine engine(feed_chain(feed, 1, SimTime::micros(200), 4),
+                        rt::RtConfig{});
+    SlowManifestWrites slow(&engine, feed.get());
+    cfg.disk_faults = &slow;
+    RtRuntime runtime(&engine, cfg);
+    ASSERT_TRUE(runtime.start().is_ok());
+    wait_drained(engine, 200);
+    for (std::uint64_t n = 1; n <= 2; ++n) {
+      ASSERT_TRUE(runtime.begin_checkpoint().is_ok());
+      ASSERT_TRUE(runtime.wait_checkpoints(n, SimTime::seconds(10)));
+    }
+    EXPECT_EQ(slow.delayed.load(), 2);
+    EXPECT_EQ(slow.sink_moved.load(), 2)
+        << "the sink waited for a manifest write";
+    EXPECT_EQ(slow.source_moved.load(), 2)
+        << "the source waited for a manifest write";
+    wait_drained(engine, engine.sink_tuples() + 200);
+    runtime.simulate_crash();
+    feed->paused.store(true);
+    wait_quiescent(engine);
+    total = feed->cursor.load();
+    runtime.stop();
+  }
+
+  cfg.disk_faults = nullptr;
+  rt::RtEngine engine(feed_chain(feed, 1, SimTime::micros(200), 4),
+                      rt::RtConfig{});
+  RtRuntime runtime(&engine, cfg);
+  ASSERT_TRUE(runtime.recover(nullptr).is_ok());
+  wait_quiescent(engine);
+  runtime.stop();
+  expect_sink_exact(engine, 2, total);
+}
+
+TEST(RtProtocolTest, SlowManifestWriteStallsNoEngineThreadSrc) {
+  run_slow_manifest_drill(RtMode::kSrc, "ms_rtp_slow_manifest_src");
+}
+
+TEST(RtProtocolTest, SlowManifestWriteStallsNoEngineThreadSrcAp) {
+  run_slow_manifest_drill(RtMode::kSrcAp, "ms_rtp_slow_manifest_srcap");
 }
 
 }  // namespace

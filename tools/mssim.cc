@@ -94,7 +94,7 @@ void usage() {
       "                               bound; commit syncs rename commit\n"
       "                               points; always adds per-append syncs)\n"
       "  --auto-recover               rt only: run the heartbeat failure\n"
-      "                               detector and let the supervisor heal\n"
+      "                               detector and let the runtime heal\n"
       "                               the --fail-at crash in place (no\n"
       "                               manual restart)\n"
       "  --net-faults SPEC            sim only: run the window over an\n"
@@ -537,13 +537,13 @@ int run_rt_backend(const Options& opt) {
         std::chrono::microseconds(static_cast<std::int64_t>(seconds * 1e6)));
   };
   if (fail && opt.auto_recover) {
-    // Crash in place; the heartbeat supervisor must notice the silence and
-    // heal the same engine with no help from us.
+    // Crash in place; the heartbeat detector must notice the silence and
+    // the runtime heal the same engine with no help from us.
     sleep_wall(opt.fail_at_seconds);
     const std::int64_t at_crash = engine->sink_tuples();
     runtime->simulate_crash();
     std::printf("crash at +%.1fs: %lld tuples at sink; waiting for the "
-                "supervisor\n",
+                "self-heal\n",
                 opt.fail_at_seconds, static_cast<long long>(at_crash));
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(30);
@@ -584,10 +584,11 @@ int run_rt_backend(const Options& opt) {
   } else {
     sleep_wall(opt.run_for_seconds);
   }
+  runtime->stop();
+  // Stopped: the coordinator is safe to read.
   const std::uint64_t durable = runtime->last_durable_epoch();
   const std::uint64_t ckpts_completed =
       runtime->coordinator().checkpoints().size();
-  runtime->stop();
 
   std::printf("\n--- run report (real threads) ---\n");
   std::printf("tuples at sink:          %lld\n",

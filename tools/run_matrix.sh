@@ -17,7 +17,7 @@ cd "$(dirname "$0")/.."
 PRESETS="${PRESETS:-default sanitize tsan}"
 JOBS="${JOBS:-$(nproc)}"
 # Backstop per-test timeout (seconds): a wedged recovery or a deadlocked
-# supervisor fails the run instead of hanging the matrix. Tests with their
+# self-heal fails the run instead of hanging the matrix. Tests with their
 # own TIMEOUT property (e.g. the self_heal suite) keep the tighter value.
 TEST_TIMEOUT="${TEST_TIMEOUT:-300}"
 declare -a results=()
@@ -59,6 +59,20 @@ for preset in $PRESETS; do
       results+=("$preset: SEGMENT REPEAT FAILED"); status=1; break
     fi
   fi
+  # Control-thread repeat pass under the sanitizers: every report, commit,
+  # AA tick and heal runs on the runtime's one control thread while the
+  # engine's threads post to it. The protocol drills (the slow-manifest
+  # drill and the stop/start chain test among them), the rt chaos kill
+  # matrix and the self-heal suite repeat serially so an ordering slip
+  # between a post and the engine shows up.
+  if [[ "$preset" != "default" ]]; then
+    echo "=== [$preset] control-thread repeat ==="
+    if ! ctest --preset "$preset" \
+        -R '^RtProtocolTest\.|^ProtocolPoints/CheckpointKillTest\.|^RecoveryPhases/RecoveryKillTest\.|^RtChaosTest\.|SelfHeal' \
+        --repeat until-fail:20 --timeout 120; then
+      results+=("$preset: CONTROL-THREAD REPEAT FAILED"); status=1; break
+    fi
+  fi
   # The self-healing drills get a dedicated serial pass on top of the full
   # suite: crash-recovery timing is wall-clock-sensitive, so run them without
   # sibling load to catch latent flakiness the parallel run can mask.
@@ -79,7 +93,7 @@ for preset in $PRESETS; do
   # rt-scheme smokes: each scheme end-to-end on the real-threads backend,
   # with a mid-run crash and recovery, under each preset's instrumentation.
   # ms-src delivers snapshots inline on the worker under op_mu; ms-src+ap+aa
-  # adds the samplers and stage clock (timer-thread tick, control mutex);
+  # adds the samplers and stage clock (control-thread tick);
   # ms-src+ap+delta adds incremental checkpoints, adaptive cadence and
   # base+delta chain recovery. The directory the crash and recovery leave
   # behind must scrub clean with the same preset's msverify, and the run's
