@@ -560,9 +560,9 @@ Status RtRuntime::recover_now(RecoveryStats* stats) {
 
   // Phase 3: install operator state and source cursors.
   emit_probe(FtPoint::kRecoveryPhase3, -1, seq);
-  // Replay records per source, decoded from phase 1's view and reused in
+  // Replay batches per source, decoded from phase 1's view and reused in
   // phase 4.
-  std::vector<std::vector<LogRecord>> replay(static_cast<std::size_t>(n));
+  std::vector<std::vector<LogBatch>> replay(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     const auto idx = static_cast<std::size_t>(i);
     Status st = engine_->restore_operator(i, loaded.state[idx]);
@@ -579,12 +579,14 @@ Status RtRuntime::recover_now(RecoveryStats* stats) {
     // The restored lineage cursor must clear every preserved tuple so fresh
     // emissions never collide with replayed ids. Records below the boundary
     // were emitted before the cut, so the snapshot's cursors already clear
-    // them.
+    // them. A batch (never empty) holds one port's emissions in the order
+    // emit() stamped them, so its last tuple carries its highest seq.
     std::uint64_t next_seq = loaded.next_seqs[idx];
-    for (const LogRecord& rec : replay[idx]) {
-      next_seq = std::max(next_seq, rec.tuple.source_seq + 1);
+    std::uint64_t emitted = loaded.boundaries[idx];
+    for (const LogBatch& batch : replay[idx]) {
+      next_seq = std::max(next_seq, batch.tuples.back().source_seq + 1);
+      emitted += batch.tuples.size();
     }
-    const std::uint64_t emitted = loaded.boundaries[idx] + replay[idx].size();
     st = engine_->set_source_progress(i, next_seq, emitted);
     if (!st.is_ok()) return st;
   }
@@ -600,10 +602,11 @@ Status RtRuntime::recover_now(RecoveryStats* stats) {
   const SimTime t_replay0 = now();
   std::uint64_t replayed = 0;
   for (int i = 0; i < n; ++i) {
-    for (const LogRecord& rec : replay[static_cast<std::size_t>(i)]) {
-      const Status st = engine_->replay_downstream(i, rec.out_port, rec.tuple);
+    for (LogBatch& batch : replay[static_cast<std::size_t>(i)]) {
+      replayed += batch.tuples.size();
+      const Status st = engine_->replay_downstream(i, batch.port,
+                                                   std::move(batch.tuples));
       if (!st.is_ok()) return st;
-      ++replayed;
     }
   }
   const SimTime t_replay1 = now();

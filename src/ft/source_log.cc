@@ -12,15 +12,14 @@ namespace ms::ft {
 
 namespace {
 
-/// Serialize one record (the frame body; [len][crc] is the caller's).
-void encode_log_record(BinaryWriter& w, std::uint64_t index, int out_port,
-                       const core::Tuple& tuple, const TupleCodec& codec) {
-  w.write<std::uint64_t>(index);
-  w.write<std::int32_t>(static_cast<std::int32_t>(out_port));
-  w.write<std::uint64_t>(tuple.id);
-  w.write<std::uint32_t>(tuple.source_hau);
+/// A record's fixed fields, before the codec's payload.
+constexpr std::size_t kLogRecordFixed =
+    8 /*source_seq*/ + 8 /*event_time*/ + 8 /*wire_size*/ + 1 /*has_payload*/;
+
+/// Serialize one record of a batch frame.
+void encode_log_record(BinaryWriter& w, const core::Tuple& tuple,
+                       const TupleCodec& codec) {
   w.write<std::uint64_t>(tuple.source_seq);
-  w.write<std::uint64_t>(tuple.edge_seq);
   w.write<std::int64_t>(tuple.event_time.ns());
   w.write<std::uint64_t>(static_cast<std::uint64_t>(tuple.wire_size));
   const bool has_payload =
@@ -29,35 +28,26 @@ void encode_log_record(BinaryWriter& w, std::uint64_t index, int out_port,
   if (has_payload) codec.encode_payload(*tuple.payload, w);
 }
 
-/// Decode one verified frame (the only place a record is decoded).
-LogRecord decode_log_record(const LogFrameView& frame,
-                            const TupleCodec& codec) {
-  // The scanner already enforced len >= kLogFrameFixed, so the fixed fields
-  // cannot trip BinaryReader's fail-stop.
-  BinaryReader r(frame.data, frame.len);
-  LogRecord rec;
-  rec.index = r.read<std::uint64_t>();
-  rec.out_port = static_cast<int>(r.read<std::int32_t>());
-  rec.tuple.id = r.read<std::uint64_t>();
-  rec.tuple.source_hau = r.read<std::uint32_t>();
-  rec.tuple.source_seq = r.read<std::uint64_t>();
-  rec.tuple.edge_seq = r.read<std::uint64_t>();
-  rec.tuple.event_time = SimTime::nanos(r.read<std::int64_t>());
-  rec.tuple.wire_size = static_cast<Bytes>(r.read<std::uint64_t>());
-  const bool has_payload = r.read<std::uint8_t>() != 0;
-  if (has_payload && codec.decode_payload) {
-    rec.tuple.payload = codec.decode_payload(r);
+/// Decode source `op`'s verified batch (the only place records are decoded).
+LogBatch decode_log_batch(const LogFrameView& frame, int op,
+                          const TupleCodec& codec) {
+  // The scanner already enforced n fixed-width records' worth of bytes, so
+  // the fixed fields cannot trip BinaryReader's fail-stop.
+  BinaryReader r(frame.records, frame.size);
+  LogBatch batch{frame.first, frame.port, std::vector<core::Tuple>(frame.n)};
+  for (core::Tuple& t : batch.tuples) {
+    t.source_hau = static_cast<std::uint32_t>(op);
+    t.source_seq = r.read<std::uint64_t>();
+    t.id = core::Tuple::make_id(t.source_hau, t.source_seq);
+    t.event_time = SimTime::nanos(r.read<std::int64_t>());
+    t.wire_size = static_cast<Bytes>(r.read<std::uint64_t>());
+    if (r.read<std::uint8_t>() == 0) continue;
+    // Only the decoder of the codec that wrote a payload finds its end.
+    MS_CHECK_MSG(codec.decode_payload != nullptr,
+                 "SourceLogSet: a logged payload needs the codec's decoder");
+    t.payload = codec.decode_payload(r);
   }
-  return rec;
-}
-
-/// Position of the first frame with index >= `index`.
-std::size_t first_at_or_past(const std::vector<LogFrameView>& frames,
-                             std::uint64_t index) {
-  const auto it = std::find_if(
-      frames.begin(), frames.end(),
-      [index](const LogFrameView& f) { return f.index >= index; });
-  return static_cast<std::size_t>(it - frames.begin());
+  return batch;
 }
 
 /// Wall time since `t0`, for a histogram sample.
@@ -96,18 +86,23 @@ Result<LogScan> scan_log_bytes(const std::uint8_t* data, std::size_t size,
     std::uint32_t len = 0, crc = 0;
     std::memcpy(&len, data + pos, 4);
     std::memcpy(&crc, data + pos + 4, 4);
-    const std::uint8_t* payload = data + pos + 8;
-    // No writer produces a record shorter than its fixed fields, so such a
-    // frame is corrupt even when its CRC matches.
-    if (len < kLogFrameFixed || pos + 8 + len > size ||
-        storage::crc32c(payload, len) != crc) {
+    if (len < kLogBatchHeaderSize - 8 || pos + 8 + len > size ||
+        storage::crc32c(data + pos + 8, len) != crc) {
       scan.torn = true;
       break;
     }
     LogFrameView frame;
-    std::memcpy(&frame.index, payload, 8);
-    frame.data = payload;
-    frame.len = len;
+    std::memcpy(&frame.first, data + pos + 8, 8);
+    std::memcpy(&frame.n, data + pos + 16, 4);
+    std::memcpy(&frame.port, data + pos + 20, 4);
+    frame.records = data + pos + kLogBatchHeaderSize;
+    frame.size = len - static_cast<std::uint32_t>(kLogBatchHeaderSize - 8);
+    // No writer produces an empty batch or one too short for its records'
+    // fixed fields, so such a frame is corrupt even when its CRC matches.
+    if (frame.n == 0 || frame.size / kLogRecordFixed < frame.n) {
+      scan.torn = true;
+      break;
+    }
     scan.frames.push_back(frame);
     pos += 8 + len;
     scan.valid_bytes = pos;
@@ -143,8 +138,8 @@ Status read_source_log(const std::string& path,
 
 std::size_t index_run_end(const std::vector<LogFrameView>& frames,
                           std::size_t pos, std::uint64_t first) {
-  for (; pos < frames.size(); ++pos, ++first) {
-    if (frames[pos].index != first) break;
+  for (; pos < frames.size() && frames[pos].first == first; ++pos) {
+    first = frames[pos].end();
   }
   return pos;
 }
@@ -183,22 +178,23 @@ void SourceLogSet::append(int op, int out_port, const core::Tuple* tuples,
   Log& log = *logs_[static_cast<std::size_t>(op)];
   std::scoped_lock lk(log.mu);
   const auto t0 = std::chrono::steady_clock::now();
-  // One buffer, one write(): [header] then [len][crc32c(record)][record] per
-  // tuple, the header only into an empty file.
+  // One buffer, one write(): [header] then the batch's one frame, the
+  // header only into an empty file.
   BinaryWriter w(std::move(log.batch));
   if (log.out.size() == 0) {
     const auto hdr = log_file_header();
     w.write_bytes(hdr.data(), hdr.size());
   }
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t at = w.size();
-    w.write<std::uint64_t>(0);  // [len][crc], patched below
-    encode_log_record(w, log.next_index + k, out_port, tuples[k], codec_);
-    const auto len = static_cast<std::uint32_t>(w.size() - at - 8);
-    w.write_at<std::uint32_t>(at, len);
-    w.write_at<std::uint32_t>(
-        at + 4, storage::crc32c(w.data().data() + at + 8, len));
-  }
+  const std::size_t at = w.size();
+  w.write<std::uint64_t>(0);  // [len][crc], patched below
+  w.write<std::uint64_t>(log.next_index);
+  w.write<std::uint32_t>(static_cast<std::uint32_t>(n));
+  w.write<std::uint32_t>(static_cast<std::uint32_t>(out_port));
+  for (std::size_t k = 0; k < n; ++k) encode_log_record(w, tuples[k], codec_);
+  const auto len = static_cast<std::uint32_t>(w.size() - at - 8);
+  w.write_at<std::uint32_t>(at, len);
+  w.write_at<std::uint32_t>(at + 4,
+                            storage::crc32c(w.data().data() + at + 8, len));
   log.batch = w.take();
   if (log.out.append(log.batch.data(), log.batch.size(), opts_)) {
     m_bytes_->add(static_cast<std::int64_t>(log.batch.size()));
@@ -300,7 +296,7 @@ Status SourceLogSet::load_head(Log& log,
   const std::vector<LogFrameView>& frames = view->scan.frames;
   const std::uint64_t sealed_end =
       log.sealed.empty() ? 0 : log.sealed.back().last + 1;
-  if (!frames.empty() && frames.front().index < sealed_end) {
+  if (!frames.empty() && frames.front().first < sealed_end) {
     return Status::data_loss("source log head overlaps " +
                              log.sealed.back().path + ": " + log.path);
   }
@@ -323,8 +319,8 @@ Status SourceLogSet::load_head(Log& log,
     m_torn_frames_->add(1);
     view->scan.torn = false;  // the view mirrors the file's frames again
   }
-  log.head_first = frames.empty() ? sealed_end : frames.front().index;
-  log.head_end = frames.empty() ? sealed_end : frames.back().index + 1;
+  log.head_first = frames.empty() ? sealed_end : frames.front().first;
+  log.head_end = frames.empty() ? sealed_end : frames.back().end();
   log.out.open(log.path);
   log.view = std::move(view);
   return Status::ok();
@@ -344,10 +340,10 @@ Status SourceLogSet::load_sealed(Log& log, std::uint64_t boundary) {
                                std::to_string(scan.valid_bytes) + ": " +
                                seg.path);
     }
-    if (scan.frames.empty() || scan.frames.front().index != seg.first ||
-        scan.frames.back().index != seg.last) {
+    if (scan.frames.empty() || scan.frames.front().first != seg.first ||
+        scan.frames.back().end() != seg.last + 1) {
       return Status::data_loss(
-          "sealed source log segment's frames do not span its name's "
+          "sealed source log segment's batches do not span its name's "
           "range: " + seg.path);
     }
     seg.view = std::move(view);
@@ -450,39 +446,37 @@ void SourceLogSet::truncate(int op, std::uint64_t floor) {
 }
 
 Status SourceLogSet::replay(int op, std::uint64_t boundary,
-                            std::vector<LogRecord>* out) {
+                            std::vector<LogBatch>* out) {
   Log& log = *logs_[static_cast<std::size_t>(op)];
   std::scoped_lock lk(log.mu);
   MS_CHECK_MSG(log.view != nullptr, "SourceLogSet: replay without a scan");
   // An epoch older than the tip the scan used may need older segments.
   const Status st = load_sealed(log, boundary);
   if (!st.is_ok()) return st;
-  // The run crosses the segments in index order; the head alone needs no
-  // joined copy.
-  const std::vector<LogFrameView>* frames = &log.view->scan.frames;
-  std::vector<LogFrameView> joined;
+  out->clear();
+  // The run crosses the segments in index order, from the boundary on.
+  std::uint64_t next = boundary;
+  const auto take = [&](const std::vector<LogFrameView>& frames) {
+    std::size_t k = 0;
+    while (k < frames.size() && frames[k].first < boundary) ++k;
+    const std::size_t end = index_run_end(frames, k, next);
+    for (; k < end; ++k) {
+      out->push_back(decode_log_batch(frames[k], op, codec_));
+      next = frames[k].end();
+    }
+    return end == frames.size();
+  };
+  bool whole = true;
   for (const Segment& seg : log.sealed) {
-    if (seg.last < boundary) continue;
-    joined.insert(joined.end(), seg.view->scan.frames.begin(),
-                  seg.view->scan.frames.end());
+    if (seg.last >= boundary) whole = whole && take(seg.view->scan.frames);
   }
-  if (!joined.empty()) {
-    joined.insert(joined.end(), frames->begin(), frames->end());
-    frames = &joined;
-  }
-  const std::size_t from = first_at_or_past(*frames, boundary);
-  const std::size_t end = index_run_end(*frames, from, boundary);
-  if (end != frames->size()) {
+  whole = whole && take(log.view->scan.frames);
+  if (!whole) {
     // A record a failed append left out went downstream before the crash
     // and cannot be replayed.
-    return Status::data_loss(
-        "source log " + std::to_string(op) + " is missing record " +
-        std::to_string(boundary + (end - from)) + " past the boundary");
-  }
-  out->clear();
-  out->reserve(end - from);
-  for (std::size_t k = from; k < end; ++k) {
-    out->push_back(decode_log_record((*frames)[k], codec_));
+    return Status::data_loss("source log " + std::to_string(op) +
+                             " is missing record " + std::to_string(next) +
+                             " past the boundary");
   }
   return Status::ok();
 }

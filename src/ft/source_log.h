@@ -8,13 +8,17 @@
 // Layout: each log is a chain of segments. The head, source_<op>.log, takes
 // the appends; a sealed segment, source_<op>.<first>-<last>.log, is a former
 // head renamed at a commit, holding records first..last. Every segment has
-// an 8-byte "MSLG" header, then one [len][crc32c][record] frame per tuple; a
-// record is kLogFrameFixed bytes of fields (the index first), then the
-// codec's payload. The only tear a crash can leave is a short last frame of
-// the head.
+// an 8-byte "MSLG" header, then one frame per batch the engine flushed:
+// [len u32][crc32c u32][first_index u64][n u32][port u32], then n records of
+// [source_seq u64][event_time i64][wire_size u64][has_payload u8] and the
+// codec's payload; the CRC covers everything after itself. A record's index
+// (first_index + k), port, source_hau (the log's op), id (make_id of the op
+// and source_seq, the stamp RtContext::emit gives every source tuple) and
+// edge_seq (0) are derived on decode. The only tear a crash can leave is a
+// short last frame of the head.
 //
-// The append: a group commit per batch the engine flushes — every record of
-// the batch framed into one reused buffer and issued as one write() (one
+// The append: a group commit per batch the engine flushes — the batch
+// encoded as one frame into one reused buffer and issued as one write() (one
 // fdatasync under SyncMode::kAlways) to the head, carrying the header too
 // when the head is empty. A failed batch — header included — is one append
 // failure: cut back whole, counted once (ft.log.append_failures), and open
@@ -37,10 +41,11 @@
 // tip's boundary, each with a second read to confirm a torn verdict. A
 // confirmed tear in the head is trimmed (the whole frames before it written
 // back through storage::write_raw_atomic); in a sealed segment it is
-// kDataLoss, as is a sealed segment whose frames do not span its name's
-// range or two segments whose ranges overlap. Contiguity across segments
-// follows the index-run rule from the replay boundary on. A failed read, a
-// header that does not verify or a failed trim leaves the files as they are.
+// kDataLoss, as is a sealed segment whose batches do not span its name's
+// range or two segments whose ranges overlap. Contiguity within and across
+// segments follows the index-run rule from the replay boundary on. A failed
+// read, a header that does not verify or a failed trim leaves the files as
+// they are.
 #pragma once
 
 #include <array>
@@ -63,23 +68,24 @@ namespace ms::ft {
 // --- format ------------------------------------------------------------------
 
 constexpr std::uint32_t kLogFileMagic = 0x474C534D;  // "MSLG"
-constexpr std::uint32_t kLogFileVersion = 1;
+constexpr std::uint32_t kLogFileVersion = 2;
 constexpr std::size_t kLogFileHeaderSize = 8;
-// A record's fixed-width fields (everything but the tuple payload bytes).
-constexpr std::size_t kLogFrameFixed =
-    8 /*index*/ + 4 /*out_port*/ + 8 /*id*/ + 4 /*source_hau*/ +
-    8 /*source_seq*/ + 8 /*edge_seq*/ + 8 /*event_time*/ + 8 /*wire_size*/ +
-    1 /*has_payload*/;
+/// A batch frame's fields before its records: [len][crc][first_index][n][port].
+constexpr std::size_t kLogBatchHeaderSize = 24;
 
 /// The MSLG header every log starts with.
 std::array<std::uint8_t, kLogFileHeaderSize> log_file_header();
 
-/// One CRC-verified record payload inside the scanned buffer (valid while
-/// the buffer lives); `index` is read without decoding the rest.
+/// One CRC-verified batch inside the scanned buffer (valid while the buffer
+/// lives): records first..end() - 1, published on `port`, whose `size`
+/// encoded bytes start at `records`; read without decoding them.
 struct LogFrameView {
-  std::uint64_t index = 0;
-  const std::uint8_t* data = nullptr;
-  std::uint32_t len = 0;
+  std::uint64_t first = 0;
+  std::uint32_t n = 0;
+  int port = 0;
+  const std::uint8_t* records = nullptr;
+  std::uint32_t size = 0;
+  std::uint64_t end() const { return first + n; }
 };
 
 struct LogScan {
@@ -91,7 +97,8 @@ struct LogScan {
 
 /// Verify a log's MSLG header, then each frame's CRC. Empty = a fresh log;
 /// shorter than the header = a header torn at creation; a bad frame, or one
-/// too short for a record, is a torn tail; a whole bad header is kDataLoss.
+/// too short for its batch, is a torn tail; a whole bad header (another
+/// version's included) is kDataLoss.
 Result<LogScan> scan_log_bytes(const std::uint8_t* data, std::size_t size,
                                const std::string& path);
 
@@ -110,10 +117,11 @@ struct LogView {
 Status read_source_log(const std::string& path,
                        const storage::DurableOptions& opts, LogView* view);
 
-/// The one index-run rule (replay and the scrub use it). Indices
-/// are assigned consecutively at append, so the frames from position `pos` on
-/// are whole when they read `first`, first + 1, ... Returns the position of
-/// the first frame that breaks the run: frames.size() when none does.
+/// The one index-run rule (replay and the scrub use it). Indices are
+/// assigned consecutively at append, a batch at a time, so the batches from
+/// position `pos` on are whole when the first starts at `first` and each
+/// later one where the one before it ended. Returns the position of the
+/// first batch that breaks the run: frames.size() when none does.
 std::size_t index_run_end(const std::vector<LogFrameView>& frames,
                           std::size_t pos, std::uint64_t first);
 
@@ -128,11 +136,11 @@ struct TupleCodec {
       decode_payload;
 };
 
-/// A log record rehydrated for replay.
-struct LogRecord {
-  std::uint64_t index = 0;
-  int out_port = 0;
-  core::Tuple tuple;
+/// A logged batch rehydrated for replay: records first.. on `port`.
+struct LogBatch {
+  std::uint64_t first = 0;
+  int port = 0;
+  std::vector<core::Tuple> tuples;
 };
 
 // --- the logs ----------------------------------------------------------------
@@ -146,12 +154,9 @@ class SourceLogSet {
                MetricsRegistry& metrics);
 
   /// The engine's source tap: log `tuples[0..n)` as source `op`'s next `n`
-  /// records, consecutive indices, in one write before the batch is
-  /// dispatched.
+  /// records, consecutive indices, in one frame and one write before the
+  /// batch is dispatched.
   void append(int op, int out_port, const core::Tuple* tuples, std::size_t n);
-  void append(int op, int out_port, const core::Tuple& tuple) {
-    append(op, out_port, &tuple, 1);
-  }
 
   /// With nothing appending: list each log's segments and read (and trim)
   /// its head and every sealed segment at or past `boundaries[op]` (the
@@ -175,12 +180,13 @@ class SourceLogSet {
   /// ft.log.truncate_ns.
   void truncate(int op, std::uint64_t floor);
 
-  /// Decode source `op`'s records from `boundary` on, across its segments,
+  /// Decode source `op`'s batches from `boundary` on, across its segments,
   /// out of the cached views (reading a sealed segment an older boundary
-  /// needs first). A record missing from that run is kDataLoss; records
-  /// below the boundary are the snapshot's and are neither checked nor
-  /// decoded.
-  Status replay(int op, std::uint64_t boundary, std::vector<LogRecord>* out);
+  /// needs first). A boundary is a batch start (the engine counts a source's
+  /// emissions a flushed batch at a time), so a record missing from the
+  /// run, or a boundary inside a batch, is kDataLoss; batches below the
+  /// boundary are the snapshot's and are neither checked nor decoded.
+  Status replay(int op, std::uint64_t boundary, std::vector<LogBatch>* out);
 
   /// Drop every cached view: the engine is about to append.
   void drop_views();

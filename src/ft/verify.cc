@@ -92,7 +92,7 @@ void report_break(const std::string& path, std::uint64_t prev,
 
 /// Scrub one source's segments, `files` in index order (its sealed
 /// segments, then its head): each file's frames, each sealed segment's
-/// frames against its name's range, and the record-index run within and
+/// batches against its name's range, and the record-index run within and
 /// across the files. A sealed segment joins the run by its name's range, so
 /// one that does not verify still shows where the run breaks.
 void scrub_source_log(const std::vector<SourceLogFile>& files,
@@ -115,37 +115,39 @@ void scrub_source_log(const std::vector<SourceLogFile>& files,
                        std::to_string(view.bytes.size() - scan.valid_bytes) +
                        " unverifiable bytes past offset " +
                        std::to_string(scan.valid_bytes) + " (" +
-                       std::to_string(frames.size()) + " whole frames)"});
+                       std::to_string(frames.size()) + " whole batches)"});
     }
     if (read && f.sealed &&
-        (frames.empty() || frames.front().index != f.first ||
-         frames.back().index != f.last)) {
+        (frames.empty() || frames.front().first != f.first ||
+         frames.back().end() != f.last + 1)) {
       report->issues.push_back(
           {f.path, "name range " + std::to_string(f.first) + "-" +
-                       std::to_string(f.last) + " disagrees with its frames (" +
+                       std::to_string(f.last) +
+                       " disagrees with its batches (" +
                        (frames.empty()
                             ? std::string("none")
-                            : std::to_string(frames.front().index) + ".." +
-                                  std::to_string(frames.back().index)) +
+                            : std::to_string(frames.front().first) + ".." +
+                                  std::to_string(frames.back().end() - 1)) +
                        ")"});
     }
     // Where this file sits in the run: a sealed segment by its name.
     if (f.sealed || !frames.empty()) {
-      const std::uint64_t first = f.sealed ? f.first : frames.front().index;
+      const std::uint64_t first = f.sealed ? f.first : frames.front().first;
       if (joined && first != prev + 1) {
         report_break(f.path, prev, first, " between segments", report);
       }
       joined = true;
-      prev = f.sealed ? f.last : frames.back().index;
+      prev = f.sealed ? f.last : frames.back().end() - 1;
     }
     if (frames.empty()) continue;
-    if (run.records == 0) run.first_index = frames.front().index;
-    run.last_index = frames.back().index;
-    run.records += frames.size();
+    if (run.batches == 0) run.first_index = frames.front().first;
+    run.last_index = frames.back().end() - 1;
+    run.batches += frames.size();
+    for (const LogFrameView& frame : frames) run.records += frame.n;
     for (std::size_t k = 0; k < frames.size();) {
-      const std::size_t end = index_run_end(frames, k, frames[k].index);
+      const std::size_t end = index_run_end(frames, k, frames[k].first);
       if (end < frames.size()) {
-        report_break(f.path, frames[end - 1].index, frames[end].index, "",
+        report_break(f.path, frames[end - 1].end() - 1, frames[end].first, "",
                      report);
       }
       k = end;

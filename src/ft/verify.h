@@ -2,12 +2,12 @@
 // tools/msverify. Walks every durable artifact the runtime writes (epoch
 // manifests, checkpoint/delta blobs, source-log segments), verifies frames
 // and cross-checks blob sizes against their manifest, walks each source's
-// segments in index order and reports its record-index run (a gap in it,
-// within a segment or between two, is a lost record; a sealed segment whose
-// frames contradict its name's range is damage), and reports per-file
-// verdicts without modifying anything on disk. It reads through the same
-// ft/epoch_store.h and ft/source_log.h functions recovery uses, so the two
-// apply one rule set (one index-run rule included); the scrub exists so an
+// segments in index order and reports its batch count and record-index run
+// (a gap in it, within a segment or between two, is a lost record; a sealed
+// segment whose batches contradict its name's range is damage), and reports
+// per-file verdicts without modifying anything on disk. It reads through the
+// same ft/epoch_store.h and ft/source_log.h functions recovery uses, so the
+// two apply one rule set (one index-run rule included); the scrub exists so an
 // operator can ask "which exact file is damaged?" before (or instead of)
 // letting recovery fall back.
 #pragma once
@@ -24,13 +24,14 @@ struct ScrubIssue {
 };
 
 /// One source log's record-index run across its segments, read from the
-/// frames' index fields without decoding the records.
+/// batch frames' index ranges without decoding the records.
 struct ScrubLog {
   std::string path;               // the head segment's
   std::uint64_t segments = 0;     // files: sealed segments and the head
-  std::uint64_t records = 0;      // whole, verifiable frames
-  std::uint64_t first_index = 0;  // meaningful when records > 0
-  std::uint64_t last_index = 0;   // meaningful when records > 0
+  std::uint64_t batches = 0;      // whole, verifiable frames
+  std::uint64_t records = 0;      // the records those batches hold
+  std::uint64_t first_index = 0;  // meaningful when batches > 0
+  std::uint64_t last_index = 0;   // meaningful when batches > 0
 };
 
 struct ScrubReport {

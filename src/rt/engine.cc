@@ -760,7 +760,8 @@ Status RtEngine::set_source_progress(int op, std::uint64_t next_seq,
   return Status::ok();
 }
 
-Status RtEngine::replay_downstream(int op, int out_port, core::Tuple tuple) {
+Status RtEngine::replay_downstream(int op, int out_port,
+                                   std::vector<core::Tuple> batch) {
   // Stopped-only, so the suffix lands in the preload list (see the header).
   if (op < 0 || op >= num_operators()) {
     return Status::invalid_argument("replay_downstream: no such operator");
@@ -774,7 +775,8 @@ Status RtEngine::replay_downstream(int op, int out_port, core::Tuple tuple) {
         "replay_downstream: engine must be stopped");
   }
   OutEdge& oe = w.out_edges[static_cast<std::size_t>(out_port)];
-  push_slot(*oe.edge, Slot(std::move(tuple)), 1, /*urgent=*/false);
+  const std::size_t n = batch.size();
+  push_slot(*oe.edge, Slot(std::move(batch)), n, /*urgent=*/false);
   return Status::ok();
 }
 

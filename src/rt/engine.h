@@ -146,7 +146,9 @@ using SnapshotSink = std::function<void(const Snapshot&)>;
 /// Observes every batch a source operator publishes on `out_port`, before
 /// it is dispatched downstream — the hook source-log preservation hangs off
 /// ("durable before dispatch"). One call per flushed out-edge buffer (1 to
-/// max_batch tuples, in emit order; a batch of one under max_batch == 1).
+/// max_batch tuples, in emit order; a batch of one under max_batch == 1),
+/// which the source log keeps as one frame and replay_downstream re-delivers
+/// as one ring entry.
 /// Runs under the source's per-operator mutex, on whichever thread is
 /// flushing; `tuples` is valid only for the call.
 using SourceTap = std::function<void(int op, int out_port,
@@ -210,14 +212,16 @@ class RtEngine {
   Status set_source_progress(int op, std::uint64_t next_seq,
                              std::uint64_t emitted);
 
-  /// Re-deliver a preserved tuple on one of `op`'s out-edges, bypassing the
-  /// operator (and the tap — the tuple is already logged). Requires the
-  /// engine stopped (kFailedPrecondition otherwise): recovery enqueues the
-  /// whole preserved suffix before start() — it lands in the edge's preload
-  /// list, which the downstream worker adopts ahead of any live ring entry,
-  /// so fresh emissions can never overtake a replayed tuple. (Stopped-only
-  /// is also what keeps each ring single-producer.)
-  Status replay_downstream(int op, int out_port, core::Tuple tuple);
+  /// Re-deliver one preserved batch on one of `op`'s out-edges as one ring
+  /// entry, bypassing the operator (and the tap — the batch is already
+  /// logged). Requires the engine stopped (kFailedPrecondition otherwise):
+  /// recovery enqueues the whole preserved suffix, batch by batch as the
+  /// tap logged it, before start() — it lands in the edge's preload list,
+  /// which the downstream worker adopts ahead of any live ring entry, so
+  /// fresh emissions can never overtake a replayed tuple. (Stopped-only is
+  /// also what keeps each ring single-producer.)
+  Status replay_downstream(int op, int out_port,
+                           std::vector<core::Tuple> batch);
 
   // --- introspection ---
 

@@ -2,16 +2,20 @@
 // the append / scan / roll / truncate / replay round trip byte for byte, the
 // index-run rule across segments (a hole past the boundary is data loss, one
 // below it is not), the torn-tail trim and its two-read confirmation, the
-// append-failure window that health() reports, the batch append (one write
-// per batch, rolled back whole when it fails, with per-batch metrics), the
-// seal and its failure, sealed segments checked against their names, and
-// the exact file reads and writes of a truncation and of a scan.
+// append-failure window that health() reports, the batch append (one frame
+// and one write per batch, rolled back whole when it fails, with per-batch
+// metrics), the seal and its failure, sealed segments checked against their
+// names, the exact file reads and writes of a truncation and of a scan, and
+// the batch frame's own damage: a tear inside a batch, a flipped bit in a
+// sealed one, a batch overlapping the one before it and another format
+// version's header.
 #include "ft/source_log.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -33,7 +37,7 @@ namespace fs = std::filesystem;
 using failure::DiskFaultInjector;
 using ms::testing::IntPayload;
 
-constexpr int kOp = 0;
+constexpr int kOp = 2;  // not 0, so a derived source_hau is checked
 
 TupleCodec int_codec() {
   TupleCodec codec;
@@ -47,14 +51,36 @@ TupleCodec int_codec() {
   return codec;
 }
 
+/// Source kOp's tuple of value `v`, stamped as RtContext::emit stamps it.
 core::Tuple tuple_of(std::int64_t v) {
   core::Tuple t;
-  t.id = core::Tuple::make_id(0, static_cast<std::uint64_t>(v) + 1);
+  t.source_hau = kOp;
   t.source_seq = static_cast<std::uint64_t>(v) + 1;
+  t.id = core::Tuple::make_id(t.source_hau, t.source_seq);
   t.event_time = SimTime::nanos(v);
-  t.wire_size = 64;
+  t.wire_size = 100 + v;  // not the payload's declared 64
   t.payload = std::make_shared<IntPayload>(v, 64);
   return t;
+}
+
+/// scan()'s committed boundaries: `boundary` for kOp, none for the rest.
+std::vector<std::uint64_t> boundary_at(std::uint64_t boundary) {
+  std::vector<std::uint64_t> out(kOp + 1, 0);
+  out[kOp] = boundary;
+  return out;
+}
+
+/// The tuples of values [from, to), as one batch.
+std::vector<core::Tuple> batch_of(std::int64_t from, std::int64_t to) {
+  std::vector<core::Tuple> out;
+  for (std::int64_t v = from; v < to; ++v) out.push_back(tuple_of(v));
+  return out;
+}
+
+void append_batch(SourceLogSet& logs, std::int64_t from, std::int64_t to,
+                  int port = 0) {
+  const std::vector<core::Tuple> batch = batch_of(from, to);
+  logs.append(kOp, port, batch.data(), batch.size());
 }
 
 /// One source log under a fresh directory. open() builds a new SourceLogSet
@@ -76,13 +102,13 @@ struct LogDir {
     return *logs;
   }
 
-  /// open(), then append the values [from, to) as records.
+  /// open(), then append the values [from, to) as batches of one record.
   SourceLogSet& append(std::int64_t from, std::int64_t to,
                        storage::FaultInjector* faults = nullptr) {
     SourceLogSet& set = open(faults);
     set.drop_views();
     for (std::int64_t v = from; v < to; ++v) {
-      set.append(kOp, static_cast<int>(v % 2), tuple_of(v));
+      append_batch(set, v, v + 1, static_cast<int>(v % 2));
     }
     return set;
   }
@@ -123,27 +149,23 @@ struct LogDir {
   Status scanned = Status::ok();
 };
 
-/// The tuples of values [from, to), as one batch.
-std::vector<core::Tuple> batch_of(std::int64_t from, std::int64_t to) {
-  std::vector<core::Tuple> out;
-  for (std::int64_t v = from; v < to; ++v) out.push_back(tuple_of(v));
-  return out;
-}
-
-void append_batch(SourceLogSet& logs, std::int64_t from, std::int64_t to) {
-  const std::vector<core::Tuple> batch = batch_of(from, to);
-  logs.append(kOp, 0, batch.data(), batch.size());
-}
-
+/// The record indices a scan's batches hold, in file order.
 std::vector<std::uint64_t> indices(const LogScan& scan) {
   std::vector<std::uint64_t> out;
-  for (const LogFrameView& f : scan.frames) out.push_back(f.index);
+  for (const LogFrameView& f : scan.frames) {
+    for (std::uint64_t i = f.first; i < f.end(); ++i) out.push_back(i);
+  }
   return out;
 }
 
-std::vector<std::uint64_t> indices(const std::vector<LogRecord>& records) {
+/// The record indices replayed batches hold, in replay order.
+std::vector<std::uint64_t> indices(const std::vector<LogBatch>& batches) {
   std::vector<std::uint64_t> out;
-  for (const LogRecord& r : records) out.push_back(r.index);
+  for (const LogBatch& b : batches) {
+    for (std::size_t k = 0; k < b.tuples.size(); ++k) {
+      out.push_back(b.first + k);
+    }
+  }
   return out;
 }
 
@@ -163,22 +185,27 @@ TEST(SourceLogTest, AppendScanTruncateReplayRoundTrip) {
   EXPECT_EQ(indices(scan), (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5, 6, 7,
                                                        8, 9}));
 
-  // A restart replays every field of the records past the boundary.
+  // A restart replays every field of the records past the boundary, one
+  // batch per frame, the fields the format leaves out derived.
   SourceLogSet& logs = d.open();
   ASSERT_TRUE(d.scanned.is_ok());
-  std::vector<LogRecord> records;
+  std::vector<LogBatch> records;
   ASSERT_TRUE(logs.replay(kOp, 3, &records).is_ok());
   ASSERT_EQ(records.size(), 7u);
   for (std::size_t k = 0; k < records.size(); ++k) {
     const auto v = static_cast<std::int64_t>(3 + k);
     const core::Tuple want = tuple_of(v);
-    EXPECT_EQ(records[k].index, static_cast<std::uint64_t>(v));
-    EXPECT_EQ(records[k].out_port, static_cast<int>(v % 2));
-    EXPECT_EQ(records[k].tuple.id, want.id);
-    EXPECT_EQ(records[k].tuple.source_seq, want.source_seq);
-    EXPECT_EQ(records[k].tuple.event_time, want.event_time);
-    EXPECT_EQ(records[k].tuple.wire_size, want.wire_size);
-    const auto* p = records[k].tuple.payload_as<IntPayload>();
+    EXPECT_EQ(records[k].first, static_cast<std::uint64_t>(v));
+    EXPECT_EQ(records[k].port, static_cast<int>(v % 2));
+    ASSERT_EQ(records[k].tuples.size(), 1u);
+    const core::Tuple& got = records[k].tuples[0];
+    EXPECT_EQ(got.id, want.id);
+    EXPECT_EQ(got.source_hau, want.source_hau);
+    EXPECT_EQ(got.source_seq, want.source_seq);
+    EXPECT_EQ(got.edge_seq, 0u);
+    EXPECT_EQ(got.event_time, want.event_time);
+    EXPECT_EQ(got.wire_size, want.wire_size);
+    const auto* p = got.payload_as<IntPayload>();
     ASSERT_NE(p, nullptr);
     EXPECT_EQ(p->value, v);
   }
@@ -189,14 +216,14 @@ TEST(SourceLogTest, AppendScanTruncateReplayRoundTrip) {
   logs.drop_views();
   logs.roll(kOp, 4);
   logs.truncate(kOp, 4);
-  EXPECT_EQ(d.files(), (std::set<std::string>{"source_0.0-9.log",
-                                              "source_0.log"}));
+  EXPECT_EQ(d.files(), (std::set<std::string>{"source_2.0-9.log",
+                                              "source_2.log"}));
   EXPECT_EQ(LogDir::bytes_of(d.sealed(0, 9)), before);
   EXPECT_EQ(fs::file_size(d.path), 0u);
 
   // Appends continue the run in the new head, behind its own header; a
   // restart replays it across both segments.
-  logs.append(kOp, 0, tuple_of(10));
+  append_batch(logs, 10, 11);
   EXPECT_EQ(indices(scan_of(d.bytes())), (std::vector<std::uint64_t>{10}));
   SourceLogSet& again = d.open();
   ASSERT_TRUE(d.scanned.is_ok()) << d.scanned.to_string();
@@ -207,7 +234,7 @@ TEST(SourceLogTest, AppendScanTruncateReplayRoundTrip) {
   // A floor past the sealed segment unlinks it; the head stays.
   again.drop_views();
   again.truncate(kOp, 10);
-  EXPECT_EQ(d.files(), (std::set<std::string>{"source_0.log"}));
+  EXPECT_EQ(d.files(), (std::set<std::string>{"source_2.log"}));
   EXPECT_EQ(d.count("ft.log.segments_unlinked"), 1);
 }
 
@@ -224,7 +251,7 @@ TEST(SourceLogTest, HolePastTheBoundaryIsDataLossBelowItIsNot) {
 
   SourceLogSet& logs = d.open();
   ASSERT_TRUE(d.scanned.is_ok());
-  std::vector<LogRecord> records;
+  std::vector<LogBatch> records;
   Status st = logs.replay(kOp, 0, &records);
   EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.to_string();
   EXPECT_NE(st.message().find("missing record 5"), std::string::npos)
@@ -244,9 +271,9 @@ TEST(SourceLogTest, HolePastTheBoundaryIsDataLossBelowItIsNot) {
 
   // A committed boundary past the last record moves the cursors past it:
   // the appends just before that cut failed, and the engine resumes there.
-  ASSERT_TRUE(logs.scan({12}).is_ok());
+  ASSERT_TRUE(logs.scan(boundary_at(12)).is_ok());
   logs.drop_views();
-  logs.append(kOp, 0, tuple_of(12));
+  append_batch(logs, 12, 13);
   d.open();
   EXPECT_EQ(indices(scan_of(d.bytes())).back(), 12u);
 }
@@ -266,7 +293,7 @@ TEST(SourceLogTest, TornTailIsTrimmedOnlyWhenTwoReadsAgree) {
   EXPECT_EQ(d.count("ft.log.torn_unconfirmed"), 1);
   EXPECT_EQ(d.count("ft.log.torn_frames"), 0);
   EXPECT_EQ(d.bytes(), whole);
-  std::vector<LogRecord> records;
+  std::vector<LogBatch> records;
   ASSERT_TRUE(logs.replay(kOp, 0, &records).is_ok());
   EXPECT_EQ(records.size(), 5u);
 
@@ -315,7 +342,7 @@ TEST(SourceLogTest, FailedAppendIsRolledBackAndOpensTheHealthWindow) {
 
   // The next append writes the header again, and the run resumes behind the
   // lost record.
-  for (std::int64_t v = 1; v < 4; ++v) logs.append(kOp, 0, tuple_of(v));
+  for (std::int64_t v = 1; v < 4; ++v) append_batch(logs, v, v + 1);
   const LogScan scan = scan_of(d.bytes());
   EXPECT_FALSE(scan.torn);
   EXPECT_EQ(indices(scan), (std::vector<std::uint64_t>{1, 2, 3}));
@@ -349,7 +376,7 @@ TEST(SourceLogTest, TruncationFloorPastTheFailureClosesTheWindow) {
   EXPECT_EQ(indices(scan_of(before)), (std::vector<std::uint64_t>{0, 1, 3, 4}));
 }
 
-// A batch is one write: a tear inside its third frame cuts the whole batch
+// A batch is one frame and one write: a tear inside it cuts the whole batch
 // back, counts one failure, and leaves an eight-record gap that the next
 // batch continues past and the scrub reports exactly.
 TEST(SourceLogTest, TornBatchRollsBackWhole) {
@@ -357,7 +384,7 @@ TEST(SourceLogTest, TornBatchRollsBackWhole) {
   DiskFaultInjector faults;
   SourceLogSet& logs = d.append(0, 4, &faults);  // records 0..3, one each
   const auto before = fs::file_size(d.path);
-  const auto frame = (before - kLogFileHeaderSize) / 4;  // equal-size frames
+  const auto frame = (before - kLogFileHeaderSize) / 4;  // one record each
   faults.arm_write(storage::ArtifactKind::kSourceLog,
                    storage::WriteFault::kTorn, 2 * frame + frame / 2);
   append_batch(logs, 4, 12);
@@ -446,7 +473,7 @@ TEST(SourceLogTest, TruncateNsRecordsOneSamplePerUnlinkPass) {
   logs.truncate(kOp, 9);
   EXPECT_EQ(truncate_ns->snapshot().count(), 2);
   EXPECT_EQ(d.count("ft.log.segments_unlinked"), 3);
-  EXPECT_EQ(d.files(), (std::set<std::string>{"source_0.log"}));
+  EXPECT_EQ(d.files(), (std::set<std::string>{"source_2.log"}));
   EXPECT_EQ(indices(scan_of(d.bytes())), (std::vector<std::uint64_t>{9, 10,
                                                                      11}));
 
@@ -465,8 +492,8 @@ TEST(SourceLogTest, RollSealsTheHeadOnceTheFloorReachesIt) {
   logs.roll(kOp, 5);  // nothing appended yet
   append_batch(logs, 0, 4);
   logs.roll(kOp, 0);  // the floor stands at record 0, the head's first
-  EXPECT_EQ(d.files(), (std::set<std::string>{"source_0.0-3.log",
-                                              "source_0.log"}));
+  EXPECT_EQ(d.files(), (std::set<std::string>{"source_2.0-3.log",
+                                              "source_2.log"}));
   EXPECT_EQ(d.metrics.histogram("ft.log.roll_ns")->snapshot().count(), 1);
   logs.roll(kOp, 9);  // the fresh head is empty
 
@@ -475,9 +502,9 @@ TEST(SourceLogTest, RollSealsTheHeadOnceTheFloorReachesIt) {
   logs.roll(kOp, 3);  // the head starts at 4, past the floor
   EXPECT_EQ(d.files().size(), 2u);
   logs.roll(kOp, 4);
-  EXPECT_EQ(d.files(), (std::set<std::string>{"source_0.0-3.log",
-                                              "source_0.4-7.log",
-                                              "source_0.log"}));
+  EXPECT_EQ(d.files(), (std::set<std::string>{"source_2.0-3.log",
+                                              "source_2.4-7.log",
+                                              "source_2.log"}));
   EXPECT_EQ(LogDir::bytes_of(d.sealed(4, 7)), head);
   EXPECT_EQ(fs::file_size(d.path), 0u);
   EXPECT_EQ(d.metrics.histogram("ft.log.roll_ns")->snapshot().count(), 2);
@@ -499,14 +526,14 @@ TEST(SourceLogTest, FailedRollKeepsTheHeadAndTheNextCommitRetries) {
     logs.roll(kOp, 2);
     EXPECT_EQ(faults.injected(), 1);
     EXPECT_EQ(d.count("ft.log.roll_failures"), 1);
-    EXPECT_EQ(d.files(), (std::set<std::string>{"source_0.log"}));
+    EXPECT_EQ(d.files(), (std::set<std::string>{"source_2.log"}));
 
     append_batch(logs, 4, 6);
     const std::vector<std::uint8_t> head = d.bytes();
     logs.roll(kOp, 2);
     EXPECT_EQ(d.count("ft.log.roll_failures"), 1);
-    EXPECT_EQ(d.files(), (std::set<std::string>{"source_0.0-5.log",
-                                                "source_0.log"}));
+    EXPECT_EQ(d.files(), (std::set<std::string>{"source_2.0-5.log",
+                                                "source_2.log"}));
     EXPECT_EQ(LogDir::bytes_of(d.sealed(0, 5)), head);
   }
 }
@@ -550,11 +577,12 @@ TEST(SourceLogTest, RollsRacingAppendsKeepTheRunWhole) {
 
   SourceLogSet& again = d.open();
   ASSERT_TRUE(d.scanned.is_ok()) << d.scanned.to_string();
-  std::vector<LogRecord> records;
+  std::vector<LogBatch> records;
   ASSERT_TRUE(again.replay(kOp, floor, &records).is_ok());
-  ASSERT_EQ(records.size(), static_cast<std::size_t>(kTotal) - floor);
-  for (std::size_t k = 0; k < records.size(); ++k) {
-    ASSERT_EQ(records[k].index, floor + k);
+  const std::vector<std::uint64_t> replayed = indices(records);
+  ASSERT_EQ(replayed.size(), static_cast<std::size_t>(kTotal) - floor);
+  for (std::size_t k = 0; k < replayed.size(); ++k) {
+    ASSERT_EQ(replayed[k], floor + k);
   }
   const ScrubReport report = scrub_checkpoint_dir(d.dir);
   EXPECT_TRUE(report.clean()) << report.issues.front().path << ": "
@@ -604,27 +632,31 @@ TEST(SourceLogTest, TruncationAndScanReadOnlyWhatTheyNeed) {
   SourceLogSet logs2(d.dir, {kOp},
                      storage::DurableOptions{storage::SyncMode::kNone, &io},
                      int_codec(), d.metrics);
-  ASSERT_TRUE(logs2.scan({30}).is_ok());  // the head starts at the boundary
+  // The head starts at the boundary.
+  ASSERT_TRUE(logs2.scan(boundary_at(30)).is_ok());
   EXPECT_EQ(io.reads, 1);
   EXPECT_EQ(io.read_paths, (std::set<std::string>{d.path}));
-  ASSERT_TRUE(logs2.scan({30}).is_ok());  // the cached view is still the file's
+  // The cached view is still the file's.
+  ASSERT_TRUE(logs2.scan(boundary_at(30)).is_ok());
   EXPECT_EQ(io.reads, 1);
-  std::vector<LogRecord> records;
-  ASSERT_TRUE(logs2.replay(kOp, 15, &records).is_ok());
+  std::vector<LogBatch> records;
+  ASSERT_TRUE(logs2.replay(kOp, 10, &records).is_ok());
   EXPECT_EQ(io.reads, 3);
   EXPECT_EQ(io.read_paths, (std::set<std::string>{d.path, d.sealed(10, 19),
                                                   d.sealed(20, 29)}));
-  ASSERT_EQ(records.size(), 25u);
-  EXPECT_EQ(records.front().index, 15u);
-  EXPECT_EQ(records.back().index, 39u);
+  ASSERT_EQ(records.size(), 3u);  // one per batch
+  const std::vector<std::uint64_t> replayed = indices(records);
+  ASSERT_EQ(replayed.size(), 30u);
+  EXPECT_EQ(replayed.front(), 10u);
+  EXPECT_EQ(replayed.back(), 39u);
 
   logs2.drop_views();
   io.reads = io.writes = 0;
   logs2.truncate(kOp, 25);
   EXPECT_EQ(io.reads, 0);
   EXPECT_EQ(io.writes, 0);
-  EXPECT_EQ(d.files(), (std::set<std::string>{"source_0.20-29.log",
-                                              "source_0.log"}));
+  EXPECT_EQ(d.files(), (std::set<std::string>{"source_2.20-29.log",
+                                              "source_2.log"}));
 }
 
 // A sealed segment is whole and is what its name says: one whose frames do
@@ -638,7 +670,7 @@ TEST(SourceLogTest, SealedSegmentsAreCheckedAgainstTheirNames) {
   append_batch(logs, 5, 10);
   logs.roll(kOp, 10);
   append_batch(logs, 10, 12);
-  std::vector<LogRecord> records;
+  std::vector<LogBatch> records;
 
   // Renamed to claim a range its frames do not hold.
   fs::rename(d.sealed(5, 9), d.sealed(5, 8));
@@ -670,6 +702,135 @@ TEST(SourceLogTest, SealedSegmentsAreCheckedAgainstTheirNames) {
                                          "segments"),
             std::string::npos)
       << report.issues[0].detail;
+}
+
+// --- batch frames ------------------------------------------------------------
+
+// A crash mid-append leaves the head's last batch cut short: the scan trims
+// the head to the last whole batch, never to a record inside the cut one,
+// and appends continue the run behind it.
+TEST(SourceLogTest, BatchTornMidFrameTrimsToTheLastWholeBatch) {
+  LogDir d("ms_slog_batch_torn");
+  SourceLogSet& logs = d.open();
+  logs.drop_views();
+  append_batch(logs, 0, 8);
+  const std::vector<std::uint8_t> whole = d.bytes();
+  append_batch(logs, 8, 16);
+  const std::vector<std::uint8_t> both = d.bytes();
+  {
+    std::ofstream out(d.path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(both.data()),
+              static_cast<std::streamsize>((whole.size() + both.size()) / 2));
+  }
+
+  SourceLogSet& trimmed = d.open();
+  ASSERT_TRUE(d.scanned.is_ok()) << d.scanned.to_string();
+  EXPECT_EQ(d.count("ft.log.torn_frames"), 1);
+  EXPECT_EQ(d.bytes(), whole);
+  std::vector<LogBatch> batches;
+  ASSERT_TRUE(trimmed.replay(kOp, 0, &batches).is_ok());
+  ASSERT_EQ(batches.size(), 1u);
+  EXPECT_EQ(indices(batches), indices(scan_of(whole)));
+
+  trimmed.drop_views();
+  append_batch(trimmed, 8, 12);
+  EXPECT_EQ(indices(scan_of(d.bytes())),
+            (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}));
+}
+
+// One CRC covers a whole batch, so a bit flipped anywhere in a sealed batch
+// fails it; a sealed segment was whole when it was renamed, so that is
+// damage: kDataLoss, never a trim, and the file stays as it is.
+TEST(SourceLogTest, BatchBitFlipInASealedSegmentIsDataLoss) {
+  LogDir d("ms_slog_batch_flip");
+  SourceLogSet& logs = d.open();
+  logs.drop_views();
+  append_batch(logs, 0, 8);
+  append_batch(logs, 8, 16);
+  logs.roll(kOp, 0);
+  std::vector<std::uint8_t> bytes = LogDir::bytes_of(d.sealed(0, 15));
+  const LogScan scan = scan_of(bytes);
+  ASSERT_EQ(scan.frames.size(), 2u);
+  const std::size_t victim = static_cast<std::size_t>(
+      scan.frames[0].records - bytes.data() + scan.frames[0].size / 2);
+  bytes[victim] ^= 0x10;
+  {
+    std::ofstream out(d.sealed(0, 15), std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+
+  d.open();
+  EXPECT_EQ(d.scanned.code(), StatusCode::kDataLoss) << d.scanned.to_string();
+  EXPECT_NE(d.scanned.message().find(d.sealed(0, 15)), std::string::npos)
+      << d.scanned.message();
+  EXPECT_EQ(d.count("ft.log.torn_frames"), 0);
+  EXPECT_EQ(LogDir::bytes_of(d.sealed(0, 15)), bytes);
+}
+
+// A batch whose range overlaps the batch before it breaks the index run:
+// both frames verify, but replay from before the overlap is kDataLoss and
+// the scrub reports the break.
+TEST(SourceLogTest, BatchOverlappingThePreviousIsDataLoss) {
+  LogDir d("ms_slog_batch_overlap");
+  SourceLogSet& logs = d.open();
+  logs.drop_views();
+  append_batch(logs, 0, 8);
+  std::vector<std::uint8_t> bytes = d.bytes();
+
+  // A frame for records 4..7, written by a log whose cursor a committed
+  // boundary of 4 set, appended behind the one for 0..7.
+  LogDir other("ms_slog_batch_overlap_src");
+  SourceLogSet& at4 = other.open();
+  ASSERT_TRUE(at4.scan(boundary_at(4)).is_ok());
+  at4.drop_views();
+  append_batch(at4, 4, 8);
+  const std::vector<std::uint8_t> frame = other.bytes();
+  bytes.insert(bytes.end(), frame.begin() + kLogFileHeaderSize, frame.end());
+  {
+    std::ofstream out(d.path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  const LogScan scan = scan_of(bytes);
+  ASSERT_EQ(scan.frames.size(), 2u);
+  EXPECT_EQ(scan.frames[1].first, 4u);
+
+  SourceLogSet& overlapped = d.open();
+  ASSERT_TRUE(d.scanned.is_ok()) << d.scanned.to_string();
+  std::vector<LogBatch> batches;
+  const Status st = overlapped.replay(kOp, 0, &batches);
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.to_string();
+  const ScrubReport report = scrub_checkpoint_dir(d.dir);
+  ASSERT_EQ(report.issues.size(), 1u);
+  EXPECT_NE(report.issues[0].detail.find("record 4 out of order after 7"),
+            std::string::npos)
+      << report.issues[0].detail;
+  ASSERT_EQ(report.logs.size(), 1u);
+  EXPECT_EQ(report.logs[0].batches, 2u);
+  EXPECT_EQ(report.logs[0].records, 12u);
+}
+
+// A log from the per-record format (MSLG version 1) fails the header
+// compare: kDataLoss, with the file left as it is. There is one durable
+// format and no compat path.
+TEST(SourceLogTest, V1HeaderIsDataLossAndKeepsTheFile) {
+  LogDir d("ms_slog_v1");
+  d.append(0, 4);
+  std::vector<std::uint8_t> bytes = d.bytes();
+  const std::uint32_t v1 = 1;
+  std::memcpy(bytes.data() + 4, &v1, 4);
+  {
+    std::ofstream out(d.path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  EXPECT_EQ(scan_log_bytes(bytes.data(), bytes.size(), "v1").status().code(),
+            StatusCode::kDataLoss);
+  d.open();
+  EXPECT_EQ(d.scanned.code(), StatusCode::kDataLoss) << d.scanned.to_string();
+  EXPECT_EQ(d.count("ft.log.torn_frames"), 0);
+  EXPECT_EQ(d.bytes(), bytes);
 }
 
 }  // namespace

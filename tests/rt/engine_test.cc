@@ -178,7 +178,7 @@ TEST(RtEngineTest, EpochPreconditionsReturnStatus) {
             StatusCode::kFailedPrecondition);
   // replay_downstream is valid on a stopped engine (recovery pre-loads the
   // preserved suffix before start()), but still validates its target.
-  EXPECT_EQ(engine.replay_downstream(99, 0, core::Tuple{}).code(),
+  EXPECT_EQ(engine.replay_downstream(99, 0, {core::Tuple{}}).code(),
             StatusCode::kInvalidArgument);
 
   engine.start();

@@ -560,6 +560,39 @@ TEST(RtCorruptionTest, TornLogTailIsTruncatedCountedAndReplaysExactly) {
   EXPECT_TRUE(scrub_checkpoint_dir(cfg.dir).clean());
 }
 
+// A crash mid-append cuts the head's last batch short. The scan trims the
+// head to the last whole batch — every record of the cut one goes, none of
+// the batches before it — and the replay is exact.
+TEST(RtCorruptionTest, BatchTornMidFrameTrimsToTheLastWholeBatch) {
+  auto feed = std::make_shared<ExternalFeed>();
+  MetricsRegistry reg;
+  const auto cfg = drill_config(fresh_dir("ms_corr_batch_torn"), &reg);
+  const std::int64_t total = seed_chain(feed, cfg);
+  const std::string log = cfg.dir + "/source_0.log";
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(storage::read_raw(log, storage::ArtifactKind::kSourceLog,
+                                storage::DurableOptions{}, &bytes)
+                  .is_ok());
+  const auto scanned = scan_log_bytes(bytes.data(), bytes.size(), log);
+  ASSERT_TRUE(scanned.is_ok()) << scanned.status().to_string();
+  const LogFrameView& last = scanned.value().frames.back();
+  ASSERT_EQ(last.n, static_cast<std::uint32_t>(kFeedBurst));
+  const auto whole = static_cast<std::size_t>(last.records - bytes.data()) -
+                     kLogBatchHeaderSize;
+  fs::resize_file(log, whole + kLogBatchHeaderSize + last.size / 2);
+
+  rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
+  RtRuntime runtime(&engine, cfg);  // constructor scan trims the batch
+  EXPECT_EQ(reg.counter("ft.log.torn_frames")->value(), 1);
+  EXPECT_EQ(fs::file_size(log), whole);
+  ASSERT_TRUE(runtime.recover(nullptr).is_ok());
+  wait_quiescent(engine);
+  runtime.stop();
+  expect_sink_exact(engine, total);
+  expect_table_exact(engine, total);
+  EXPECT_TRUE(scrub_checkpoint_dir(cfg.dir).clean());
+}
+
 // The trim of a confirmed torn tail writes the whole frames back through an
 // atomic write, so the disk-fault hook sees it. A trim write that fails
 // is handled like a read error: the file stays byte-identical, the log gets
@@ -955,7 +988,7 @@ TEST(RtCorruptionTest, SegmentGapPastTheBoundaryIsDataLoss) {
   const SegmentSeed seed = seed_segments(feed, cfg);
   ASSERT_GE(seed.cuts[2] - seed.cuts[1], 3u);
 
-  // Cut the sealed segment's last two frames and rename it for the rest.
+  // Cut the sealed segment's last batch and rename it for the rest.
   std::vector<std::uint8_t> bytes;
   ASSERT_TRUE(storage::read_raw(seed.sealed, storage::ArtifactKind::kSourceLog,
                                 storage::DurableOptions{}, &bytes)
@@ -963,10 +996,13 @@ TEST(RtCorruptionTest, SegmentGapPastTheBoundaryIsDataLoss) {
   const auto scanned = scan_log_bytes(bytes.data(), bytes.size(), seed.sealed);
   ASSERT_TRUE(scanned.is_ok()) << scanned.status().to_string();
   const auto& frames = scanned.value().frames;
-  const auto cut = static_cast<std::size_t>(
-      frames[frames.size() - 2].data - bytes.data() - 8);
+  ASSERT_GE(frames.size(), 2u);
+  const LogFrameView& last = frames.back();
+  ASSERT_EQ(last.end(), seed.cuts[2]);
+  const auto cut = static_cast<std::size_t>(last.records - bytes.data()) -
+                   kLogBatchHeaderSize;
   const std::string shorter =
-      source_segment_path(cfg.dir, 0, seed.cuts[1], seed.cuts[2] - 3);
+      source_segment_path(cfg.dir, 0, seed.cuts[1], last.first - 1);
   {
     std::ofstream out(shorter, std::ios::binary);
     out.write(reinterpret_cast<const char*>(bytes.data()),
@@ -977,8 +1013,8 @@ TEST(RtCorruptionTest, SegmentGapPastTheBoundaryIsDataLoss) {
   const ScrubReport report = scrub_checkpoint_dir(cfg.dir);
   ASSERT_EQ(report.issues.size(), 1u);
   EXPECT_EQ(report.issues[0].path, seed.head);
-  const std::string gap = "records " + std::to_string(seed.cuts[2] - 2) +
-                          ".." + std::to_string(seed.cuts[2] - 1) +
+  const std::string gap = "records " + std::to_string(last.first) + ".." +
+                          std::to_string(seed.cuts[2] - 1) +
                           " missing between segments";
   EXPECT_NE(report.issues[0].detail.find(gap), std::string::npos)
       << report.issues[0].detail;
@@ -989,7 +1025,7 @@ TEST(RtCorruptionTest, SegmentGapPastTheBoundaryIsDataLoss) {
   const Status st = runtime.recover(nullptr);
   EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.to_string();
   EXPECT_NE(st.message().find("missing record " +
-                              std::to_string(seed.cuts[2] - 2)),
+                              std::to_string(last.first)),
             std::string::npos)
       << st.message();
 }
@@ -1299,8 +1335,8 @@ void strip_frame(const std::string& path, storage::ArtifactKind kind) {
             static_cast<std::streamsize>(payload.size()));
 }
 
-/// Rewrite a new-format log ([MSLG header][len][crc][payload]...) as the
-/// pre-checksum format ([len][payload]...).
+/// Rewrite a new-format log ([MSLG header][len][crc][batch]...) as the
+/// pre-checksum format ([len][batch]...).
 void downgrade_log(const std::string& path) {
   std::vector<std::uint8_t> bytes;
   ASSERT_TRUE(storage::read_raw(path, storage::ArtifactKind::kSourceLog,
@@ -1312,9 +1348,11 @@ void downgrade_log(const std::string& path) {
   ASSERT_FALSE(scan.torn);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   for (const LogFrameView& f : scan.frames) {
-    const std::uint32_t len = f.len;
+    // The batch: everything the frame's CRC covered.
+    const std::uint8_t* batch = f.records - (kLogBatchHeaderSize - 8);
+    const auto len = static_cast<std::uint32_t>(f.records + f.size - batch);
     out.write(reinterpret_cast<const char*>(&len), 4);
-    out.write(reinterpret_cast<const char*>(f.data),
+    out.write(reinterpret_cast<const char*>(batch),
               static_cast<std::streamsize>(len));
   }
 }
@@ -1377,9 +1415,9 @@ TEST(RtCorruptionTest, PreChecksumDirectoryIsTypedDataLoss) {
 
 // --- record-index runs in the scrub -------------------------------------------
 
-// A frame missing from the middle of a log (what a truncation that trusted a
-// short read would leave behind) is a lost record: the frames around it
-// still verify, but the scrub's index run shows the gap.
+// A batch missing from the middle of a log (what a truncation that trusted a
+// short read would leave behind) is a run of lost records: the batches
+// around it still verify, but the scrub's index run shows the gap.
 TEST(RtCorruptionTest, ScrubReportsAnIndexGapAsALostRecord) {
   auto feed = std::make_shared<ExternalFeed>();
   MetricsRegistry reg;
@@ -1392,10 +1430,10 @@ TEST(RtCorruptionTest, ScrubReportsAnIndexGapAsALostRecord) {
   ASSERT_EQ(before.logs.size(), 1u);
   const ScrubLog run = before.logs[0];
   EXPECT_EQ(run.path, path);
-  ASSERT_GE(run.records, 3u);
+  ASSERT_GE(run.batches, 3u);
   EXPECT_EQ(run.last_index - run.first_index + 1, run.records);
 
-  // Cut the second frame out of the file, leaving every CRC intact.
+  // Cut the second batch out of the file, leaving every CRC intact.
   std::vector<std::uint8_t> bytes;
   ASSERT_TRUE(storage::read_raw(path, storage::ArtifactKind::kSourceLog,
                                 storage::DurableOptions{}, &bytes)
@@ -1403,9 +1441,11 @@ TEST(RtCorruptionTest, ScrubReportsAnIndexGapAsALostRecord) {
   const auto scanned = scan_log_bytes(bytes.data(), bytes.size(), path);
   ASSERT_TRUE(scanned.is_ok()) << scanned.status().to_string();
   const LogFrameView victim = scanned.value().frames[1];
-  const auto begin = static_cast<std::ptrdiff_t>(victim.data - bytes.data()) - 8;
-  bytes.erase(bytes.begin() + begin,
-              bytes.begin() + begin + 8 + static_cast<std::ptrdiff_t>(victim.len));
+  const auto begin = static_cast<std::ptrdiff_t>(victim.records - bytes.data() -
+                                                 kLogBatchHeaderSize);
+  const auto len =
+      static_cast<std::ptrdiff_t>(kLogBatchHeaderSize + victim.size);
+  bytes.erase(bytes.begin() + begin, bytes.begin() + begin + len);
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(reinterpret_cast<const char*>(bytes.data()),
@@ -1415,12 +1455,13 @@ TEST(RtCorruptionTest, ScrubReportsAnIndexGapAsALostRecord) {
   const ScrubReport after = scrub_checkpoint_dir(cfg.dir);
   ASSERT_EQ(after.issues.size(), 1u);
   EXPECT_EQ(after.issues[0].path, path);
-  const std::string missing = std::to_string(victim.index);
-  EXPECT_NE(after.issues[0].detail.find(missing + ".." + missing),
-            std::string::npos)
+  const std::string missing = std::to_string(victim.first) + ".." +
+                              std::to_string(victim.end() - 1);
+  EXPECT_NE(after.issues[0].detail.find(missing), std::string::npos)
       << after.issues[0].detail;
   ASSERT_EQ(after.logs.size(), 1u);
-  EXPECT_EQ(after.logs[0].records, run.records - 1);
+  EXPECT_EQ(after.logs[0].batches, run.batches - 1);
+  EXPECT_EQ(after.logs[0].records, run.records - victim.n);
   EXPECT_EQ(after.logs[0].first_index, run.first_index);
   EXPECT_EQ(after.logs[0].last_index, run.last_index);
 }

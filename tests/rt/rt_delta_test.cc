@@ -431,7 +431,7 @@ TEST(RtDeltaTest, RecoveryReadsTheLogOnceAndDecodesOnlyTheReplay) {
   ASSERT_TRUE(scanned.is_ok()) << scanned.status().to_string();
   const LogScan& scan = scanned.value();
   ASSERT_FALSE(scan.frames.empty());
-  EXPECT_LT(scan.frames.front().index, boundary)
+  EXPECT_LT(scan.frames.front().first, boundary)
       << "the log kept nothing below the tip's boundary";
   EXPECT_EQ(decoded, total - static_cast<std::int64_t>(boundary));
   EXPECT_GT(decoded, 0);

@@ -459,7 +459,7 @@ TEST(RtProtocolTest, SourceLogTruncatesAtCommit) {
     if (scanned.is_ok()) {
       EXPECT_FALSE(scanned.value().torn);
       for (const LogFrameView& f : scanned.value().frames) {
-        out.push_back(f.index);
+        for (std::uint64_t i = f.first; i < f.end(); ++i) out.push_back(i);
       }
     }
     return out;

@@ -214,7 +214,7 @@ TEST(SelfHealTest, CrashLoopQuarantinesInsteadOfFlapping) {
   runtime.clear_crash();
   ft::RecoveryStats stats;
   ASSERT_TRUE(runtime.recover(&stats).is_ok());
-  wait_quiescent(engine);
+  EXPECT_TRUE(wait_drained(engine, engine.sink_tuples() + 100));
   feed->paused.store(true);
   wait_quiescent(engine);
   const std::int64_t total = feed->cursor.load();

@@ -19,6 +19,8 @@
 #include <string>
 #include <thread>
 
+#include <gtest/gtest.h>
+
 #include "core/operator.h"
 #include "core/query_graph.h"
 #include "ft/rt_runtime.h"
@@ -131,7 +133,8 @@ inline bool wait_drained(rt::RtEngine& engine, std::int64_t want,
 }
 
 /// Wait until the sink count has stopped moving for `quiet_ms` (the pipeline
-/// drained whatever was in flight).
+/// drained whatever was in flight). A sink still moving after 20 s is a test
+/// failure: the feed was left running, or the pipeline never drained.
 inline void wait_quiescent(rt::RtEngine& engine, int quiet_ms = 150) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
@@ -148,6 +151,8 @@ inline void wait_quiescent(rt::RtEngine& engine, int quiet_ms = 150) {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  ADD_FAILURE() << "wait_quiescent: the sink still moved after 20 s (at "
+                << last << " tuples)";
 }
 
 /// feed -> relay0 -> ... -> relay(n-1) -> sink.

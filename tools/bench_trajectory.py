@@ -37,8 +37,12 @@ Commands:
          Compare two result sets and exit non-zero (loudly) if any shared
          case regressed by more than the tolerance: rate-like metrics
          (tuples_per_sec > 0) must not drop, time-like metrics (ns_per_op)
-         must not rise. A trajectory file contributes its LAST entry; a raw
-         JSON array (the --json output of a bench binary) is used as-is.
+         must not rise. A raw JSON array (the --json output of a bench
+         binary) is used as-is. A trajectory file as the candidate
+         contributes its last entry; as the baseline, its newest entry from
+         the candidate's machine (the same machine.cpu and machine.ncpu; a
+         raw candidate ran on this host). A baseline with no entry from that
+         machine fails the check: a rate from other hardware gates nothing.
 """
 
 import argparse
@@ -97,14 +101,25 @@ def load_json(path):
         fail(f"cannot read {path}: {e}")
 
 
-def results_of(path_or_doc):
-    """Normalize a trajectory file or raw bench JSON array to a result list."""
+def entries_of(path_or_doc):
+    """A trajectory file's entries, or a raw bench JSON array as one entry
+    with no machine."""
     doc = load_json(path_or_doc) if isinstance(path_or_doc, str) else path_or_doc
     if isinstance(doc, list):
-        return doc
+        return [{"results": doc}]
     if isinstance(doc, dict) and doc.get("entries"):
-        return doc["entries"][-1].get("results", [])
+        return doc["entries"]
     fail("unrecognized results format (want a JSON array or a trajectory file)")
+
+
+def results_of(path_or_doc):
+    """Normalize a trajectory file (its last entry) or raw bench JSON array to
+    a result list."""
+    return entries_of(path_or_doc)[-1].get("results", [])
+
+
+def same_machine(a, b):
+    return (a.get("cpu"), a.get("ncpu")) == (b.get("cpu"), b.get("ncpu"))
 
 
 def collect_engine(build_dir, reps, tmp_dir):
@@ -191,9 +206,26 @@ def metric_of(row):
     return ("time", float(row.get("ns_per_op", 0.0)))
 
 
+def baseline_for(path, machine):
+    """The baseline's results to gate `machine`'s run against."""
+    entries = entries_of(path)
+    if "machine" not in entries[-1]:
+        return entries[-1]["results"]  # a raw array: the caller chose it
+    for entry in reversed(entries):
+        if same_machine(entry.get("machine", {}), machine):
+            print(f"baseline: entry {entry.get('label')!r} "
+                  f"({machine.get('cpu')}, {machine.get('ncpu')} CPUs)")
+            return entry.get("results", [])
+    fail(f"no baseline for this machine ({machine.get('cpu')!r}, "
+         f"{machine.get('ncpu')} CPUs) in {path}: record one with "
+         f"`bench_trajectory.py run` before gating on it")
+
+
 def cmd_check(args):
-    base = {r["name"]: r for r in results_of(args.baseline)}
-    cand = {r["name"]: r for r in results_of(args.candidate)}
+    cand_entry = entries_of(args.candidate)[-1]
+    machine = cand_entry.get("machine") or machine_info()
+    base = {r["name"]: r for r in baseline_for(args.baseline, machine)}
+    cand = {r["name"]: r for r in cand_entry.get("results", [])}
     shared = sorted(set(base) & set(cand))
     if not shared:
         fail("no shared benchmark names between baseline and candidate")

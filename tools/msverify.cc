@@ -4,9 +4,9 @@
 // / op_<i>.delta blobs, the frames of each source's segments source_<i>.log and
 // source_<i>.<first>-<last>.log), verifies frame CRCs, cross-checks blob sizes
 // against their manifest, and prints a per-epoch / per-file verdict followed
-// by each source log's record-index run across its segments (a gap in the run,
-// a torn sealed segment or one whose frames contradict its name's range is
-// reported as corrupt, naming the file). Read-only: running it
+// by each source log's batch count and record-index run across its segments
+// (a gap in the run, a torn sealed segment or one whose batches contradict its
+// name's range is reported as corrupt, naming the file). Read-only: running it
 // against a live directory is safe, though a commit or a log append racing the
 // scrub can surface transient findings (an incomplete epoch, a short or torn
 // log read).
@@ -60,11 +60,13 @@ int main(int argc, char** argv) {
       report.issues.size());
   if (!quiet) {
     for (const auto& log : report.logs) {
-      if (log.records == 0) {
+      if (log.batches == 0) {
         std::printf("log %s: empty\n", log.path.c_str());
       } else {
-        std::printf("log %s: %llu record(s), index %llu..%llu, %llu file(s)\n",
+        std::printf("log %s: %llu batch(es) of %llu record(s), index "
+                    "%llu..%llu, %llu file(s)\n",
                     log.path.c_str(),
+                    static_cast<unsigned long long>(log.batches),
                     static_cast<unsigned long long>(log.records),
                     static_cast<unsigned long long>(log.first_index),
                     static_cast<unsigned long long>(log.last_index),

@@ -48,13 +48,14 @@ for preset in $PRESETS; do
   fi
   # Source-log segment repeat pass under the sanitizers: a commit's seal
   # syncs the head without the log's mutex while the source appends, then
-  # takes it for the rename and the handle swap. The SourceLogTest cases and
-  # the segment drills (seal, unlink, crash around both, fallback into older
-  # segments) repeat serially so a race in that handoff shows up.
+  # takes it for the rename and the handle swap. The SourceLogTest cases
+  # (the batch-frame drills among them), the segment drills (seal, unlink,
+  # crash around both, fallback into older segments) and the runtime's
+  # batch-frame drills repeat serially so a race in that handoff shows up.
   if [[ "$preset" != "default" ]]; then
     echo "=== [$preset] source-log segment repeat ==="
     if ! ctest --preset "$preset" \
-        -R '^SourceLogTest\.|^RtCorruptionTest\.Segment|^RtProtocolTest\.SourceLogTruncatesAtCommit$' \
+        -R '^SourceLogTest\.|^RtCorruptionTest\.(Segment|Batch)|^RtProtocolTest\.SourceLogTruncatesAtCommit$' \
         --repeat until-fail:20 --timeout 120; then
       results+=("$preset: SEGMENT REPEAT FAILED"); status=1; break
     fi

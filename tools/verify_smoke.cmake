@@ -1,5 +1,7 @@
 # Smoke test: a short rt-backend run writes a real checkpoint directory,
-# msverify scrubs it clean; then three kinds of deliberate damage (a
+# msverify scrubs it clean and reports the source log's batch count and
+# index range, and the log starts with the version-2 (batch frame) MSLG
+# header; then three kinds of deliberate damage (a
 # truncated manifest, a source log's head without its header, a sealed
 # segment without its header) must each be flagged with a non-zero exit,
 # naming the file. Driven from tools/CMakeLists as ctest
@@ -29,6 +31,14 @@ if(NOT clean_rc EQUAL 0)
 endif()
 if(NOT clean_out MATCHES "^clean: [0-9]+ committed epoch\\(s\\), [0-9]+ incomplete, [0-9]+ artifact\\(s\\) verified \\([0-9]+ bytes\\), 0 issue\\(s\\)\n")
   message(FATAL_ERROR "msverify verdict not clean:\n${clean_out}")
+endif()
+
+if(NOT clean_out MATCHES "\nlog [^\n]*/source_0\\.log: [0-9]+ batch\\(es\\) of [0-9]+ record\\(s\\), index [0-9]+\\.\\.[0-9]+, [0-9]+ file\\(s\\)\n")
+  message(FATAL_ERROR "msverify did not report the log's batches:\n${clean_out}")
+endif()
+file(READ "${ckpt_dir}/source_0.log" log_header LIMIT 8 HEX)
+if(NOT log_header STREQUAL "4d534c4702000000")  # "MSLG", version 2
+  message(FATAL_ERROR "source log header is ${log_header}, not MSLG v2")
 endif()
 
 # Damage one durable artifact (truncate a manifest mid-header) and the scrub
