@@ -19,9 +19,9 @@
 //
 // Modes mirror the simulator's schemes:
 //   kSrc      tokens trickle, each unit's snapshot is written synchronously
-//             before its token moves on (EpochMode::kSync);
+//             before its token moves on;
 //   kSrcAp    snapshots serialize in memory and a helper writes behind the
-//             dataflow (EpochMode::kAsync);
+//             dataflow;
 //   kSrcApAa  kSrcAp plus application-aware timing with the simulator's
 //             parts: a control-thread tick feeds one AaSampler per
 //             operator, and the same AaController runs its shared stage

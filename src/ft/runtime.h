@@ -24,15 +24,6 @@
 
 namespace ms::ft {
 
-/// How a unit takes its snapshot once its tokens align.
-enum class EpochMode {
-  /// Serialize and write before forwarding tokens (MS-src, baseline).
-  kSync,
-  /// Fork off a helper, forward tokens immediately, write behind the
-  /// dataflow (MS-src+ap, +aa).
-  kAsync,
-};
-
 class Runtime {
  public:
   virtual ~Runtime() = default;

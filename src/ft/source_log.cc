@@ -61,54 +61,32 @@ SimTime since(std::chrono::steady_clock::time_point t0) {
 
 // --- format ------------------------------------------------------------------
 
-std::array<std::uint8_t, kLogFileHeaderSize> log_file_header() {
-  std::array<std::uint8_t, kLogFileHeaderSize> hdr{};
-  std::memcpy(hdr.data(), &kLogFileMagic, 4);
-  std::memcpy(hdr.data() + 4, &kLogFileVersion, 4);
-  return hdr;
-}
-
 Result<LogScan> scan_log_bytes(const std::uint8_t* data, std::size_t size,
                                const std::string& path) {
-  LogScan scan;
-  if (size == 0) return scan;  // a fresh log
-  if (size < kLogFileHeaderSize) {
-    scan.torn = true;  // a crash while the header was being written
-    return scan;
-  }
-  const auto hdr = log_file_header();
-  if (std::memcmp(data, hdr.data(), hdr.size()) != 0) {
-    return Status::data_loss("source log header corrupt: " + path);
-  }
-  std::size_t pos = kLogFileHeaderSize;
-  scan.valid_bytes = pos;
-  while (pos + 8 <= size) {  // [len][crc]
-    std::uint32_t len = 0, crc = 0;
-    std::memcpy(&len, data + pos, 4);
-    std::memcpy(&crc, data + pos + 4, 4);
-    if (len < kLogBatchHeaderSize - 8 || pos + 8 + len > size ||
-        storage::crc32c(data + pos + 8, len) != crc) {
-      scan.torn = true;
-      break;
-    }
+  auto framed = storage::scan_frames(data, size,
+                                     storage::ArtifactKind::kSourceLog, path);
+  if (!framed.is_ok()) return framed.status();
+  LogScan scan{framed.value().torn, framed.value().valid_bytes, {}};
+  constexpr std::size_t kFields = kLogBatchHeaderSize -
+                                  storage::kArtifactHeaderSize;
+  for (const storage::FrameView& f : framed.value().frames) {
     LogFrameView frame;
-    std::memcpy(&frame.first, data + pos + 8, 8);
-    std::memcpy(&frame.n, data + pos + 16, 4);
-    std::memcpy(&frame.port, data + pos + 20, 4);
-    frame.records = data + pos + kLogBatchHeaderSize;
-    frame.size = len - static_cast<std::uint32_t>(kLogBatchHeaderSize - 8);
     // No writer produces an empty batch or one too short for its records'
-    // fixed fields, so such a frame is corrupt even when its CRC matches.
+    // fixed fields, so such a frame is damage even though it verifies.
+    if (f.size >= kFields) {
+      std::memcpy(&frame.first, f.payload, 8);
+      std::memcpy(&frame.n, f.payload + 8, 4);
+      std::memcpy(&frame.port, f.payload + 12, 4);
+      frame.records = f.payload + kFields;
+      frame.size = static_cast<std::uint32_t>(f.size - kFields);
+    }
     if (frame.n == 0 || frame.size / kLogRecordFixed < frame.n) {
-      scan.torn = true;
-      break;
+      return Status::data_loss("source log batch " +
+                               std::to_string(scan.frames.size()) +
+                               " malformed: " + path);
     }
     scan.frames.push_back(frame);
-    pos += 8 + len;
-    scan.valid_bytes = pos;
   }
-  // Trailing bytes too short for a frame header are a torn tail as well.
-  if (!scan.torn && pos != size) scan.torn = true;
   return scan;
 }
 
@@ -178,24 +156,19 @@ void SourceLogSet::append(int op, int out_port, const core::Tuple* tuples,
   Log& log = *logs_[static_cast<std::size_t>(op)];
   std::scoped_lock lk(log.mu);
   const auto t0 = std::chrono::steady_clock::now();
-  // One buffer, one write(): [header] then the batch's one frame, the
-  // header only into an empty file.
+  // One buffer, one write(): the batch's one frame, its header filled in
+  // once the payload behind it is encoded.
   BinaryWriter w(std::move(log.batch));
-  if (log.out.size() == 0) {
-    const auto hdr = log_file_header();
-    w.write_bytes(hdr.data(), hdr.size());
-  }
-  const std::size_t at = w.size();
-  w.write<std::uint64_t>(0);  // [len][crc], patched below
+  const std::uint8_t header[storage::kArtifactHeaderSize] = {};
+  w.write_bytes(header, sizeof(header));
   w.write<std::uint64_t>(log.next_index);
   w.write<std::uint32_t>(static_cast<std::uint32_t>(n));
   w.write<std::uint32_t>(static_cast<std::uint32_t>(out_port));
   for (std::size_t k = 0; k < n; ++k) encode_log_record(w, tuples[k], codec_);
-  const auto len = static_cast<std::uint32_t>(w.size() - at - 8);
-  w.write_at<std::uint32_t>(at, len);
-  w.write_at<std::uint32_t>(at + 4,
-                            storage::crc32c(w.data().data() + at + 8, len));
   log.batch = w.take();
+  storage::write_frame_header(log.batch.data(),
+                              storage::ArtifactKind::kSourceLog,
+                              log.batch.size() - sizeof(header));
   if (log.out.append(log.batch.data(), log.batch.size(), opts_)) {
     m_bytes_->add(static_cast<std::int64_t>(log.batch.size()));
     if (log.head_end == log.head_first) log.head_first = log.next_index;
@@ -209,9 +182,9 @@ void SourceLogSet::append(int op, int out_port, const core::Tuple* tuples,
                 static_cast<unsigned long long>(log.next_index + n - 1));
     m_append_failures_->add(1);
     log.failed_since = std::min(log.failed_since, log.next_index);
-    // Cut the partial batch (or header) back, or every later frame would
-    // sit behind a tear the next scan stops at.
-    if (log.out.is_open() && !log.out.rollback()) {
+    // Cut the partial batch back, or every later frame would sit behind a
+    // tear the next scan stops at.
+    if (log.out.is_open() && !log.out.truncate(log.out.size())) {
       MS_LOG_WARN("ft", "source log rollback failed for op %d", op);
     }
   }
@@ -251,26 +224,34 @@ Status SourceLogSet::scan(const std::vector<std::uint64_t>& boundaries) {
 
 Status SourceLogSet::read_confirmed(int op, const std::string& path,
                                     std::unique_ptr<LogView>* out) {
+  const auto suspect = [](const Status& st, const LogView& view) {
+    return st.code() == StatusCode::kDataLoss || (st.is_ok() && view.scan.torn);
+  };
   auto view = std::make_unique<LogView>();
   Status st = read_source_log(path, opts_, view.get());
-  if (st.is_ok() && view->scan.torn) {
-    // A bit flipped in the read looks just like one flipped on disk. Read
-    // again: only a tear both reads place at the same offset is in the file.
+  if (suspect(st, *view)) {
+    // A bit flipped in the read looks just like a tear or damage on disk.
+    // Read again: only the verdict both reads reach — a tear at one offset,
+    // or damage at one — is in the file.
     auto again = std::make_unique<LogView>();
-    st = read_source_log(path, opts_, again.get());
-    if (st.is_ok() && (!again->scan.torn ||
-                       again->scan.valid_bytes != view->scan.valid_bytes)) {
-      MS_LOG_WARN("ft", "source log %d: %s torn at %llu on one read, %s on "
-                  "the next; keeping the file",
-                  op, path.c_str(),
-                  static_cast<unsigned long long>(view->scan.valid_bytes),
-                  again->scan.torn ? "elsewhere" : "whole");
+    const Status second = read_source_log(path, opts_, again.get());
+    if (!second.is_ok() && second.code() != StatusCode::kDataLoss) {
+      return second;
+    }
+    if (second.message() != st.message() ||
+        again->scan.torn != view->scan.torn ||
+        again->scan.valid_bytes != view->scan.valid_bytes) {
+      const bool whole = !suspect(second, *again);
+      MS_LOG_WARN("ft", "source log %d: %s %s on one read, %s on the next; "
+                  "keeping the file",
+                  op, path.c_str(), st.is_ok() ? "torn" : "damaged",
+                  whole ? "whole" : "different");
       m_torn_unconfirmed_->add(1);
-      if (again->scan.torn) {
-        st = Status::unavailable("source log reads disagree: " + path);
-      } else {
-        view = std::move(again);
+      if (!whole) {
+        return Status::unavailable("source log reads disagree: " + path);
       }
+      st = second;
+      view = std::move(again);
     }
   }
   if (!st.is_ok()) return st;
@@ -291,7 +272,7 @@ Status SourceLogSet::load_head(Log& log,
     log.sealed.push_back({f.first, f.last, f.path, nullptr});
   }
   std::unique_ptr<LogView> view;
-  Status st = read_confirmed(log.op, log.path, &view);
+  const Status st = read_confirmed(log.op, log.path, &view);
   if (!st.is_ok()) return st;
   const std::vector<LogFrameView>& frames = view->scan.frames;
   const std::uint64_t sealed_end =
@@ -300,28 +281,30 @@ Status SourceLogSet::load_head(Log& log,
     return Status::data_loss("source log head overlaps " +
                              log.sealed.back().path + ": " + log.path);
   }
+  log.out.open(log.path);
   if (view->scan.torn) {
-    // Both reads agree. Write the whole frames before the tear back, or the
-    // garbage would resurface mid-log after the next append; a header torn
-    // at creation becomes a whole one.
-    MS_LOG_WARN("ft", "source log %d: torn at byte %llu of %zu; rewriting "
-                "the whole frames before it",
+    // Both reads agree. Cut the tear off in place, or the garbage would
+    // resurface mid-log after the next append.
+    MS_LOG_WARN("ft", "source log %d: torn at byte %llu of %zu; truncating",
                 log.op, static_cast<unsigned long long>(view->scan.valid_bytes),
                 view->bytes.size());
-    const auto hdr = log_file_header();
-    const auto valid = static_cast<std::size_t>(view->scan.valid_bytes);
-    const bool has_header = valid >= hdr.size();
-    st = storage::write_raw_atomic(
-        log.path, storage::ArtifactKind::kSourceLog,
-        has_header ? view->bytes.data() : hdr.data(),
-        has_header ? valid : hdr.size(), opts_);
-    if (!st.is_ok()) return st;
+    storage::WriteFaultSpec fault;
+    if (opts_.faults) {
+      fault = opts_.faults->write_fault(log.path,
+                                        storage::ArtifactKind::kSourceLog);
+    }
+    if (fault.fault == storage::WriteFault::kError ||
+        !log.out.truncate(view->scan.valid_bytes) ||
+        (opts_.sync != storage::SyncMode::kNone &&
+         !log.out.sync(fault.fault))) {
+      log.out.close();
+      return Status::unavailable("source log trim failed: " + log.path);
+    }
     m_torn_frames_->add(1);
     view->scan.torn = false;  // the view mirrors the file's frames again
   }
   log.head_first = frames.empty() ? sealed_end : frames.front().first;
   log.head_end = frames.empty() ? sealed_end : frames.back().end();
-  log.out.open(log.path);
   log.view = std::move(view);
   return Status::ok();
 }

@@ -7,24 +7,24 @@
 //
 // Layout: each log is a chain of segments. The head, source_<op>.log, takes
 // the appends; a sealed segment, source_<op>.<first>-<last>.log, is a former
-// head renamed at a commit, holding records first..last. Every segment has
-// an 8-byte "MSLG" header, then one frame per batch the engine flushed:
-// [len u32][crc32c u32][first_index u64][n u32][port u32], then n records of
+// head renamed at a commit, holding records first..last. A segment is
+// nothing but consecutive MSDF frames of kind kSourceLog
+// (storage/durable_file.h), one per batch the engine flushed, whose payload
+// is [first_index u64][n u32][port u32], then n records of
 // [source_seq u64][event_time i64][wire_size u64][has_payload u8] and the
-// codec's payload; the CRC covers everything after itself. A record's index
-// (first_index + k), port, source_hau (the log's op), id (make_id of the op
-// and source_seq, the stamp RtContext::emit gives every source tuple) and
-// edge_seq (0) are derived on decode. The only tear a crash can leave is a
-// short last frame of the head.
+// codec's payload. A record's index (first_index + k), port, source_hau
+// (the log's op), id (make_id of the op and source_seq, the stamp
+// RtContext::emit gives every source tuple) and edge_seq (0) are derived on
+// decode. The only tear a crash can leave is a short last frame of the
+// head.
 //
 // The append: a group commit per batch the engine flushes — the batch
 // encoded as one frame into one reused buffer and issued as one write() (one
-// fdatasync under SyncMode::kAlways) to the head, carrying the header too
-// when the head is empty. A failed batch — header included — is one append
-// failure: cut back whole, counted once (ft.log.append_failures), and open
-// in health() from its first index until a truncation floor passes it. Each
-// batch records ft.log.append_ns (encode, CRC and write),
-// ft.log.batch_tuples and ft.log.bytes.
+// fdatasync under SyncMode::kAlways) to the head. A failed batch is one
+// append failure: cut back whole by truncation, counted once
+// (ft.log.append_failures), and open in health() from its first index
+// until a truncation floor passes it. Each batch records ft.log.append_ns
+// (encode, CRC and write), ft.log.batch_tuples and ft.log.bytes.
 //
 // The roll (once a commit's manifest is durable, when the new truncation
 // floor has reached the head's first record): fdatasync the head without the
@@ -38,17 +38,18 @@
 // appender never waits for an unlink.
 //
 // The scan reads the head and the sealed segments at or past the committed
-// tip's boundary, each with a second read to confirm a torn verdict. A
-// confirmed tear in the head is trimmed (the whole frames before it written
-// back through storage::write_raw_atomic); in a sealed segment it is
-// kDataLoss, as is a sealed segment whose batches do not span its name's
-// range or two segments whose ranges overlap. Contiguity within and across
-// segments follows the index-run rule from the replay boundary on. A failed
-// read, a header that does not verify or a failed trim leaves the files as
+// tip's boundary through storage::scan_frames, with a second read to
+// confirm a torn or damaged verdict. A confirmed tear in the head is cut off
+// in place (one ftruncate, and an fdatasync unless SyncMode::kNone); in a
+// sealed segment it is kDataLoss. Damage — a bad frame with verifying
+// frames after it, or a segment that does not open with the MSDF magic — is
+// kDataLoss in any segment, as is a sealed segment whose batches do not
+// span its name's range or two segments whose ranges overlap. Contiguity
+// within and across segments follows the index-run rule from the replay
+// boundary on. A failed read, damage or a failed trim leaves the files as
 // they are.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -67,16 +68,11 @@ namespace ms::ft {
 
 // --- format ------------------------------------------------------------------
 
-constexpr std::uint32_t kLogFileMagic = 0x474C534D;  // "MSLG"
-constexpr std::uint32_t kLogFileVersion = 2;
-constexpr std::size_t kLogFileHeaderSize = 8;
-/// A batch frame's fields before its records: [len][crc][first_index][n][port].
-constexpr std::size_t kLogBatchHeaderSize = 24;
+/// A batch frame's bytes before its records: the MSDF header, then
+/// [first_index][n][port].
+constexpr std::size_t kLogBatchHeaderSize = storage::kArtifactHeaderSize + 16;
 
-/// The MSLG header every log starts with.
-std::array<std::uint8_t, kLogFileHeaderSize> log_file_header();
-
-/// One CRC-verified batch inside the scanned buffer (valid while the buffer
+/// One verified batch frame inside the scanned buffer (valid while the buffer
 /// lives): records first..end() - 1, published on `port`, whose `size`
 /// encoded bytes start at `records`; read without decoding them.
 struct LogFrameView {
@@ -89,16 +85,15 @@ struct LogFrameView {
 };
 
 struct LogScan {
-  /// Ended on a corrupt or incomplete frame (a torn tail) at `valid_bytes`.
+  /// Ended on a tear (a last frame cut short) at `valid_bytes`.
   bool torn = false;
   std::uint64_t valid_bytes = 0;
   std::vector<LogFrameView> frames;
 };
 
-/// Verify a log's MSLG header, then each frame's CRC. Empty = a fresh log;
-/// shorter than the header = a header torn at creation; a bad frame, or one
-/// too short for its batch, is a torn tail; a whole bad header (another
-/// version's included) is kDataLoss.
+/// A log's frames, by storage::scan_frames: empty = a fresh log; a tear
+/// ends the scan (`torn`); damage, and a verified frame too short for its
+/// batch, are kDataLoss.
 Result<LogScan> scan_log_bytes(const std::uint8_t* data, std::size_t size,
                                const std::string& path);
 
@@ -112,7 +107,7 @@ struct LogView {
 };
 
 /// Read one whole log segment and scan it into `view`. Missing = an empty
-/// segment; a bad header is kDataLoss; any other failure, a read shorter than the
+/// segment; damage is kDataLoss; any other failure, a read shorter than the
 /// file included, is kUnavailable: "could not look", never "nothing there".
 Status read_source_log(const std::string& path,
                        const storage::DurableOptions& opts, LogView* view);
@@ -229,7 +224,8 @@ class SourceLogSet {
     std::unique_ptr<LogView> view;
   };
 
-  /// Read `path` into `*out`, confirming a torn verdict with a second read.
+  /// Read `path` into `*out`, confirming a torn or damaged verdict with a
+  /// second read.
   Status read_confirmed(int op, const std::string& path,
                         std::unique_ptr<LogView>* out);
   /// List `log`'s sealed segments from `files`, read its head and trim a

@@ -1,15 +1,16 @@
 // Offline integrity scrub of an rt checkpoint directory — the library behind
 // tools/msverify. Walks every durable artifact the runtime writes (epoch
-// manifests, checkpoint/delta blobs, source-log segments), verifies frames
-// and cross-checks blob sizes against their manifest, walks each source's
-// segments in index order and reports its batch count and record-index run
-// (a gap in it, within a segment or between two, is a lost record; a sealed
-// segment whose batches contradict its name's range is damage), and reports
-// per-file verdicts without modifying anything on disk. It reads through the
-// same ft/epoch_store.h and ft/source_log.h functions recovery uses, so the
-// two apply one rule set (one index-run rule included); the scrub exists so an
-// operator can ask "which exact file is damaged?" before (or instead of)
-// letting recovery fall back.
+// manifests, checkpoint/delta blobs, source-log segments), verifies their
+// MSDF frames, cross-checks blob sizes against their manifest, walks each
+// source's segments in index order and reports its batch count and
+// record-index run (a gap in it, within a segment or between two, is a lost
+// record; a sealed segment whose batches contradict its name's range is
+// damage), and reports per-file verdicts without modifying anything on
+// disk. It reads through the same ft/epoch_store.h and ft/source_log.h
+// functions recovery uses, and they through storage::scan_frames, so the
+// two apply one rule set (one frame parser with its tear/damage rule, one
+// index-run rule); the scrub exists so an operator can ask "which exact
+// file is damaged?" before (or instead of) letting recovery fall back.
 #pragma once
 
 #include <cstdint>

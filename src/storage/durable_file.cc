@@ -109,15 +109,6 @@ const char* artifact_kind_name(ArtifactKind kind) {
   return "unknown";
 }
 
-const char* sync_mode_name(SyncMode mode) {
-  switch (mode) {
-    case SyncMode::kNone: return "none";
-    case SyncMode::kCommit: return "commit";
-    case SyncMode::kAlways: return "always";
-  }
-  return "unknown";
-}
-
 namespace {
 
 void put_u16(std::uint8_t* p, std::uint16_t v) { std::memcpy(p, &v, 2); }
@@ -139,60 +130,91 @@ std::uint64_t get_u64(const std::uint8_t* p) {
   return v;
 }
 
-void fill_header(std::uint8_t* h, ArtifactKind kind, const void* payload,
-                 std::size_t n) {
+Status data_loss(const std::string& path, const std::string& what) {
+  return {StatusCode::kDataLoss, "artifact corrupt (" + what + "): " + path};
+}
+
+/// Why the `avail` bytes at `h` do not open with a whole frame of `kind`
+/// that verifies; nullptr when they do, its payload length in `*len`.
+const char* check_frame(const std::uint8_t* h, std::size_t avail,
+                        ArtifactKind kind, std::uint64_t* len) {
+  if (avail < kArtifactHeaderSize) return "truncated header";
+  if (get_u32(h) != kArtifactMagic) return "magic";
+  if (crc32c(h, 20) != get_u32(h + 20)) return "header crc";
+  if (get_u16(h + 4) != kArtifactVersion) return "frame version";
+  if (h[6] != static_cast<std::uint8_t>(kind)) return "artifact kind";
+  *len = get_u64(h + 8);
+  if (*len > avail - kArtifactHeaderSize) return "payload length";
+  if (crc32c(h + kArtifactHeaderSize, static_cast<std::size_t>(*len)) !=
+      get_u32(h + 16)) {
+    return "payload crc";
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+void write_frame_header(std::uint8_t* h, ArtifactKind kind, std::size_t n) {
   put_u32(h, kArtifactMagic);
   put_u16(h + 4, kArtifactVersion);
   h[6] = static_cast<std::uint8_t>(kind);
   h[7] = 0;  // reserved
   put_u64(h + 8, static_cast<std::uint64_t>(n));
-  put_u32(h + 16, crc32c(payload, n));
+  put_u32(h + 16, crc32c(h + kArtifactHeaderSize, n));
   put_u32(h + 20, crc32c(h, 20));
 }
-
-Status data_loss(const std::string& path, const char* what) {
-  return {StatusCode::kDataLoss,
-          std::string("artifact corrupt (") + what + "): " + path};
-}
-
-}  // namespace
 
 std::vector<std::uint8_t> frame_artifact(ArtifactKind kind,
                                          const void* payload, std::size_t n) {
   std::vector<std::uint8_t> out(kArtifactHeaderSize + n);
-  fill_header(out.data(), kind, payload, n);
   if (n > 0) std::memcpy(out.data() + kArtifactHeaderSize, payload, n);
+  write_frame_header(out.data(), kind, n);
   return out;
+}
+
+Result<FrameScan> scan_frames(const std::uint8_t* data, std::size_t size,
+                              ArtifactKind kind, const std::string& path) {
+  FrameScan scan;
+  std::size_t pos = 0;
+  std::uint64_t len = 0;
+  while (pos < size &&
+         (scan.why = check_frame(data + pos, size - pos, kind, &len)) ==
+             nullptr) {
+    scan.frames.push_back(
+        {data + pos + kArtifactHeaderSize, static_cast<std::size_t>(len)});
+    pos += kArtifactHeaderSize + static_cast<std::size_t>(len);
+  }
+  scan.valid_bytes = pos;
+  if (pos == size) return scan;
+  // A write cut short leaves a prefix of one frame: the range still opens
+  // with (a prefix of) the magic, and no header verifies past its start.
+  bool damaged = std::memcmp(data, &kArtifactMagic,
+                             std::min<std::size_t>(size, 4)) != 0;
+  for (std::size_t at = pos + 1;
+       !damaged && at + kArtifactHeaderSize <= size; ++at) {
+    damaged = get_u32(data + at) == kArtifactMagic &&
+              crc32c(data + at, 20) == get_u32(data + at + 20);
+  }
+  if (damaged) {
+    return data_loss(path, "damaged frame at byte " + std::to_string(pos) +
+                               ": " + scan.why);
+  }
+  scan.torn = true;
+  return scan;
 }
 
 Status unframe_artifact(const std::string& path,
                         std::vector<std::uint8_t> file, ArtifactKind expect,
                         std::vector<std::uint8_t>* payload) {
-  if (file.size() < kArtifactHeaderSize) {
-    return data_loss(path, "truncated header");
+  auto scan = scan_frames(file.data(), file.size(), expect, path);
+  if (!scan.is_ok()) return scan.status();
+  const FrameScan& s = scan.value();
+  if (s.frames.size() != 1 || s.torn) {
+    return data_loss(path, s.frames.empty() && s.why != nullptr
+                               ? s.why
+                               : "not exactly one frame");
   }
-  if (get_u32(file.data()) != kArtifactMagic) {
-    return data_loss(path, "magic");
-  }
-  const std::uint8_t* h = file.data();
-  if (crc32c(h, 20) != get_u32(h + 20)) {
-    return data_loss(path, "header crc");
-  }
-  if (get_u16(h + 4) != kArtifactVersion) {
-    return data_loss(path, "frame version");
-  }
-  if (h[6] != static_cast<std::uint8_t>(expect)) {
-    return data_loss(path, "artifact kind");
-  }
-  const std::uint64_t len = get_u64(h + 8);
-  if (len != file.size() - kArtifactHeaderSize) {
-    return data_loss(path, "payload length");
-  }
-  const std::uint8_t* body = file.data() + kArtifactHeaderSize;
-  if (crc32c(body, static_cast<std::size_t>(len)) != get_u32(h + 16)) {
-    return data_loss(path, "payload crc");
-  }
-  payload->assign(body, body + len);
+  payload->assign(s.frames[0].payload, s.frames[0].payload + s.frames[0].size);
   return Status::ok();
 }
 
@@ -279,14 +301,10 @@ Status write_artifact(const std::string& path, ArtifactKind kind,
   return Status::ok();
 }
 
-namespace {
-
-/// Shared tmp-write + rename commit path; the `n` bytes at `data` are the
-/// exact on-disk image (already MSDF-framed, or internally framed for raw
-/// callers).
-Status commit_atomic(const std::string& path, ArtifactKind kind,
-                     const std::uint8_t* data, std::size_t n,
-                     const DurableOptions& opts) {
+Status write_artifact_atomic(const std::string& path, ArtifactKind kind,
+                             const void* data, std::size_t n,
+                             const DurableOptions& opts) {
+  const std::vector<std::uint8_t> framed = frame_artifact(kind, data, n);
   const bool do_sync = opts.sync != SyncMode::kNone;
   const std::string tmp = path + ".tmp";
   WriteFaultSpec fault;
@@ -296,8 +314,9 @@ Status commit_atomic(const std::string& path, ArtifactKind kind,
   }
   const std::size_t limit = fault.fault == WriteFault::kTorn
                                 ? static_cast<std::size_t>(fault.offset)
-                                : n;
-  if (!write_file(tmp, data, n, limit, do_sync, fault.fault)) {
+                                : framed.size();
+  if (!write_file(tmp, framed.data(), framed.size(), limit, do_sync,
+                  fault.fault)) {
     return Status::unavailable("write failed: " + tmp);
   }
   if (fault.fault == WriteFault::kCrashBeforeRename) {
@@ -320,22 +339,6 @@ Status commit_atomic(const std::string& path, ArtifactKind kind,
     return Status::unavailable("dir fsync failed: " + path);
   }
   return Status::ok();
-}
-
-}  // namespace
-
-Status write_artifact_atomic(const std::string& path, ArtifactKind kind,
-                             const void* data, std::size_t n,
-                             const DurableOptions& opts) {
-  const std::vector<std::uint8_t> framed = frame_artifact(kind, data, n);
-  return commit_atomic(path, kind, framed.data(), framed.size(), opts);
-}
-
-Status write_raw_atomic(const std::string& path, ArtifactKind kind,
-                        const void* data, std::size_t n,
-                        const DurableOptions& opts) {
-  return commit_atomic(path, kind, static_cast<const std::uint8_t*>(data), n,
-                       opts);
 }
 
 Status read_raw(const std::string& path, ArtifactKind kind,
@@ -448,8 +451,10 @@ bool AppendFile::sync(WriteFault fault) {
   return fd_ >= 0 && sync_fd(fd_, fault);
 }
 
-bool AppendFile::rollback() {
-  return fd_ >= 0 && ::ftruncate(fd_, static_cast<off_t>(size_)) == 0;
+bool AppendFile::truncate(std::uint64_t size) {
+  if (fd_ < 0 || ::ftruncate(fd_, static_cast<off_t>(size)) != 0) return false;
+  size_ = size;
+  return true;
 }
 
 }  // namespace ms::storage

@@ -1,17 +1,22 @@
-// Framed durable artifacts: every blob the runtime persists — checkpoints,
-// deltas, manifests, source-log records — is wrapped in a fixed 24-byte
-// header carrying magic, version, artifact kind, payload length and a CRC32C
-// over the payload (plus a CRC over the header itself), so recovery can
-// tell "these are the bytes that were written" from "the disk lied". CRC32C
-// (Castagnoli) uses the SSE4.2 crc32 instruction when the CPU has it and a
-// table-based fallback otherwise.
+// Framed durable artifacts: every durable byte the runtime writes —
+// checkpoints, deltas, manifests, source-log batches — is an MSDF frame: a
+// fixed 24-byte header carrying magic, version, artifact kind, payload
+// length and a CRC32C over the payload (plus a CRC over the header itself),
+// so recovery can tell "these are the bytes that were written" from "the
+// disk lied". One parser, scan_frames, reads every frame: a blob is exactly
+// one frame spanning its file, a source log consecutive frames of one kind.
+// Past the last whole frame, bytes in which no verifying header begins are a
+// tear (a write cut short); a verifying header after a bad frame makes that
+// frame damage. CRC32C (Castagnoli) uses the SSE4.2 crc32 instruction when
+// the CPU has it and a table-based fallback otherwise.
 //
 // Durability is layered on top with an explicit fsync discipline: the commit
 // point of every atomic write is the rename, and SyncMode decides how much
 // is forced to media before it — kNone trusts the page cache (tests,
 // benches), kCommit fdatasyncs the file and fsyncs the parent directory
 // around the rename (a power loss cannot produce a committed-but-empty
-// artifact), kAlways additionally fdatasyncs every log append.
+// artifact), kAlways additionally fdatasyncs every log append. An appended
+// file is cut back only by truncation (AppendFile::truncate).
 //
 // A FaultInjector hook threads disk faults (torn write, bit flip, short
 // read, I/O error, crash around the rename) through every operation so
@@ -43,7 +48,7 @@ enum class ArtifactKind : std::uint8_t {
   kCheckpoint = 1,  // epoch_<E>/op_<i>.ckpt
   kDelta = 2,       // epoch_<E>/op_<i>.delta
   kManifest = 3,    // epoch_<E>/MANIFEST
-  kSourceLog = 4,   // source_<i>[.<F>-<L>].log (per-record frames, AppendFile)
+  kSourceLog = 4,   // source_<i>[.<F>-<L>].log (a frame per batch, AppendFile)
   // 5 is retired (a removed per-unit checkpoint file): never reuse it.
 };
 
@@ -60,11 +65,45 @@ constexpr std::size_t kArtifactHeaderSize = 24;
 std::vector<std::uint8_t> frame_artifact(ArtifactKind kind,
                                          const void* payload, std::size_t n);
 
-/// Validate and strip the frame of `file` (the full on-disk bytes of `path`,
-/// used only for error messages). On success `*payload` receives the payload
-/// bytes. Returns kDataLoss when the header or payload fails verification
-/// (missing magic, wrong kind, bad length, CRC mismatch) — the definitive
-/// "these bytes are not what was written".
+/// Frame in place: fill the first kArtifactHeaderSize bytes of `frame` as
+/// the header of the `n` payload bytes that follow them (an appender encodes
+/// its payload behind a reserved header and writes the frame as one piece).
+void write_frame_header(std::uint8_t* frame, ArtifactKind kind, std::size_t n);
+
+/// One verified frame of a scanned range (valid while the range lives).
+struct FrameView {
+  const std::uint8_t* payload = nullptr;
+  std::size_t size = 0;
+};
+
+struct FrameScan {
+  std::vector<FrameView> frames;
+  /// End of the last whole frame.
+  std::uint64_t valid_bytes = 0;
+  /// The bytes past valid_bytes are a tear: no verifying header begins in
+  /// them.
+  bool torn = false;
+  /// Why the bytes at valid_bytes are not a whole frame (when they exist).
+  const char* why = nullptr;
+};
+
+/// The one frame parser: consecutive frames of `kind` from the start of the
+/// `size` bytes at `data`, up to the first bytes that are not a whole frame
+/// of `kind` that verifies. Past that bad frame, bytes in which no
+/// verifying frame header begins are a tear (`torn`: a write cut short
+/// leaves a prefix of its frame). A verifying header beginning anywhere
+/// after the bad frame's start, or a range that does not open with the
+/// magic, makes the bad frame damage: kDataLoss naming `path` and the
+/// offset. The header search runs only on that failure path.
+Result<FrameScan> scan_frames(const std::uint8_t* data, std::size_t size,
+                              ArtifactKind kind, const std::string& path);
+
+/// Verify that `file` (the full on-disk bytes of `path`, used only for error
+/// messages) is exactly one frame of `expect` spanning it, and strip the
+/// frame: on success `*payload` receives the payload bytes. Anything else
+/// (missing magic, wrong kind, bad length, CRC mismatch, more or fewer
+/// bytes than the frame) is kDataLoss — the definitive "these bytes are not
+/// what was written".
 Status unframe_artifact(const std::string& path,
                         std::vector<std::uint8_t> file, ArtifactKind expect,
                         std::vector<std::uint8_t>* payload);
@@ -125,7 +164,8 @@ class FaultInjector {
 
 /// kCommit syncs at rename commit points only: a log append is a write()
 /// with no fdatasync, and a log segment is synced when a commit seals it
-/// (fdatasync, rename, directory fsync) or a torn head tail is cut at scan.
+/// (fdatasync, rename, directory fsync) or a torn head tail is truncated at
+/// scan.
 /// Its exactly-once therefore covers process crashes. After a power loss
 /// only the head segment can lose records — those appended since the last
 /// seal, all after the last commit — and recovery then replays less and
@@ -135,8 +175,6 @@ enum class SyncMode : std::uint8_t {
   kCommit,  // fdatasync files + fsync parent dir around rename commit points
   kAlways,  // kCommit plus fdatasync on every log append
 };
-
-const char* sync_mode_name(SyncMode mode);
 
 struct DurableOptions {
   SyncMode sync = SyncMode::kCommit;
@@ -161,16 +199,8 @@ Status write_artifact_atomic(const std::string& path, ArtifactKind kind,
                              const void* data, std::size_t n,
                              const DurableOptions& opts);
 
-/// write_artifact_atomic without the MSDF frame: `data` is the exact file
-/// image. For files with internal framing (a source log's torn-tail trim)
-/// that still want the tmp+rename+fsync commit discipline and fault
-/// injection.
-Status write_raw_atomic(const std::string& path, ArtifactKind kind,
-                        const void* data, std::size_t n,
-                        const DurableOptions& opts);
-
 /// Read the raw bytes of `path` with read-fault injection applied (for
-/// artifacts with internal framing, i.e. source logs). kNotFound when the
+/// files of many frames, i.e. source logs). kNotFound when the
 /// file does not exist, kUnavailable on a read error.
 Status read_raw(const std::string& path, ArtifactKind kind,
                 const DurableOptions& opts, std::vector<std::uint8_t>* bytes);
@@ -205,9 +235,11 @@ class AppendFile {
   bool sync(WriteFault fault = WriteFault::kNone);
   /// File size at open plus every successful append since.
   std::uint64_t size() const { return size_; }
-  /// Cut the file back to size(), dropping whatever a failed append left
-  /// behind. False when the handle is closed or the truncate fails.
-  bool rollback();
+  /// Cut the file back to `size` bytes, which becomes size():
+  /// truncate(size()) drops whatever a failed append left behind, and a
+  /// scan cuts a torn tail off. False when the handle is closed or the
+  /// truncate fails.
+  bool truncate(std::uint64_t size);
 
  private:
   int fd_ = -1;

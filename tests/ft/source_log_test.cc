@@ -7,8 +7,8 @@
 // metrics), the seal and its failure, sealed segments checked against their
 // names, the exact file reads and writes of a truncation and of a scan, and
 // the batch frame's own damage: a tear inside a batch, a flipped bit in a
-// sealed one, a batch overlapping the one before it and another format
-// version's header.
+// sealed one or in a head batch with batches after it, a batch overlapping
+// the one before it and a log in the previous (MSLG) format.
 #include "ft/source_log.h"
 
 #include <gtest/gtest.h>
@@ -169,6 +169,14 @@ std::vector<std::uint64_t> indices(const std::vector<LogBatch>& batches) {
   return out;
 }
 
+/// Write `bytes` over `path`.
+void overwrite(const std::string& path,
+               const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
 LogScan scan_of(const std::vector<std::uint8_t>& bytes) {
   auto scan = scan_log_bytes(bytes.data(), bytes.size(), "log");
   EXPECT_TRUE(scan.is_ok()) << scan.status().to_string();
@@ -221,8 +229,8 @@ TEST(SourceLogTest, AppendScanTruncateReplayRoundTrip) {
   EXPECT_EQ(LogDir::bytes_of(d.sealed(0, 9)), before);
   EXPECT_EQ(fs::file_size(d.path), 0u);
 
-  // Appends continue the run in the new head, behind its own header; a
-  // restart replays it across both segments.
+  // Appends continue the run in the new head; a restart replays it across
+  // both segments.
   append_batch(logs, 10, 11);
   EXPECT_EQ(indices(scan_of(d.bytes())), (std::vector<std::uint64_t>{10}));
   SourceLogSet& again = d.open();
@@ -327,8 +335,8 @@ TEST(SourceLogTest, TornTailIsTrimmedOnlyWhenTwoReadsAgree) {
 TEST(SourceLogTest, FailedAppendIsRolledBackAndOpensTheHealthWindow) {
   LogDir d("ms_slog_failed");
   DiskFaultInjector faults;
-  // The first write of a fresh log carries the header and record 0; five
-  // bytes of it land.
+  // The first write of a fresh log is record 0's frame; five bytes of it
+  // land.
   faults.arm_write(storage::ArtifactKind::kSourceLog,
                    storage::WriteFault::kTorn, 5);
   SourceLogSet& logs = d.append(0, 1, &faults);
@@ -340,7 +348,7 @@ TEST(SourceLogTest, FailedAppendIsRolledBackAndOpensTheHealthWindow) {
   EXPECT_NE(health.message().find("from index 0"), std::string::npos)
       << health.message();
 
-  // The next append writes the header again, and the run resumes behind the
+  // The next append starts the log again, and the run resumes behind the
   // lost record.
   for (std::int64_t v = 1; v < 4; ++v) append_batch(logs, v, v + 1);
   const LogScan scan = scan_of(d.bytes());
@@ -384,7 +392,7 @@ TEST(SourceLogTest, TornBatchRollsBackWhole) {
   DiskFaultInjector faults;
   SourceLogSet& logs = d.append(0, 4, &faults);  // records 0..3, one each
   const auto before = fs::file_size(d.path);
-  const auto frame = (before - kLogFileHeaderSize) / 4;  // one record each
+  const auto frame = before / 4;  // one record each
   faults.arm_write(storage::ArtifactKind::kSourceLog,
                    storage::WriteFault::kTorn, 2 * frame + frame / 2);
   append_batch(logs, 4, 12);
@@ -436,7 +444,7 @@ TEST(SourceLogTest, FailedSyncIsAnAppendFailure) {
 }
 
 // One clock pair and one sample per batch, not per tuple; the byte counter
-// adds the appended bytes, header included.
+// adds the appended bytes, frame headers included.
 TEST(SourceLogTest, BatchMetricsRecordEachBatchOnce) {
   LogDir d("ms_slog_metrics");
   SourceLogSet& logs = d.open();
@@ -754,11 +762,7 @@ TEST(SourceLogTest, BatchBitFlipInASealedSegmentIsDataLoss) {
   const std::size_t victim = static_cast<std::size_t>(
       scan.frames[0].records - bytes.data() + scan.frames[0].size / 2);
   bytes[victim] ^= 0x10;
-  {
-    std::ofstream out(d.sealed(0, 15), std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-  }
+  overwrite(d.sealed(0, 15), bytes);
 
   d.open();
   EXPECT_EQ(d.scanned.code(), StatusCode::kDataLoss) << d.scanned.to_string();
@@ -786,12 +790,8 @@ TEST(SourceLogTest, BatchOverlappingThePreviousIsDataLoss) {
   at4.drop_views();
   append_batch(at4, 4, 8);
   const std::vector<std::uint8_t> frame = other.bytes();
-  bytes.insert(bytes.end(), frame.begin() + kLogFileHeaderSize, frame.end());
-  {
-    std::ofstream out(d.path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-  }
+  bytes.insert(bytes.end(), frame.begin(), frame.end());
+  overwrite(d.path, bytes);
   const LogScan scan = scan_of(bytes);
   ASSERT_EQ(scan.frames.size(), 2u);
   EXPECT_EQ(scan.frames[1].first, 4u);
@@ -811,21 +811,61 @@ TEST(SourceLogTest, BatchOverlappingThePreviousIsDataLoss) {
   EXPECT_EQ(report.logs[0].records, 12u);
 }
 
-// A log from the per-record format (MSLG version 1) fails the header
-// compare: kDataLoss, with the file left as it is. There is one durable
-// format and no compat path.
-TEST(SourceLogTest, V1HeaderIsDataLossAndKeepsTheFile) {
-  LogDir d("ms_slog_v1");
-  d.append(0, 4);
-  std::vector<std::uint8_t> bytes = d.bytes();
-  const std::uint32_t v1 = 1;
-  std::memcpy(bytes.data() + 4, &v1, 4);
-  {
-    std::ofstream out(d.path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
+// A flipped bit in the first of five head batches, in its payload or in its
+// frame header, is damage, not a tear: the batches after it still verify,
+// and records past it went downstream. Both reads agree, so the scan is
+// kDataLoss and the head stays byte for byte — no trim, no view to replay
+// an empty run from. The scrub names the same file.
+TEST(SourceLogTest, DamagedHeadBatchIsDataLossAndKeepsTheFile) {
+  for (const std::size_t byte :
+       {kLogBatchHeaderSize + 3, std::size_t{10}}) {  // a record, the length
+    SCOPED_TRACE(byte);
+    LogDir d("ms_slog_head_damage");
+    d.append(0, 5);
+    std::vector<std::uint8_t> bytes = d.bytes();
+    ASSERT_EQ(scan_of(bytes).frames.size(), 5u);
+    bytes[byte] ^= 0x08;
+    overwrite(d.path, bytes);
+
+    EXPECT_EQ(scan_log_bytes(bytes.data(), bytes.size(), "log").status().code(),
+              StatusCode::kDataLoss);
+    d.open();
+    EXPECT_EQ(d.scanned.code(), StatusCode::kDataLoss) << d.scanned.to_string();
+    EXPECT_NE(d.scanned.message().find(d.path), std::string::npos)
+        << d.scanned.message();
+    EXPECT_EQ(d.count("ft.log.torn_frames"), 0);
+    EXPECT_EQ(d.count("ft.log.torn_unconfirmed"), 0);
+    EXPECT_EQ(d.bytes(), bytes);
+    const ScrubReport report = scrub_checkpoint_dir(d.dir);
+    ASSERT_EQ(report.issues.size(), 1u);
+    EXPECT_EQ(report.issues[0].path, d.path);
   }
-  EXPECT_EQ(scan_log_bytes(bytes.data(), bytes.size(), "v1").status().code(),
+}
+
+// A log in the previous format — an 8-byte MSLG header, then a [len][crc]
+// frame per batch — does not open with the MSDF magic: kDataLoss, with the
+// file left as it is, never a tear at byte 0 to trim it away. There is one
+// durable format and no compat path.
+TEST(SourceLogTest, PreviousFormatLogIsDataLossAndKeepsTheFile) {
+  LogDir d("ms_slog_mslg");
+  d.append(0, 4);
+  const std::vector<std::uint8_t> current = d.bytes();
+  std::vector<std::uint8_t> bytes = {'M', 'S', 'L', 'G', 2, 0, 0, 0};
+  for (const LogFrameView& f : scan_of(current).frames) {
+    // The previous frame's CRC covered its batch: [first][n][port] and the
+    // records, the same bytes as this format's payload.
+    const std::uint8_t* batch =
+        f.records - (kLogBatchHeaderSize - storage::kArtifactHeaderSize);
+    const auto len = static_cast<std::uint32_t>(f.records + f.size - batch);
+    const std::uint32_t crc = storage::crc32c(batch, len);
+    bytes.insert(bytes.end(), reinterpret_cast<const std::uint8_t*>(&len),
+                 reinterpret_cast<const std::uint8_t*>(&len) + 4);
+    bytes.insert(bytes.end(), reinterpret_cast<const std::uint8_t*>(&crc),
+                 reinterpret_cast<const std::uint8_t*>(&crc) + 4);
+    bytes.insert(bytes.end(), batch, batch + len);
+  }
+  overwrite(d.path, bytes);
+  EXPECT_EQ(scan_log_bytes(bytes.data(), bytes.size(), "mslg").status().code(),
             StatusCode::kDataLoss);
   d.open();
   EXPECT_EQ(d.scanned.code(), StatusCode::kDataLoss) << d.scanned.to_string();

@@ -40,76 +40,11 @@ using ms::testing::ExternalFeed;
 using ms::testing::FeedSource;
 using ms::testing::int_codec;
 using ms::testing::IntPayload;
+using ms::testing::KeyedDeltaSum;
 using ms::testing::RecordingSink;
 using ms::testing::wait_drained;
 using ms::testing::wait_for;
 using ms::testing::wait_quiescent;
-
-/// Keyed running sums with delta support — the minimal stateful op whose
-/// full-state bytes are deterministic (ordered map) for exactness checks.
-class DeltaSum final : public core::Operator {
- public:
-  explicit DeltaSum(std::string name) : core::Operator(std::move(name)) {}
-
-  void process(int, const core::Tuple& t, core::OperatorContext& ctx) override {
-    const auto* p = t.payload_as<IntPayload>();
-    MS_CHECK(p != nullptr);
-    const std::int64_t key = p->value % 8;
-    table_[key] += p->value;
-    dirty_.insert(key);
-    ctx.emit(0, t);
-  }
-
-  Bytes state_size() const override {
-    return 8 + static_cast<Bytes>(table_.size()) * 16;
-  }
-  Bytes state_delta_size() const override {
-    return 8 + static_cast<Bytes>(dirty_.size()) * 16;
-  }
-
-  void serialize_state(BinaryWriter& w) const override {
-    w.write<std::uint64_t>(table_.size());
-    for (const auto& [k, v] : table_) {
-      w.write(k);
-      w.write(v);
-    }
-  }
-  void deserialize_state(BinaryReader& r) override {
-    clear_state();
-    const auto n = r.read<std::uint64_t>();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const auto k = r.read<std::int64_t>();
-      table_[k] = r.read<std::int64_t>();
-    }
-  }
-  void clear_state() override {
-    table_.clear();
-    dirty_.clear();
-  }
-
-  bool supports_delta() const override { return true; }
-  void serialize_delta(BinaryWriter& w) const override {
-    w.write<std::uint64_t>(dirty_.size());
-    for (const std::int64_t k : dirty_) {
-      w.write(k);
-      w.write(table_.at(k));
-    }
-  }
-  void apply_delta(BinaryReader& r) override {
-    const auto n = r.read<std::uint64_t>();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const auto k = r.read<std::int64_t>();
-      table_[k] = r.read<std::int64_t>();
-    }
-  }
-  void mark_checkpointed() override { dirty_.clear(); }
-
-  const std::map<std::int64_t, std::int64_t>& table() const { return table_; }
-
- private:
-  std::map<std::int64_t, std::int64_t> table_;
-  std::set<std::int64_t> dirty_;
-};
 
 /// Forwards every tuple and keeps no state: the default serialize_state
 /// writes nothing, so each of its checkpoint blobs holds a 0-byte payload.
@@ -134,8 +69,9 @@ core::QueryGraph sum_chain(std::shared_ptr<ExternalFeed> feed,
     return std::make_unique<FeedSource>("src", feed, SimTime::micros(200),
                                         kFeedBurst);
   });
-  const int sum =
-      g.add_operator("sum", [] { return std::make_unique<DeltaSum>("sum"); });
+  const int sum = g.add_operator("sum", [] {
+    return std::make_unique<KeyedDeltaSum>("sum", 8);
+  });
   const int sink =
       g.add_sink("sink", [] { return std::make_unique<RecordingSink>("sink"); });
   g.connect(src, sum);
@@ -190,7 +126,7 @@ void expect_sink_exact(rt::RtEngine& engine, std::int64_t n) {
 
 void expect_table_exact(rt::RtEngine& engine, std::int64_t total) {
   (void)engine.op_state_size(kSumOp);  // as in expect_sink_exact
-  const auto& sum = static_cast<const DeltaSum&>(engine.op(kSumOp));
+  const auto& sum = static_cast<const KeyedDeltaSum&>(engine.op(kSumOp));
   std::map<std::int64_t, std::int64_t> expect;
   for (std::int64_t v = 0; v < total; ++v) expect[v % 8] += v;
   EXPECT_EQ(sum.table(), expect);
@@ -485,18 +421,34 @@ TEST(RtCorruptionTest, EveryArtifactBitFlipIsCaughtAndNeverWrongState) {
   const auto seed_cfg = drill_config(pristine, &seed_reg);
   const std::int64_t total = seed_chain(feed, seed_cfg);
 
-  // Every framed artifact of the chain (source logs have their own tail
-  // drill below — mid-log damage costs records by design, like any WAL).
+  // Every durable file of the chain, each source-log segment included. The
+  // bit lands in a segment's first batch, with batches after it, so it is
+  // damage like any other, never a tear to trim (a tear is only ever the
+  // head's short last frame, drilled below).
   std::vector<std::string> targets;
+  int logs = 0;
   for (const auto& entry : fs::recursive_directory_iterator(pristine)) {
     if (!entry.is_regular_file()) continue;
     const std::string name = entry.path().filename().string();
-    if (name == "MANIFEST" || entry.path().extension() == ".ckpt" ||
-        entry.path().extension() == ".delta") {
+    const fs::path ext = entry.path().extension();
+    if (ext == ".log") {
+      std::vector<std::uint8_t> bytes;
+      ASSERT_TRUE(storage::read_raw(entry.path().string(),
+                                    storage::ArtifactKind::kSourceLog,
+                                    storage::DurableOptions{}, &bytes)
+                      .is_ok());
+      const auto scanned = scan_log_bytes(bytes.data(), bytes.size(), name);
+      ASSERT_TRUE(scanned.is_ok()) << scanned.status().to_string();
+      ASSERT_GE(scanned.value().frames.size(), 2u) << name;
+      ++logs;
+    }
+    if (name == "MANIFEST" || ext == ".ckpt" || ext == ".delta" ||
+        ext == ".log") {
       targets.push_back(fs::relative(entry.path(), pristine).string());
     }
   }
-  ASSERT_GE(targets.size(), 8u);  // 3 epochs x (manifest + blobs)
+  ASSERT_GE(targets.size(), 9u);  // 3 epochs x (manifest + blobs), a log
+  ASSERT_GE(logs, 1);
 
   for (const std::string& rel : targets) {
     MetricsRegistry reg;
@@ -512,10 +464,12 @@ TEST(RtCorruptionTest, EveryArtifactBitFlipIsCaughtAndNeverWrongState) {
       EXPECT_EQ(issue.path, target) << "scrub flagged the wrong file";
     }
 
-    // (b) recovery: exact or typed, never wrong.
+    // (b) recovery: exact or typed, never wrong, and damage is never
+    // trimmed away.
     rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
     RtRuntime runtime(&engine, cfg);
     const Status st = runtime.recover(nullptr);
+    EXPECT_EQ(reg.counter("ft.log.torn_frames")->value(), 0) << rel;
     if (st.is_ok()) {
       wait_quiescent(engine);
       runtime.stop();
@@ -593,10 +547,10 @@ TEST(RtCorruptionTest, BatchTornMidFrameTrimsToTheLastWholeBatch) {
   EXPECT_TRUE(scrub_checkpoint_dir(cfg.dir).clean());
 }
 
-// The trim of a confirmed torn tail writes the whole frames back through an
-// atomic write, so the disk-fault hook sees it. A trim write that fails
-// is handled like a read error: the file stays byte-identical, the log gets
-// no view, and recover() is retryable. Once the fault clears, the trim lands
+// The trim of a confirmed torn tail is a truncation in place, and it
+// consults the disk-fault hook like any log write. A trim that fails is
+// handled like a read error: the file stays byte-identical, the log gets no
+// view, and recover() is retryable. Once the fault clears, the trim lands
 // and the replay is exact.
 TEST(RtCorruptionTest, FailedTornTailTrimKeepsTheLogAndIsRetryable) {
   auto feed = std::make_shared<ExternalFeed>();
@@ -641,51 +595,60 @@ TEST(RtCorruptionTest, FailedTornTailTrimKeepsTheLogAndIsRetryable) {
   EXPECT_TRUE(scrub_checkpoint_dir(cfg.dir).clean());
 }
 
-// The MSLG header is verified like any frame: an empty file is a fresh log,
-// a file shorter than the header is a header torn at creation (torn at 0,
-// and the runtime resets it), and a whole header that does not verify is
-// kDataLoss, never a torn tail to truncate.
-TEST(RtCorruptionTest, LogHeaderIsVerifiedLikeAFrame) {
-  const auto hdr = log_file_header();
+// A log's first bytes are verified like any frame's: an empty file is a
+// fresh log, a prefix of a frame is a frame torn at creation (torn at 0, and
+// the runtime cuts it off), and a first frame whose header does not verify
+// is kDataLoss whenever frames follow it or its bytes do not open with the
+// magic — never a torn tail to truncate.
+TEST(RtCorruptionTest, LogStartIsVerifiedLikeAnyFrame) {
+  // Two batches of one record each: [first][n 1][port 0], 25 record bytes.
+  std::uint8_t batch[kLogBatchHeaderSize - storage::kArtifactHeaderSize + 25] =
+      {};
+  batch[8] = 1;
+  std::vector<std::uint8_t> two;
+  for (std::uint8_t first = 0; first < 2; ++first) {
+    batch[0] = first;
+    const auto frame = storage::frame_artifact(
+        storage::ArtifactKind::kSourceLog, batch, sizeof(batch));
+    two.insert(two.end(), frame.begin(), frame.end());
+  }
   std::vector<std::uint8_t> bytes;
   auto scan = scan_log_bytes(bytes.data(), bytes.size(), "empty");
   ASSERT_TRUE(scan.is_ok());
   EXPECT_FALSE(scan.value().torn);
   EXPECT_EQ(scan.value().valid_bytes, 0u);
+  scan = scan_log_bytes(two.data(), two.size(), "two");
+  ASSERT_TRUE(scan.is_ok()) << scan.status().to_string();
+  EXPECT_EQ(scan.value().frames.size(), 2u);
 
-  bytes.assign(hdr.begin(), hdr.end());
-  scan = scan_log_bytes(bytes.data(), bytes.size(), "header");
-  ASSERT_TRUE(scan.is_ok());
-  EXPECT_FALSE(scan.value().torn);
-  EXPECT_EQ(scan.value().valid_bytes, kLogFileHeaderSize);
+  for (const std::size_t cut : {std::size_t{3}, storage::kArtifactHeaderSize}) {
+    bytes.assign(two.begin(), two.begin() + static_cast<std::ptrdiff_t>(cut));
+    scan = scan_log_bytes(bytes.data(), bytes.size(), "short");
+    ASSERT_TRUE(scan.is_ok()) << scan.status().to_string();
+    EXPECT_TRUE(scan.value().torn);
+    EXPECT_EQ(scan.value().valid_bytes, 0u);
+  }
 
-  bytes.resize(kLogFileHeaderSize - 3);
-  scan = scan_log_bytes(bytes.data(), bytes.size(), "short");
-  ASSERT_TRUE(scan.is_ok());
-  EXPECT_TRUE(scan.value().torn);
-  EXPECT_EQ(scan.value().valid_bytes, 0u);
-
-  for (std::size_t byte = 0; byte < kLogFileHeaderSize; ++byte) {
-    bytes.assign(hdr.begin(), hdr.end());
+  for (std::size_t byte = 0; byte < storage::kArtifactHeaderSize; ++byte) {
+    bytes = two;
     bytes[byte] ^= 0x04;
     scan = scan_log_bytes(bytes.data(), bytes.size(), "flipped");
     EXPECT_EQ(scan.status().code(), StatusCode::kDataLoss) << "byte " << byte;
   }
 
-  // The runtime resets a header torn at creation and appends behind a fresh
-  // one.
+  // The runtime cuts a frame torn at creation off and appends behind it.
   auto feed = std::make_shared<ExternalFeed>();
   MetricsRegistry reg;
   const auto cfg = drill_config(fresh_dir("ms_corr_hdrtorn"), &reg);
   fs::create_directories(cfg.dir);
   {
     std::ofstream out(cfg.dir + "/source_0.log", std::ios::binary);
-    out.write(reinterpret_cast<const char*>(hdr.data()), 5);
+    out.write(reinterpret_cast<const char*>(two.data()), 5);
   }
   rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
   RtRuntime runtime(&engine, cfg);
   EXPECT_EQ(reg.counter("ft.log.torn_frames")->value(), 1);
-  EXPECT_EQ(fs::file_size(cfg.dir + "/source_0.log"), kLogFileHeaderSize);
+  EXPECT_EQ(fs::file_size(cfg.dir + "/source_0.log"), 0u);
   ASSERT_TRUE(runtime.start().is_ok());
   ASSERT_TRUE(wait_drained(engine, 50));
   feed->paused.store(true);
@@ -738,11 +701,29 @@ TEST(RtCorruptionTest, TransientLogReadErrorAbortsRecoveryRetryably) {
   expect_table_exact(engine, total);
 }
 
-/// One checkpoint, then a suffix only the log holds; the constructor's scan
-/// reads the log with `fault` at `offset` (one-shot). The read is damaged but
-/// the file is intact: the constructor must not truncate it, and recover()
-/// must come back exact. `unconfirmed` is how many torn verdicts the
-/// confirming read must overturn.
+/// One incarnation: one checkpoint, then a suffix only the log holds, then
+/// a crash. Returns the total tuple count.
+std::int64_t seed_log_suffix(std::shared_ptr<ExternalFeed> feed,
+                             const RtRuntimeConfig& cfg) {
+  rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
+  RtRuntime runtime(&engine, cfg);
+  EXPECT_TRUE(runtime.start().is_ok());
+  EXPECT_TRUE(wait_drained(engine, 100));
+  EXPECT_TRUE(take_checkpoint(runtime, 0));
+  EXPECT_TRUE(wait_drained(engine, engine.sink_tuples() + 100));
+  runtime.simulate_crash();
+  feed->paused.store(true);
+  wait_quiescent(engine);
+  const std::int64_t total = feed->cursor.load();
+  runtime.stop();
+  return total;
+}
+
+/// seed_log_suffix, then the constructor's scan reads the log with `fault`
+/// at `offset` (one-shot). The read is damaged but the file is intact: the
+/// constructor must not truncate it, and recover() must come back exact.
+/// `unconfirmed` is how many torn or damaged verdicts the confirming read
+/// must overturn.
 void construction_read_fault_drill(const std::string& name,
                                    storage::ReadFault fault,
                                    std::uint64_t offset,
@@ -750,20 +731,7 @@ void construction_read_fault_drill(const std::string& name,
   auto feed = std::make_shared<ExternalFeed>();
   MetricsRegistry reg;
   auto cfg = drill_config(fresh_dir(name), &reg);
-  std::int64_t total = 0;
-  {
-    rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
-    RtRuntime runtime(&engine, cfg);
-    ASSERT_TRUE(runtime.start().is_ok());
-    ASSERT_TRUE(wait_drained(engine, 100));
-    ASSERT_TRUE(take_checkpoint(runtime, 0));
-    ASSERT_TRUE(wait_drained(engine, engine.sink_tuples() + 100));
-    runtime.simulate_crash();
-    feed->paused.store(true);
-    wait_quiescent(engine);
-    total = feed->cursor.load();
-    runtime.stop();
-  }
+  const std::int64_t total = seed_log_suffix(feed, cfg);
   const auto log_size = fs::file_size(cfg.dir + "/source_0.log");
 
   DiskFaultInjector faults;
@@ -791,24 +759,66 @@ void construction_read_fault_drill(const std::string& name,
 // recover() reads the log again.
 TEST(RtCorruptionTest, ShortLogReadAtConstructionIsNotReplayed) {
   construction_read_fault_drill("ms_corr_logshort",
-                                storage::ReadFault::kShortRead,
-                                kLogFileHeaderSize, 0);
+                                storage::ReadFault::kShortRead, 0, 0);
 }
 
-// A flip in the MSLG magic: the header does not verify, which is kDataLoss
-// for that read, never a torn tail at byte 0. The constructor keeps no view
-// and recover() reads the log again.
-TEST(RtCorruptionTest, HeaderFlipAtConstructionIsNotTruncated) {
-  construction_read_fault_drill("ms_corr_ctor_hdrflip",
-                                storage::ReadFault::kBitFlip, 3, 0);
-}
-
-// A flip in a frame mid-file (byte 2000): the first read is torn there, the
+// A flip in the first frame's magic: the log does not open with the MSDF
+// magic, which is damage for that read, never a torn tail at byte 0. The
 // confirming read is whole, and the constructor keeps the file and the whole
 // view.
+TEST(RtCorruptionTest, HeaderFlipAtConstructionIsNotTruncated) {
+  construction_read_fault_drill("ms_corr_ctor_hdrflip",
+                                storage::ReadFault::kBitFlip, 3, 1);
+}
+
+// A flip in a frame mid-file (byte 2000): the first read sees damage there
+// (frames after it verify), the confirming read is whole, and the
+// constructor keeps the file and the whole view.
 TEST(RtCorruptionTest, FrameFlipAtConstructionIsNotTruncated) {
   construction_read_fault_drill("ms_corr_ctor_frameflip",
                                 storage::ReadFault::kBitFlip, 16000, 1);
+}
+
+// Damage in a head batch with batches after it is not a tear. Trimming the
+// head there would drop every record past the damage, records that went
+// downstream before the crash, and replay the rest as if whole. Instead
+// recover() returns kDataLoss, the head stays byte for byte, and the scrub
+// names the same file.
+TEST(RtCorruptionTest, DamagedHeadBatchIsDataLossNotATrim) {
+  auto feed = std::make_shared<ExternalFeed>();
+  MetricsRegistry reg;
+  const auto cfg = drill_config(fresh_dir("ms_corr_head_damage"), &reg);
+  (void)seed_log_suffix(feed, cfg);
+  const std::string log = cfg.dir + "/source_0.log";
+  std::vector<std::uint8_t> before;
+  ASSERT_TRUE(storage::read_raw(log, storage::ArtifactKind::kSourceLog,
+                                storage::DurableOptions{}, &before)
+                  .is_ok());
+  const auto scanned = scan_log_bytes(before.data(), before.size(), log);
+  ASSERT_TRUE(scanned.is_ok()) << scanned.status().to_string();
+  ASSERT_GE(scanned.value().frames.size(), 2u);
+  // A bit inside the first batch's first record.
+  const std::uint64_t bit = (kLogBatchHeaderSize + 1) * 8 + 2;
+  ASSERT_TRUE(flip_bit_in_file(log, bit));
+  before[bit / 8] ^= 1u << (bit % 8);
+
+  const ScrubReport report = scrub_checkpoint_dir(cfg.dir);
+  ASSERT_FALSE(report.clean());
+  for (const ScrubIssue& issue : report.issues) {
+    EXPECT_EQ(issue.path, log) << issue.detail;
+  }
+
+  rt::RtEngine engine(sum_chain(feed), rt::RtConfig{});
+  RtRuntime runtime(&engine, cfg);
+  const Status st = runtime.recover(nullptr);
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.to_string();
+  EXPECT_NE(st.message().find(log), std::string::npos) << st.message();
+  EXPECT_EQ(reg.counter("ft.log.torn_frames")->value(), 0);
+  std::vector<std::uint8_t> after;
+  ASSERT_TRUE(storage::read_raw(log, storage::ArtifactKind::kSourceLog,
+                                storage::DurableOptions{}, &after)
+                  .is_ok());
+  EXPECT_EQ(after, before) << "recovery modified the damaged log";
 }
 
 // --- torn appends ----------------------------------------------------------------
@@ -1190,12 +1200,12 @@ TEST(RtCorruptionTest, FailedLogAppendDegradesHealthUntilCovered) {
   runtime.stop();
 }
 
-// The MSLG header goes out in the same write as a fresh log's first frame,
-// so a failed header write is an ordinary append failure: counted, cut back
-// to the empty file, health() degraded until a checkpoint boundary covers
-// the lost record, and the next append writes the header again. After a
-// crash the log still verifies and the replay is exact.
-TEST(RtCorruptionTest, FailedLogHeaderWriteIsAnAppendFailure) {
+// A fresh log's first write is its first batch's frame, so a failed one is
+// an ordinary append failure: counted, cut back to the empty file, health()
+// degraded until a checkpoint boundary covers the lost records, and the next
+// append starts the log again. After a crash the log still verifies and the
+// replay is exact.
+TEST(RtCorruptionTest, FailedFirstAppendIsAnAppendFailure) {
   auto feed = std::make_shared<ExternalFeed>();
   MetricsRegistry reg;
   auto cfg = drill_config(fresh_dir("ms_corr_hdrwrite"), &reg);
@@ -1335,8 +1345,8 @@ void strip_frame(const std::string& path, storage::ArtifactKind kind) {
             static_cast<std::streamsize>(payload.size()));
 }
 
-/// Rewrite a new-format log ([MSLG header][len][crc][batch]...) as the
-/// pre-checksum format ([len][batch]...).
+/// Rewrite a log (an MSDF frame per batch) as the pre-checksum format
+/// ([len][batch]...).
 void downgrade_log(const std::string& path) {
   std::vector<std::uint8_t> bytes;
   ASSERT_TRUE(storage::read_raw(path, storage::ArtifactKind::kSourceLog,
@@ -1348,8 +1358,9 @@ void downgrade_log(const std::string& path) {
   ASSERT_FALSE(scan.torn);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   for (const LogFrameView& f : scan.frames) {
-    // The batch: everything the frame's CRC covered.
-    const std::uint8_t* batch = f.records - (kLogBatchHeaderSize - 8);
+    // The batch: the frame's payload.
+    const std::uint8_t* batch =
+        f.records - (kLogBatchHeaderSize - storage::kArtifactHeaderSize);
     const auto len = static_cast<std::uint32_t>(f.records + f.size - batch);
     out.write(reinterpret_cast<const char*>(&len), 4);
     out.write(reinterpret_cast<const char*>(batch),
@@ -1358,7 +1369,7 @@ void downgrade_log(const std::string& path) {
 }
 
 // A checkpoint directory in the pre-checksum layout (no MSDF headers, no
-// MSLG log header, no CRCs) carries nothing that verifies its bytes. Every
+// CRCs) carries nothing that verifies its bytes. Every
 // file is damage, not data: the scrub names each one, recovery returns
 // kDataLoss instead of restoring unverified state, and the log it could not
 // verify stays on disk byte for byte.

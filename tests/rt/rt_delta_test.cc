@@ -37,79 +37,11 @@ using ms::testing::ExternalFeed;
 using ms::testing::FeedSource;
 using ms::testing::int_codec;
 using ms::testing::IntPayload;
+using ms::testing::KeyedDeltaSum;
 using ms::testing::RecordingSink;
 using ms::testing::wait_drained;
 using ms::testing::wait_for;
 using ms::testing::wait_quiescent;
-
-/// Keyed running sums with per-epoch dirty tracking — the delta-aware
-/// operator. The dirty-key set is pinned/cleared by mark_checkpointed() at
-/// the serialization cut, so a delta blob carries exactly the keys mutated
-/// since the previous committed cut. serialize_state() walks the (ordered)
-/// map, making full-state bytes deterministic for byte-identity checks.
-class DeltaKvRelay final : public core::Operator {
- public:
-  explicit DeltaKvRelay(std::string name) : core::Operator(std::move(name)) {}
-
-  void process(int, const core::Tuple& t, core::OperatorContext& ctx) override {
-    const auto* p = t.payload_as<IntPayload>();
-    MS_CHECK(p != nullptr);
-    const std::int64_t key = p->value % 16;
-    table_[key] += p->value;
-    dirty_.insert(key);
-    ctx.emit(0, t);
-  }
-
-  Bytes state_size() const override {
-    return 8 + static_cast<Bytes>(table_.size()) * 16;
-  }
-  Bytes state_delta_size() const override {
-    return 8 + static_cast<Bytes>(dirty_.size()) * 16;
-  }
-
-  void serialize_state(BinaryWriter& w) const override {
-    w.write<std::uint64_t>(table_.size());
-    for (const auto& [k, v] : table_) {
-      w.write(k);
-      w.write(v);
-    }
-  }
-  void deserialize_state(BinaryReader& r) override {
-    clear_state();
-    const auto n = r.read<std::uint64_t>();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const auto k = r.read<std::int64_t>();
-      table_[k] = r.read<std::int64_t>();
-    }
-  }
-  void clear_state() override {
-    table_.clear();
-    dirty_.clear();
-  }
-
-  bool supports_delta() const override { return true; }
-  void serialize_delta(BinaryWriter& w) const override {
-    w.write<std::uint64_t>(dirty_.size());
-    for (const std::int64_t k : dirty_) {
-      w.write(k);
-      w.write(table_.at(k));
-    }
-  }
-  void apply_delta(BinaryReader& r) override {
-    const auto n = r.read<std::uint64_t>();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const auto k = r.read<std::int64_t>();
-      table_[k] = r.read<std::int64_t>();
-    }
-  }
-  void mark_checkpointed() override { dirty_.clear(); }
-
-  const std::map<std::int64_t, std::int64_t>& table() const { return table_; }
-
- private:
-  std::map<std::int64_t, std::int64_t> table_;
-  std::set<std::int64_t> dirty_;
-};
 
 /// feed -> kv relay (delta-capable) -> sink. The feed source and recording
 /// sink do NOT support deltas, so every delta epoch is a mixed epoch: the kv
@@ -120,7 +52,7 @@ core::QueryGraph delta_chain(std::shared_ptr<ExternalFeed> feed) {
     return std::make_unique<FeedSource>("src", feed, SimTime::micros(200), 4);
   });
   const int kv = g.add_operator(
-      "kv", [] { return std::make_unique<DeltaKvRelay>("kv"); });
+      "kv", [] { return std::make_unique<KeyedDeltaSum>("kv", 16); });
   const int sink =
       g.add_sink("sink", [] { return std::make_unique<RecordingSink>("sink"); });
   g.connect(src, kv);
@@ -280,7 +212,7 @@ TEST(RtDeltaTest, ReplayAfterDeltaRestoreIsExactlyOnce) {
   runtime.stop();
   expect_sink_exact(engine, total);
 
-  const auto& kv = static_cast<const DeltaKvRelay&>(engine.op(kKvOp));
+  const auto& kv = static_cast<const KeyedDeltaSum&>(engine.op(kKvOp));
   std::map<std::int64_t, std::int64_t> expect;
   for (std::int64_t v = 0; v < total; ++v) expect[v % 16] += v;
   EXPECT_EQ(kv.table(), expect);
@@ -499,7 +431,7 @@ TEST(RtDeltaTest, ManifestWriteFailureForcesFullRebase) {
   wait_quiescent(engine);
   runtime.stop();
   expect_sink_exact(engine, total);
-  const auto& kv = static_cast<const DeltaKvRelay&>(engine.op(kKvOp));
+  const auto& kv = static_cast<const KeyedDeltaSum&>(engine.op(kKvOp));
   std::map<std::int64_t, std::int64_t> expect;
   for (std::int64_t v = 0; v < total; ++v) expect[v % 16] += v;
   EXPECT_EQ(kv.table(), expect);

@@ -1,8 +1,9 @@
 // The framed-artifact layer in isolation: CRC32C correctness (known-answer
-// vectors, hw/sw agreement), frame round-trips per artifact kind, and the
-// full corruption taxonomy — every way the on-disk bytes can differ from the written bytes must come back as
-// kDataLoss (definitive) or kUnavailable (retryable), never as a clean read
-// of wrong bytes.
+// vectors, hw/sw agreement), frame round-trips per artifact kind, the one
+// frame parser's tear/damage rule over a run of frames, and the full
+// corruption taxonomy — every way the on-disk bytes can differ from the
+// written bytes must come back as kDataLoss (definitive) or kUnavailable
+// (retryable), never as a clean read of wrong bytes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -146,6 +147,77 @@ TEST(DurableFileTest, EveryCorruptionClassIsDataLoss) {
       StatusCode::kDataLoss);
 }
 
+// Consecutive frames of one kind, as a source log holds them. Past the last
+// whole frame, bytes in which no verifying header begins are a tear; a bad
+// frame with a verifying header after it, or a range that does not open
+// with the magic, is damage.
+TEST(DurableFileTest, ScanFramesTellsATearFromDamage) {
+  std::vector<std::uint8_t> run;
+  std::vector<std::size_t> starts;
+  for (const std::size_t n : {std::size_t{40}, std::size_t{0}, std::size_t{77},
+                              std::size_t{13}}) {
+    starts.push_back(run.size());
+    const auto frame =
+        frame_artifact(ArtifactKind::kSourceLog, payload(n).data(), n);
+    run.insert(run.end(), frame.begin(), frame.end());
+  }
+  const auto scan = [](const std::vector<std::uint8_t>& bytes) {
+    return scan_frames(bytes.data(), bytes.size(), ArtifactKind::kSourceLog,
+                       "mem");
+  };
+
+  auto whole = scan(run);
+  ASSERT_TRUE(whole.is_ok()) << whole.status().to_string();
+  EXPECT_FALSE(whole.value().torn);
+  EXPECT_EQ(whole.value().valid_bytes, run.size());
+  ASSERT_EQ(whole.value().frames.size(), 4u);
+  EXPECT_EQ(whole.value().frames[2].size, 77u);
+  EXPECT_EQ(whole.value().frames[2].payload,
+            run.data() + starts[2] + kArtifactHeaderSize);
+  EXPECT_TRUE(scan({}).is_ok());
+  EXPECT_TRUE(scan({}).value().frames.empty());
+
+  // A write cut short anywhere in the last frame, or a prefix of the first
+  // frame's magic, is a tear at the last whole frame.
+  for (const std::size_t cut :
+       {starts[3] + 1, starts[3] + kArtifactHeaderSize - 1,
+        starts[3] + kArtifactHeaderSize + 5, std::size_t{3}}) {
+    auto torn = run;
+    torn.resize(cut);
+    const auto got = scan(torn);
+    ASSERT_TRUE(got.is_ok()) << "cut at " << cut << ": "
+                             << got.status().to_string();
+    EXPECT_TRUE(got.value().torn) << "cut at " << cut;
+    EXPECT_EQ(got.value().valid_bytes, cut == 3 ? 0 : starts[3])
+        << "cut at " << cut;
+  }
+  // Garbage past the last frame holds no header: a tear too.
+  auto garbage = run;
+  garbage.insert(garbage.end(), {0xff, 0xff, 0xff, 0xff, 0xde, 0xad});
+  ASSERT_TRUE(scan(garbage).is_ok());
+  EXPECT_TRUE(scan(garbage).value().torn);
+
+  // A flipped bit in any frame but the last, header or payload: the next
+  // frame's header still verifies, so it is damage, never a tear.
+  for (const std::size_t byte :
+       {starts[0] + 1, starts[0] + 9, starts[0] + kArtifactHeaderSize + 3,
+        starts[1] + 6, starts[2] + kArtifactHeaderSize + 76}) {
+    auto flipped = run;
+    flipped[byte] ^= 0x04;
+    EXPECT_EQ(scan(flipped).status().code(), StatusCode::kDataLoss)
+        << "byte " << byte;
+  }
+  // A range that does not open with the magic is damage even with no frame
+  // after it.
+  EXPECT_EQ(scan(bytes_of("MSLG, and what followed it")).status().code(),
+            StatusCode::kDataLoss);
+  // Another kind's frame is not a frame of this kind.
+  const auto other = frame_artifact(ArtifactKind::kManifest, "x", 1);
+  auto mixed = run;
+  mixed.insert(mixed.begin(), other.begin(), other.end());
+  EXPECT_EQ(scan(mixed).status().code(), StatusCode::kDataLoss);
+}
+
 // --- durable I/O on real files ---------------------------------------------
 
 TEST(DurableFileTest, AtomicWriteReadsBackAndLeavesNoTempFile) {
@@ -160,19 +232,6 @@ TEST(DurableFileTest, AtomicWriteReadsBackAndLeavesNoTempFile) {
   std::vector<std::uint8_t> out;
   ASSERT_TRUE(read_artifact(path, ArtifactKind::kManifest, opts, &out).is_ok());
   EXPECT_EQ(out, data);
-}
-
-TEST(DurableFileTest, WriteRawAtomicWritesExactImage) {
-  const std::string dir = fresh_dir("ms_durable_raw");
-  const std::string path = dir + "/source_0.log";
-  const auto image = payload(48);
-  const DurableOptions opts{SyncMode::kNone, nullptr};
-  ASSERT_TRUE(write_raw_atomic(path, ArtifactKind::kSourceLog, image.data(),
-                               image.size(), opts)
-                  .is_ok());
-  std::vector<std::uint8_t> out;
-  ASSERT_TRUE(read_raw(path, ArtifactKind::kSourceLog, opts, &out).is_ok());
-  EXPECT_EQ(out, image);  // no frame added
 }
 
 TEST(DurableFileTest, MissingFileIsNotFound) {
@@ -414,6 +473,26 @@ TEST(AppendFileTest, TornAppendReportsFailureAfterPartialWrite) {
   ASSERT_TRUE(read_raw(path, ArtifactKind::kSourceLog, DurableOptions{}, &out)
                   .is_ok());
   EXPECT_EQ(out, bytes_of("abXYZ"));
+}
+
+// A truncation cuts the file back in place and moves size(): a failed
+// append's leftovers (truncate(size())) or a torn tail.
+TEST(AppendFileTest, TruncateCutsBackInPlace) {
+  const std::string dir = fresh_dir("ms_append_truncate");
+  const std::string path = dir + "/source_0.log";
+  const DurableOptions opts{SyncMode::kNone, nullptr};
+  AppendFile f;
+  EXPECT_FALSE(f.truncate(0));  // closed
+  ASSERT_TRUE(f.open(path));
+  ASSERT_TRUE(f.append("abcdef", 6, opts));
+  ASSERT_TRUE(f.truncate(4));
+  EXPECT_EQ(f.size(), 4u);
+  EXPECT_EQ(fs::file_size(path), 4u);
+  ASSERT_TRUE(f.append("XY", 2, opts));
+  std::vector<std::uint8_t> out;
+  ASSERT_TRUE(read_raw(path, ArtifactKind::kSourceLog, DurableOptions{}, &out)
+                  .is_ok());
+  EXPECT_EQ(out, bytes_of("abcdXY"));
 }
 
 }  // namespace

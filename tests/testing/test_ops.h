@@ -1,11 +1,13 @@
 // Small operators and cluster fixtures shared by core, ft, and integration
 // tests: a deterministic counting source, a pass-through relay with
-// configurable state, and a recording sink with payload capture.
+// configurable state, a keyed delta-capable sum, and a recording sink with
+// payload capture.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -121,6 +123,78 @@ class RelayOperator final : public core::Operator {
   Bytes extra_;
   std::int64_t sum_ = 0;
   std::int64_t seen_ = 0;
+};
+
+/// Keyed running sums (key = value % `keys`) with per-epoch dirty tracking —
+/// the delta-aware operator; forwards every tuple. The dirty-key set is
+/// cleared by mark_checkpointed() at the serialization cut, so a delta blob
+/// carries exactly the keys mutated since the previous committed cut.
+/// serialize_state() walks the (ordered) map, making full-state bytes
+/// deterministic for byte-identity and exactness checks.
+class KeyedDeltaSum final : public core::Operator {
+ public:
+  KeyedDeltaSum(std::string name, std::int64_t keys)
+      : core::Operator(std::move(name)), keys_(keys) {}
+
+  void process(int, const core::Tuple& t, core::OperatorContext& ctx) override {
+    const auto* p = t.payload_as<IntPayload>();
+    MS_CHECK(p != nullptr);
+    const std::int64_t key = p->value % keys_;
+    table_[key] += p->value;
+    dirty_.insert(key);
+    ctx.emit(0, t);
+  }
+
+  Bytes state_size() const override {
+    return 8 + static_cast<Bytes>(table_.size()) * 16;
+  }
+  Bytes state_delta_size() const override {
+    return 8 + static_cast<Bytes>(dirty_.size()) * 16;
+  }
+
+  void serialize_state(BinaryWriter& w) const override {
+    w.write<std::uint64_t>(table_.size());
+    for (const auto& [k, v] : table_) {
+      w.write(k);
+      w.write(v);
+    }
+  }
+  void deserialize_state(BinaryReader& r) override {
+    clear_state();
+    const auto n = r.read<std::uint64_t>();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const auto k = r.read<std::int64_t>();
+      table_[k] = r.read<std::int64_t>();
+    }
+  }
+  void clear_state() override {
+    table_.clear();
+    dirty_.clear();
+  }
+
+  bool supports_delta() const override { return true; }
+  void serialize_delta(BinaryWriter& w) const override {
+    w.write<std::uint64_t>(dirty_.size());
+    for (const std::int64_t k : dirty_) {
+      w.write(k);
+      w.write(table_.at(k));
+    }
+  }
+  void apply_delta(BinaryReader& r) override {
+    const auto n = r.read<std::uint64_t>();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const auto k = r.read<std::int64_t>();
+      table_[k] = r.read<std::int64_t>();
+    }
+  }
+  void mark_checkpointed() override { dirty_.clear(); }
+
+  const std::map<std::int64_t, std::int64_t>& table() const { return table_; }
+
+ private:
+  std::int64_t keys_;
+  std::map<std::int64_t, std::int64_t> table_;
+  std::set<std::int64_t> dirty_;
 };
 
 /// Sink recording every received value (by in-port).

@@ -49,13 +49,16 @@ for preset in $PRESETS; do
   # Source-log segment repeat pass under the sanitizers: a commit's seal
   # syncs the head without the log's mutex while the source appends, then
   # takes it for the rename and the handle swap. The SourceLogTest cases
-  # (the batch-frame drills among them), the segment drills (seal, unlink,
+  # (the batch-frame, damage and previous-format drills among them), the
+  # frame parser's tear/damage drill, the segment drills (seal, unlink,
   # crash around both, fallback into older segments) and the runtime's
-  # batch-frame drills repeat serially so a race in that handoff shows up.
+  # batch-frame, damage, log-start and previous-format drills repeat
+  # serially so a race in that handoff, or a parser reading past a damaged
+  # frame, shows up.
   if [[ "$preset" != "default" ]]; then
     echo "=== [$preset] source-log segment repeat ==="
     if ! ctest --preset "$preset" \
-        -R '^SourceLogTest\.|^RtCorruptionTest\.(Segment|Batch)|^RtProtocolTest\.SourceLogTruncatesAtCommit$' \
+        -R '^SourceLogTest\.|^DurableFileTest\.ScanFrames|^RtCorruptionTest\.(Segment|Batch|DamagedHead|LogStart|HeaderFlip|FrameFlip|FailedFirstAppend|PreChecksum|EveryArtifactBitFlip)|^RtProtocolTest\.SourceLogTruncatesAtCommit$' \
         --repeat until-fail:20 --timeout 120; then
       results+=("$preset: SEGMENT REPEAT FAILED"); status=1; break
     fi

@@ -1,10 +1,10 @@
 # Smoke test: a short rt-backend run writes a real checkpoint directory,
 # msverify scrubs it clean and reports the source log's batch count and
-# index range, and the log starts with the version-2 (batch frame) MSLG
-# header; then three kinds of deliberate damage (a
-# truncated manifest, a source log's head without its header, a sealed
-# segment without its header) must each be flagged with a non-zero exit,
-# naming the file. Driven from tools/CMakeLists as ctest
+# index range, and the log opens with an MSDF frame header (magic, version
+# 1, kind 4 = source log); then three kinds of deliberate damage (a
+# truncated manifest, a source log's head with its first 8 bytes cut off, a
+# sealed segment cut the same way) must each be flagged with a non-zero
+# exit, naming the file. Driven from tools/CMakeLists as ctest
 # `tools.verify_smoke`.
 set(ckpt_dir "${WORK_DIR}/verify_smoke_ckpts")
 file(REMOVE_RECURSE "${ckpt_dir}")
@@ -37,8 +37,10 @@ if(NOT clean_out MATCHES "\nlog [^\n]*/source_0\\.log: [0-9]+ batch\\(es\\) of [
   message(FATAL_ERROR "msverify did not report the log's batches:\n${clean_out}")
 endif()
 file(READ "${ckpt_dir}/source_0.log" log_header LIMIT 8 HEX)
-if(NOT log_header STREQUAL "4d534c4702000000")  # "MSLG", version 2
-  message(FATAL_ERROR "source log header is ${log_header}, not MSLG v2")
+# "MSDF", version 1 (u16), kind 4 (source log), reserved 0.
+if(NOT log_header STREQUAL "4d53444601000400")
+  message(FATAL_ERROR
+          "source log opens with ${log_header}, not an MSDF source-log frame")
 endif()
 
 # Damage one durable artifact (truncate a manifest mid-header) and the scrub
@@ -62,15 +64,16 @@ if(NOT dirty_err MATCHES "CORRUPT .*MANIFEST")
           "msverify did not name the damaged manifest:\n${dirty_out}\n${dirty_err}")
 endif()
 
-# Cut the 8-byte MSLG header off `victim`: the frames are intact but the
-# file no longer verifies as a log segment, and the scrub must name it.
-function(cut_header_and_verify victim what)
+# Cut the first 8 bytes off `victim`: the frames after the first are intact
+# but the file no longer opens with the MSDF magic, which is damage, never a
+# tear, and the scrub must name it.
+function(cut_and_verify victim what)
   execute_process(
     COMMAND tail -c +9 "${victim}"
     OUTPUT_FILE "${victim}.cut"
     RESULT_VARIABLE cut_rc)
   if(NOT cut_rc EQUAL 0)
-    message(FATAL_ERROR "could not cut the header off ${victim}")
+    message(FATAL_ERROR "could not cut 8 bytes off ${victim}")
   endif()
   file(RENAME "${victim}.cut" "${victim}")
 
@@ -81,12 +84,12 @@ function(cut_header_and_verify victim what)
     ERROR_VARIABLE log_err)
   if(log_rc EQUAL 0)
     message(FATAL_ERROR
-            "msverify missed a headerless ${what}:\n${log_out}\n${log_err}")
+            "msverify missed a cut ${what}:\n${log_out}\n${log_err}")
   endif()
   string(FIND "${log_err}" "CORRUPT ${victim}:" named)
   if(named EQUAL -1)
     message(FATAL_ERROR
-            "msverify did not name the headerless ${what} ${victim}:\n"
+            "msverify did not name the cut ${what} ${victim}:\n"
             "${log_out}\n${log_err}")
   endif()
 endfunction()
@@ -103,6 +106,6 @@ if(num_heads EQUAL 0 OR num_sealed EQUAL 0)
           "expected a source log head and a sealed segment in ${ckpt_dir}")
 endif()
 list(GET heads 0 head_victim)
-cut_header_and_verify("${head_victim}" "source log head")
+cut_and_verify("${head_victim}" "source log head")
 list(GET sealed 0 sealed_victim)
-cut_header_and_verify("${sealed_victim}" "sealed source log segment")
+cut_and_verify("${sealed_victim}" "sealed source log segment")
